@@ -4,8 +4,8 @@ to an elliptic eigenform, and the period of that lift.
 
 The stack, bottom to top:
 
-- exactnum: Laurent polynomials, truncated series, symbolic zeta/pi
-  monomials, interval-style big floats, rational reconstruction.
+- exactnum: Laurent polynomials and their series expansion, symbolic
+  zeta/pi monomials, interval-style big floats, rational reconstruction.
 - cayley: the integral octonion order on E8; exact composition algebra.
 - jordan: 3x3 Hermitian octonion matrices, determinant, adjoint, the
   generator actions of the structure group.
@@ -49,11 +49,9 @@ from .exactnum import (
     BigFloat,
     LaurentPoly,
     SpecialValue,
-    TruncSeries,
     bernoulli,
     frac_parse,
     frac_str,
-    poly_mul_int,
     rational_reconstruct,
     zeta_special,
 )
@@ -125,7 +123,6 @@ __all__ = [
     "Reduction",
     "SiegelPoly",
     "SpecialValue",
-    "TruncSeries",
     "ZZ",
     "Zmod",
     "alpha_p",
@@ -163,7 +160,6 @@ __all__ = [
     "pack_f2",
     "period",
     "period_report",
-    "poly_mul_int",
     "rank_f2",
     "rational_reconstruct",
     "rationality_probe",

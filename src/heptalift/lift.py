@@ -1,5 +1,5 @@
 """Hecke-eigenvalue data, Satake power sums, and Fourier coefficients of the
-lifted form, together with its local L-factor descriptions.
+lifted form, together with its symmetric-square local factor.
 
 The coefficient of a positive definite integral element T is
 det(T)^{(2k-9)/2} times a product of local factors, one per prime dividing
@@ -196,7 +196,7 @@ def fourier_coeff(T, eigen):
 
 
 # ---------------------------------------------------------------------------
-# Local L-factor descriptions
+# Symmetric-square local factor
 
 
 def sym2_coeffs(a_p, p, k):
@@ -209,44 +209,3 @@ def sym2_coeffs(a_p, p, k):
     s1 = Fraction(a_p * a_p, p ** (2 * k - 9)) - 1
     return [Fraction(1), -s1, s1, Fraction(-1)]
 
-
-def _sym3_from(a, q):
-    """Inverse symmetric-cube factor from a = a_p and q = p^{2k-9}."""
-    e1 = a ** 3 - 2 * q * a
-    e2 = q * a ** 4 - 3 * q ** 2 * a ** 2 + 2 * q ** 3
-    return [1, -e1, e2, -(q ** 3) * e1, q ** 6]
-
-
-def sym3_coeffs(a_p, p, k):
-    """Inverse local factor of the symmetric cube in u = p^{-s}.
-
-    Arithmetic normalization (Satake parameters scaled by p^{(2k-9)/2}), so
-    the coefficients are polynomial in a_p and p^{2k-9}.
-    """
-    return _sym3_from(a_p, p ** (2 * k - 9))
-
-
-def local_L_factors(p, a_p, k):
-    """Inverse local factors of the lift's L-functions at p.
-
-    sym2: degree 3 (unitary); sym3: degree 4 (arithmetic); std56: the
-    factored description of the degree-56 standard factor - the
-    symmetric-cube factor and two blocks of shifted degree-2 factors, at
-    shifts -4..4 and -8..8 (arithmetic normalization throughout, so a shift
-    i rescales the degree-2 factor by powers of p^{-i}).
-    """
-    q = p ** (2 * k - 9)
-
-    def deg2(i):
-        sh = Fraction(p) ** (-i)
-        return [Fraction(1), -a_p * sh, q * sh * sh]
-
-    return {
-        "sym2": sym2_coeffs(a_p, p, k),
-        "sym3": sym3_coeffs(a_p, p, k),
-        "std56": {
-            "sym3": sym3_coeffs(a_p, p, k),
-            "block9": [(i, deg2(i)) for i in range(-4, 5)],
-            "block17": [(i, deg2(i)) for i in range(-8, 9)],
-        },
-    }

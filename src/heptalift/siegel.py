@@ -52,43 +52,9 @@ class SiegelPoly:
         return self.poly.evaluate(x)
 
 
-class _Rat:
-    """num/den with Laurent polynomial parts; exact arithmetic only."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        self.num = num if isinstance(num, LaurentPoly) else LaurentPoly.const(num)
-        if den is None:
-            den = LaurentPoly.const(1)
-        self.den = den if isinstance(den, LaurentPoly) else LaurentPoly.const(den)
-        if not self.den:
-            raise ZeroDivisionError
-
-    def __add__(self, other):
-        return _Rat(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return _Rat(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, _Rat):
-            other = _Rat(other)
-        return _Rat(self.num * other.num, self.den * other.den)
-
-    def __neg__(self):
-        return _Rat(-self.num, self.den)
-
-    def subst_inverse(self):
-        return _Rat(self.num.subst_inverse(), self.den.subst_inverse())
-
-    def poly(self) -> LaurentPoly:
-        return self.num.divide_exact(self.den)
-
-
-def _lin(c, inv=False):
-    """1 - c X (or 1 - c / X)."""
-    return LaurentPoly("X", {0: 1, (-1 if inv else 1): -Fraction(c)})
+def _lin(c):
+    """1 - c X."""
+    return LaurentPoly("X", {0: 1, 1: -Fraction(c)})
 
 
 def _mono(coeff, exp):
@@ -112,31 +78,42 @@ def _check_args(p, m1, m2, m3):
         raise ValueError((m1, m2, m3))
 
 
+def _sum_symmetric(half: LaurentPoly, terms) -> LaurentPoly:
+    """sum(num / den + num_inv / den(1/X)) over (num, num_inv, den) in terms.
+
+    Every den divides half, so half * half(1/X) is a common denominator.  The
+    cofactors half / den and the final quotient are exact divisions: a wrong
+    denominator or a sum that is not a Laurent polynomial raises.
+    """
+    plus = minus = LaurentPoly.zero("X")
+    for num, num_inv, den in terms:
+        cof = half.divide_exact(den)
+        plus = plus + num * cof
+        minus = minus + num_inv * cof.subst_inverse()
+    half_inv = half.subst_inverse()
+    return (plus * half_inv + minus * half).divide_exact(half * half_inv)
+
+
 def f_poly(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
-    """Eight-term closed form, summed exactly."""
+    """Eight-term closed form, summed over one common denominator."""
     _check_args(p, m1, m2, m3)
     p4, p8 = Fraction(p) ** 4, Fraction(p) ** 8
     p4i = 1 / p4
     d_plus = _lin(1) * _lin(p4) * _lin(p8)
-    d_minus = _lin(1, True) * _lin(p4, True) * _lin(p8, True)
     d5 = _lin(1) * _lin(1) * _lin(p4)
-    d6 = _lin(1, True) * _lin(1, True) * _lin(p4, True)
     d7 = _lin(1) * _lin(1) * _lin(p4i)
-    d8 = _lin(1, True) * _lin(1, True) * _lin(p4i, True)
+    # (1-X)^2 (1-p^4 X)(1-p^8 X)(1-p^-4 X); the minus side uses X -> 1/X
+    half = d5 * _lin(p8) * _lin(p4i)
+    a = -(p ** (8 * m1 + 8))
+    b = -(p ** (8 * m1 + 4 * (m2 + 1)))
+    c = -(p ** (8 * m1 + 4 * m2))
     terms = [
-        _Rat(_mono(1, 0), d_plus),
-        _Rat(_mono(1, 3 * m1 + m2 + m3), d_minus),
-        _Rat(_mono(-(p ** (8 * m1 + 8)), m1 + 1), d_plus),
-        _Rat(_mono(-(p ** (8 * m1 + 8)), 2 * m1 + m2 + m3 - 1), d_minus),
-        _Rat(_mono(-(p ** (8 * m1 + 4 * (m2 + 1))), m1 + m2 + 1), d5),
-        _Rat(_mono(-(p ** (8 * m1 + 4 * (m2 + 1))), 2 * m1 + m3 - 1), d6),
-        _Rat(_mono(-(p ** (8 * m1 + 4 * m2)), m1 + m3 + 1), d7),
-        _Rat(_mono(-(p ** (8 * m1 + 4 * m2)), 2 * m1 + m2 - 1), d8),
+        (_mono(1, 0), _mono(1, 3 * m1 + m2 + m3), d_plus),
+        (_mono(a, m1 + 1), _mono(a, 2 * m1 + m2 + m3 - 1), d_plus),
+        (_mono(b, m1 + m2 + 1), _mono(b, 2 * m1 + m3 - 1), d5),
+        (_mono(c, m1 + m3 + 1), _mono(c, 2 * m1 + m2 - 1), d7),
     ]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return _finish(p, (m1, m2, m3), total.poly())
+    return _finish(p, (m1, m2, m3), _sum_symmetric(half, terms))
 
 
 def _base_poly(p: int, m2: int, m3: int) -> LaurentPoly:
@@ -159,19 +136,23 @@ def f_poly_oracle(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
     p4, p8 = Fraction(p) ** 4, Fraction(p) ** 8
     f0 = _base_poly(p, m2, m3)
     fm = _base_poly(p, m2 - 1, m3 - 1) if m2 >= 1 else LaurentPoly.zero("X")
-    c0 = _Rat(_mono(1, 0), _lin(1) * _lin(p4) * _lin(p8) * f0)
+    c0_den = _lin(1) * _lin(p4) * _lin(p8) * f0
     c1_num = (f0 - fm.shift(2)) * _lin(p8) - LaurentPoly(
         "X", {0: 1, 1: 1 + p4}
     )
-    c1 = _Rat(c1_num, _lin(p8) * _lin(1) * _lin(1 / p4) * f0)
-    bracket = (
-        c0.subst_inverse() * _Rat(_mono(1, 3 * m1))
-        + c1.subst_inverse() * _Rat(_mono(p ** (8 * m1), 2 * m1))
-        + c1 * _Rat(_mono(p ** (8 * m1), m1))
-        + c0
-    )
-    total = bracket * _Rat(f0)
-    return _finish(p, (m1, m2, m3), total.poly())
+    c1_den = _lin(p8) * _lin(1) * _lin(1 / p4) * f0
+    # a multiple of both C0 and C1 denominators; the minus side uses X -> 1/X
+    half = c0_den * _lin(1 / p4)
+    q = p ** (8 * m1)
+    terms = [
+        (f0, _mono(1, 3 * m1) * f0, c0_den),
+        (
+            c1_num * _mono(q, m1) * f0,
+            c1_num.subst_inverse() * _mono(q, 2 * m1) * f0,
+            c1_den,
+        ),
+    ]
+    return _finish(p, (m1, m2, m3), _sum_symmetric(half, terms))
 
 
 def tilde_f(s: SiegelPoly) -> LaurentPoly:

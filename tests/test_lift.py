@@ -12,14 +12,12 @@ from heptalift.lift import (
     eigen_from_csv,
     eigen_from_rows,
     fourier_coeff,
-    local_L_factors,
     local_factor,
     satake_power_sums,
     sym2_coeffs,
-    sym3_coeffs,
     tau_table,
 )
-from heptalift.lift import _sym3_from
+from heptalift.lift import _trunc_sqr
 
 from test_padic import unit_word
 
@@ -155,24 +153,17 @@ def test_sym2_factor():
     assert sym2_coeffs(a, p, k) == collapse
 
 
-def test_sym3_factor():
-    assert _sym3_from(2, 1) == [1, -4, 6, -4, 1]
-    q = 2 ** 11
-    got = sym3_coeffs(-24, 2, 10)
-    a = -24
-    assert got[1] == -(a ** 3 - 2 * q * a)
-    assert got[4] == q ** 6
-    assert got[3] == q ** 3 * got[1]
-
-
-def test_std56_degree_count():
-    L = local_L_factors(2, -24, 10)
-    std = L["std56"]
-    degree = (len(std["sym3"]) - 1) + sum(len(f) - 1 for _, f in std["block9"])
-    degree += sum(len(f) - 1 for _, f in std["block17"])
-    assert degree == 56
-    assert [i for i, _ in std["block9"]] == list(range(-4, 5))
-    assert [i for i, _ in std["block17"]] == list(range(-8, 9))
-    shifted = dict(std["block9"])
-    assert shifted[0] == [Fraction(1), Fraction(24), Fraction(2 ** 11)]
-    assert shifted[1] == [Fraction(1), Fraction(24, 2), Fraction(2 ** 11, 4)]
+def test_trunc_sqr_against_naive():
+    rng = random.Random(23)
+    cases = [[0], [0, 0, 0], [-1], [2 ** 64, -(2 ** 64) - 1, 3]]
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        cases.append([rng.randint(-10 ** 30, 10 ** 30) for _ in range(n)])
+    for c in cases:
+        square = [0] * (2 * len(c) - 1)
+        for i, x in enumerate(c):
+            for j, y in enumerate(c):
+                square[i + j] += x * y
+        for order in {0, len(c) - 1, 2 * len(c) - 2, 2 * len(c) + 3, rng.randint(0, 2 * len(c))}:
+            want = (square + [0] * (order + 1))[: order + 1]
+            assert _trunc_sqr(c, order) == want
