@@ -9,7 +9,7 @@ BigFloat carrier at the bottom, which wraps mpmath with a tracked error bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import mpmath
 
@@ -540,8 +540,19 @@ def rational_reconstruct(x, error_bound, max_denominator=10 ** 12):
     return None
 
 
+def _rounding(v):
+    """Bound on the error of v, rounded once at the working precision."""
+    return abs(v) * mpmath.mpf(2) ** (-mpmath.mp.prec + 2)
+
+
+def _up(*terms):
+    """Sum of nonnegative error terms, rounded upward."""
+    return reduce(lambda s, t: mpmath.fadd(s, t, rounding="u"), terms)
+
+
 class BigFloat:
-    """mpmath value with a tracked (heuristic) absolute error bound."""
+    """mpmath value with an absolute error bound covering the input intervals
+    and the rounding of the value; bounds are computed with upward rounding."""
 
     __slots__ = ("value", "err")
 
@@ -553,13 +564,12 @@ class BigFloat:
     def exact(cls, q):
         q = Fraction(q)
         v = mpmath.mpf(q.numerator) / q.denominator
-        if v == 0:
-            return cls(v, 0)
-        return cls(v, abs(v) * mpmath.mpf(2) ** (-mpmath.mp.prec + 2))
+        return cls(v, _rounding(v))
 
     def __add__(self, other):
         o = other if isinstance(other, BigFloat) else BigFloat(other)
-        return BigFloat(self.value + o.value, self.err + o.err)
+        v = self.value + o.value
+        return BigFloat(v, _up(self.err, o.err, _rounding(v)))
 
     __radd__ = __add__
 
@@ -568,16 +578,17 @@ class BigFloat:
 
     def __sub__(self, other):
         o = other if isinstance(other, BigFloat) else BigFloat(other)
-        return BigFloat(self.value - o.value, self.err + o.err)
+        v = self.value - o.value
+        return BigFloat(v, _up(self.err, o.err, _rounding(v)))
 
     def __mul__(self, other):
         o = other if isinstance(other, BigFloat) else BigFloat(other)
         v = self.value * o.value
-        err = (
-            abs(self.value) * o.err
-            + abs(o.value) * self.err
-            + self.err * o.err
-            + abs(v) * mpmath.mpf(2) ** (-mpmath.mp.prec + 2)
+        err = _up(
+            mpmath.fmul(abs(self.value), o.err, rounding="u"),
+            mpmath.fmul(abs(o.value), self.err, rounding="u"),
+            mpmath.fmul(self.err, o.err, rounding="u"),
+            _rounding(v),
         )
         return BigFloat(v, err)
 
@@ -587,16 +598,13 @@ class BigFloat:
         o = other if isinstance(other, BigFloat) else BigFloat(other)
         if abs(o.value) <= o.err:
             raise ZeroDivisionError("divisor interval contains zero: %r" % (o,))
-        if not self.value:
-            # no relative error to carry: bound |x / y| over the divisor interval
-            return BigFloat(self.value, self.err / (abs(o.value) - o.err))
         v = self.value / o.value
-        rel = (
-            self.err / abs(self.value)
-            + o.err / abs(o.value)
-            + mpmath.mpf(2) ** (-mpmath.mp.prec + 2)
-        )
-        return BigFloat(v, abs(v) * rel)
+        r = _rounding(v)
+        # x/y - v = (dx - (x/y) dy)/y + (x/y - v), over the whole divisor
+        # interval |y| >= |o.value| - o.err, with |x/y| <= |v| + r
+        gap = mpmath.fsub(abs(o.value), o.err, rounding="d")
+        num = _up(self.err, mpmath.fmul(_up(abs(v), r), o.err, rounding="u"))
+        return BigFloat(v, _up(mpmath.fdiv(num, gap, rounding="u"), r))
 
     def digits(self):
         """Correct decimal digits implied by the tracked bound."""

@@ -6,18 +6,29 @@ An element is
     X = [ x~  b   z ]      (~ is octonion conjugation; a, b, c scalars)
         [ y~  z~  c ]
 
-stored as (a, b, c, x, y, z) over a common coefficient ring.  The module
-provides the Jordan product, the trace inner product, the cubic determinant
+stored as its upper triangle (a, b, c, x, y, z) over a common coefficient
+ring; an entry below the diagonal is read as the conjugate of its upper slot,
+so every element is Hermitian by construction.  The module provides the
+Jordan product, the trace inner product, the cubic determinant
     det X = abc - a N(z) - b N(y) - c N(x) + Tr((x z) y~),
 the quadratic adjoint X # X with (X#X)#(X#X) = det(X) X, and the generators
 of the integral structure group together with their determinant multipliers.
+
+With Y = (A, B, C, U, V, W) and <u, v> = Tr(u v~), the Jordan product
+X o Y = (XY + YX)/2 has the slots
+    a-slot  aA + (<x,U> + <y,V>)/2
+    b-slot  bB + (<x,U> + <z,W>)/2
+    c-slot  cC + (<y,V> + <z,W>)/2
+    x-slot  ((a+b)U + (A+B)x + y W~ + V z~)/2
+    y-slot  ((a+c)V + (A+C)y + x W + U z)/2
+    z-slot  ((b+c)W + (B+C)z + x~ V + U~ y)/2
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cayley import ModRing, Octonion, QQ, ZZ
+from .cayley import IntegerRing, ModRing, Octonion, ZZ
 
 
 def _half(ring, v):
@@ -25,9 +36,7 @@ def _half(ring, v):
         if ring.m % 2 == 0:
             raise ZeroDivisionError("2 is not invertible mod %d" % ring.m)
         return v * pow(2, -1, ring.m) % ring.m
-    if ring is ZZ or isinstance(ring, type(ZZ)):
-        if isinstance(v, Fraction):
-            v = ring.el(v)
+    if isinstance(ring, IntegerRing):
         if v % 2:
             raise ArithmeticError("result is not integral")
         return v // 2
@@ -110,31 +119,6 @@ class JordanElement:
             self.x.map_ring(ring), self.y.map_ring(ring), self.z.map_ring(ring),
         )
 
-    # -- matrix-entry view ---------------------------------------------------
-
-    def entries(self):
-        """Full 3x3 octonion matrix (diagonal as scalar octonions)."""
-        R = self.ring
-        return [
-            [Octonion.scalar(self.a, R), self.x, self.y],
-            [self.x.conj(), Octonion.scalar(self.b, R), self.z],
-            [self.y.conj(), self.z.conj(), Octonion.scalar(self.c, R)],
-        ]
-
-    @classmethod
-    def from_entries(cls, ring, E, check=True):
-        def scal(o):
-            if check and any(o.co[1:]):
-                raise ArithmeticError("diagonal entry is not scalar: %r" % (o,))
-            return o.co[0]
-
-        if check:
-            for (i, j) in ((1, 0), (2, 0), (2, 1)):
-                if E[i][j] != E[j][i].conj():
-                    raise ArithmeticError("matrix is not Hermitian")
-        return cls(ring, scal(E[0][0]), scal(E[1][1]), scal(E[2][2]),
-                   E[0][1], E[0][2], E[1][2])
-
     # -- algebra operations ----------------------------------------------
 
     def det(self):
@@ -158,19 +142,20 @@ class JordanElement:
         )
 
     def circ(self, other):
-        """Jordan product (XY + YX)/2."""
-        E, F = self.entries(), other.entries()
-        M = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                acc = E[i][0] * F[0][j]
-                acc = acc + E[i][1] * F[1][j]
-                acc = acc + E[i][2] * F[2][j]
-                M[i][j] = acc
-        # X Y + Y X = M + M^(conj-transpose) for Hermitian X, Y
-        S = [[M[i][j] + M[j][i].conj() for j in range(3)] for i in range(3)]
-        H = [[_half_oct(S[i][j]) for j in range(3)] for i in range(3)]
-        return JordanElement.from_entries(self.ring, H)
+        """Jordan product (XY + YX)/2, by the slot formulas in the module docstring."""
+        R = self.ring
+        a, b, c, x, y, z = self.a, self.b, self.c, self.x, self.y, self.z
+        A, B, C, U, V, W = other.a, other.b, other.c, other.x, other.y, other.z
+        pxu, pyv, pzw = x.norm_polar(U), y.norm_polar(V), z.norm_polar(W)
+        return JordanElement(
+            R,
+            a * A + _half(R, pxu + pyv),
+            b * B + _half(R, pxu + pzw),
+            c * C + _half(R, pyv + pzw),
+            _half_oct((A + B) * x + (a + b) * U + y * W.conj() + V * z.conj()),
+            _half_oct((A + C) * y + (a + c) * V + x * W + U * z),
+            _half_oct((B + C) * z + (b + c) * W + x.conj() * V + U.conj() * y),
+        )
 
     def inner(self, other):
         """Trace form (X, Y) = Tr(X o Y), computed division-free."""
@@ -265,26 +250,32 @@ def apply_gamma(X: JordanElement, eps) -> JordanElement:
     return JordanElement(R, eps * X.a, eps * X.b, ei * X.c, eps * X.x, X.y, X.z)
 
 
+def _off(X: JordanElement, u: int, v: int) -> Octonion:
+    """Off-diagonal X_uv (0-indexed): an upper slot, or the conjugate of one."""
+    if u > v:
+        return _off(X, v, u).conj()
+    return (X.x, X.y, X.z)[u + v - 1]
+
+
 def apply_m(X: JordanElement, w: Octonion, i: int, j: int) -> JordanElement:
     """X -> (1 + w~ e_ji) X (1 + w e_ij), 1-indexed positions, i != j.
 
-    Only row j and column j change; the (j,j) entry becomes
-    X_jj + Tr(X_ji w) + X_ii N(w).
+    Only row j and column j change: with k the third index, X_kj gains
+    X_ki w, X_ij gains X_ii w, and the (j,j) entry becomes
+    X_jj + Tr(X_ji w) + X_ii N(w).  The permutation (i, j, k) -> (1, 2, 3)
+    moves X_ii, X_ij, X_jj, X_ki and X_kj to the slots a, x, b, y~ and z~.
     """
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError((i, j))
-    r, s = i - 1, j - 1
-    E = X.entries()
-    wc = w.conj()
-    new = [row[:] for row in E]
-    for t in range(3):
-        new[t][s] = new[t][s] + E[t][r] * w
-    for t in range(3):
-        add = wc * E[r][t]
-        if t == s:
-            add = add + wc * (E[r][r] * w)
-        new[s][t] = new[s][t] + add
-    return JordanElement.from_entries(X.ring, new)
+    sigma = (i, j, 6 - i - j)
+    Y = apply_perm(X, sigma)
+    a, x, y = Y.a, Y.x, Y.y
+    # Tr(x~ w) = <x, w>; the (3,2) entry z~ gains y~ w, so z gains w~ y
+    Y = JordanElement(
+        Y.ring, a, Y.b + x.norm_polar(w) + a * w.norm(), Y.c,
+        x + a * w, y, Y.z + w.conj() * y,
+    )
+    return apply_perm(Y, tuple(sigma.index(v) + 1 for v in (1, 2, 3)))
 
 
 def apply_theta(X: JordanElement, r1, r2, r3) -> JordanElement:
@@ -300,12 +291,18 @@ def apply_theta(X: JordanElement, r1, r2, r3) -> JordanElement:
 
 
 def apply_perm(X: JordanElement, sigma) -> JordanElement:
-    """Simultaneous row/column permutation; sigma is a tuple image of (1,2,3)."""
+    """Simultaneous row/column permutation; sigma is a tuple image of (1,2,3).
+
+    The new X_uv is X_{sigma(u) sigma(v)}.
+    """
     if sorted(sigma) != [1, 2, 3]:
         raise ValueError(sigma)
-    E = X.entries()
-    new = [[E[sigma[i] - 1][sigma[j] - 1] for j in range(3)] for i in range(3)]
-    return JordanElement.from_entries(X.ring, new)
+    diag = (X.a, X.b, X.c)
+    s1, s2, s3 = (v - 1 for v in sigma)
+    return JordanElement(
+        X.ring, diag[s1], diag[s2], diag[s3],
+        _off(X, s1, s2), _off(X, s1, s3), _off(X, s2, s3),
+    )
 
 
 def apply_token(X: JordanElement, token) -> JordanElement:

@@ -16,7 +16,6 @@ all 27 coordinates stay correct mod p^N throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -136,26 +135,17 @@ class _Reducer:
         """xi with ord(d_pivot + Tr(x_off xi) + d_other N(xi)) == mu.
 
         The row operation with this xi turns the pivot diagonal entry into
-        exactly that value.  Since the trace pairing is unimodular and both
-        diagonal terms have valuation > mu here, a scaled basis vector
-        always works; the exhaustive sweep is a safety net.
+        exactly that value.  Both diagonal terms have valuation > mu here,
+        so the condition is ord Tr(x_off xi) == mu; the trace pairing is
+        unimodular, so some basis vector meets it, and scaling xi by a unit
+        never changes whether it does.
         """
-        ring, p = self.ring, self.p
-
-        def ok(xi):
-            v = ring.el(d_pivot + x_off.trace_with(xi) + d_other * xi.norm())
-            return self.vp(v) == mu
-
+        ring = self.ring
         for t in range(8):
-            for c in range(1, p):
-                xi = Octonion(ring, [c if u == t else 0 for u in range(8)])
-                if ok(xi):
-                    return xi
-        for coords in itertools.product(range(p), repeat=8):
-            if any(coords):
-                xi = Octonion(ring, coords)
-                if ok(xi):
-                    return xi
+            xi = Octonion.basis(t, ring)
+            v = ring.el(d_pivot + x_off.trace_with(xi) + d_other * xi.norm())
+            if self.vp(v) == mu:
+                return xi
         raise ArithmeticError("no clearing vector exists; input corrupt?")
 
     # -- row/column clearing -----------------------------------------------

@@ -1,6 +1,7 @@
 """CLI plumbing: JSON shapes, exit codes, determinism, error channels."""
 
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,24 @@ def test_reduce_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "reduce", "--prime", "2", "--input", path)
     assert code == 0
     assert json.loads(out)["divisors"] == [0, 1, 2]
+
+
+def test_reduce_large_prime_finishes_fast(tmp_path, capsys):
+    # the clearing vector for x is a basis vector; the search must not scan
+    # the p - 1 unit multiples of each basis vector first
+    p = 1000003
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps(
+        {"diag": [p, p, p], "x": [0, 1] + [0] * 6, "y": ZERO8, "z": ZERO8}
+    ))
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "reduce", "--prime", str(p), "--input", str(path))
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert json.loads(out) == {
+        "prime": p, "divisors": [0, 0, 1], "precision": 2, "word_length": 2,
+    }
+    assert elapsed <= 3.0
 
 
 def test_reduce_malformed_input(tmp_path, capsys):

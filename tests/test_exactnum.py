@@ -1,8 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heptalift.exactnum import (
     BigFloat,
@@ -204,9 +206,56 @@ def test_bigfloat_zero_numerator_keeps_error():
     assert q.err == mpmath.mpf(1) / 2
 
 
+def test_bigfloat_quotient_covers_wide_divisor():
+    # 1.5 / 0.5 = 3 lies in the inputs' range, so the bound must reach it
+    q = BigFloat(1, mpmath.mpf("0.5")) / BigFloat(1, mpmath.mpf("0.5"))
+    assert q.value == 1 and q.err >= 2
+    q = BigFloat(1, mpmath.mpf("0.01")) / BigFloat(1, mpmath.mpf("0.1"))
+    assert q.value + q.err >= mpmath.mpf("1.01") / mpmath.mpf("0.9")
+
+
 def test_bigfloat_divisor_straddling_zero_raises():
     with pytest.raises(ZeroDivisionError):
         BigFloat(1) / BigFloat(mpmath.mpf("1e-6"), mpmath.mpf("1e-5"))
     with pytest.raises(ZeroDivisionError):
         BigFloat(1) / BigFloat(0)
     assert (BigFloat(1) / BigFloat(2, mpmath.mpf("1e-3"))).value == mpmath.mpf(1) / 2
+
+
+def exact(v):
+    """The mpf v as an exact Fraction."""
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+FLOATS = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+ERRORS = st.floats(min_value=0, max_value=1e6, allow_nan=False)
+BIGFLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@pytest.mark.parametrize("name", sorted(BIGFLOAT_OPS))
+@pytest.mark.parametrize("prec", [53, 64])
+def test_bigfloat_result_encloses_corners(name, prec):
+    """x op y over the input intervals stays within the result's bound.
+
+    The four corners bound the range of + - * /, and they are evaluated in
+    exact rational arithmetic: at any finite precision the corner v +- err is
+    itself rounded when err is far below the ulp of v.
+    """
+    op = BIGFLOAT_OPS[name]
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(FLOATS, ERRORS, FLOATS, ERRORS)
+    def check(xv, xe, yv, ye):
+        with mpmath.workprec(prec):
+            x, y = BigFloat(xv, xe), BigFloat(yv, ye)
+            try:
+                r = op(x, y)
+            except ZeroDivisionError:
+                assert name == "/" and abs(y.value) <= y.err
+                return
+        for cx in (exact(x.value) - exact(x.err), exact(x.value) + exact(x.err)):
+            for cy in (exact(y.value) - exact(y.err), exact(y.value) + exact(y.err)):
+                assert abs(op(cx, cy) - exact(r.value)) <= exact(r.err)
+
+    check()

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -187,3 +188,128 @@ def test_json_roundtrip():
     for _ in range(20):
         X = rand_jordan(rng)
         assert JordanElement.from_json(X.to_json()) == X
+
+
+# -- matrix oracle -----------------------------------------------------------
+#
+# An independent route for circ, apply_m and apply_perm: the element as its
+# full Hermitian 3x3 octonion matrix (scalar octonions on the diagonal,
+# conjugates below it), multiplied as matrices entry by entry.
+
+ORACLE_RINGS = (ZZ, QQ, Zmod(7), Zmod(49), Zmod(4))
+
+
+def as_matrix(X):
+    R = X.ring
+    return [
+        [Octonion.scalar(X.a, R), X.x, X.y],
+        [X.x.conj(), Octonion.scalar(X.b, R), X.z],
+        [X.y.conj(), X.z.conj(), Octonion.scalar(X.c, R)],
+    ]
+
+
+def unit_matrix(ring, extra=()):
+    """Identity matrix plus the given ((row, col), octonion) terms."""
+    M = [[Octonion.scalar(int(i == j), ring) for j in range(3)] for i in range(3)]
+    for (i, j), o in extra:
+        M[i][j] = M[i][j] + o
+    return M
+
+
+def mat_mul(P, Q):
+    return [
+        [P[i][0] * Q[0][j] + P[i][1] * Q[1][j] + P[i][2] * Q[2][j] for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def mat_half(ring, M):
+    if ring is QQ:
+        return [[Octonion(QQ, [Fraction(v) / 2 for v in o.co]) for o in row] for row in M]
+    if ring is ZZ:
+        if any(v % 2 for row in M for o in row for v in o.co):
+            raise ArithmeticError("half-integral entry")
+        return [[Octonion(ZZ, [v // 2 for v in o.co]) for o in row] for row in M]
+    if ring.m % 2 == 0:
+        raise ZeroDivisionError("2 is not a unit mod %d" % ring.m)
+    h = pow(2, -1, ring.m)
+    return [[Octonion(ring, [v * h for v in o.co]) for o in row] for row in M]
+
+
+def outcome(f, *args):
+    """The matrix of f(*args), or the type of the exception it raises."""
+    try:
+        r = f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    return r if isinstance(r, list) else as_matrix(r)
+
+
+def oracle_circ(X, Y):
+    E, F = as_matrix(X), as_matrix(Y)
+    XY, YX = mat_mul(E, F), mat_mul(F, E)
+    return mat_half(X.ring, [[XY[i][j] + YX[i][j] for j in range(3)] for i in range(3)])
+
+
+def oracle_m(X, w, i, j):
+    """(1 + w~ e_ji) X (1 + w e_ij) with 1-indexed i != j."""
+    L = unit_matrix(X.ring, [((j - 1, i - 1), w.conj())])
+    R = unit_matrix(X.ring, [((i - 1, j - 1), w)])
+    return mat_mul(mat_mul(L, as_matrix(X)), R)
+
+
+def oracle_perm(X, sigma):
+    """P X P^T with P_{u, sigma(u)} = 1, so the new X_uv is X_{sigma(u) sigma(v)}."""
+    P = [[Octonion.scalar(int(sigma[u] - 1 == v), X.ring) for v in range(3)] for u in range(3)]
+    PT = [[P[v][u] for v in range(3)] for u in range(3)]
+    return mat_mul(mat_mul(P, as_matrix(X)), PT)
+
+
+def rand_coord(rng, ring):
+    if ring is QQ:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return rng.randint(-3, 3) if ring is ZZ else rng.randrange(ring.m)
+
+
+def rand_elem(rng, ring):
+    def o():
+        return Octonion(ring, [rand_coord(rng, ring) for _ in range(8)])
+
+    return JordanElement(ring, *(rand_coord(rng, ring) for _ in range(3)), o(), o(), o())
+
+
+def test_circ_matches_matrix_oracle():
+    rng = random.Random(271)
+    E11 = JordanElement.diag(1, 0, 0)
+    e0 = JordanElement(ZZ, 0, 0, 0, Octonion.basis(0), Octonion.zero(), Octonion.zero())
+    # half-integral over Z, 2 not a unit in Z/4, an even product over Z
+    cases = [(E11, e0), (E11.map_ring(Zmod(4)), e0.map_ring(Zmod(4))), (E11, e0.scale(2))]
+    for ring in ORACLE_RINGS:
+        cases += [(rand_elem(rng, ring), rand_elem(rng, ring)) for _ in range(25)]
+    raised = set()
+    for X, Y in cases:
+        want = outcome(oracle_circ, X, Y)
+        assert outcome(X.circ, Y) == want, (X, Y)
+        if isinstance(want, type):
+            raised.add((X.ring.name, want))
+    assert outcome(E11.circ, e0.scale(2)) == as_matrix(e0)
+    assert raised == {("Z", ArithmeticError), ("Z/4", ZeroDivisionError)}
+
+
+def test_m_generator_matches_matrix_oracle():
+    rng = random.Random(277)
+    for ring in ORACLE_RINGS:
+        for _ in range(4):
+            X = rand_elem(rng, ring)
+            w = Octonion(ring, [rand_coord(rng, ring) for _ in range(8)])
+            for i, j in itertools.permutations((1, 2, 3), 2):
+                assert as_matrix(apply_m(X, w, i, j)) == oracle_m(X, w, i, j), (ring, i, j)
+
+
+def test_perm_matches_matrix_oracle():
+    rng = random.Random(281)
+    for ring in ORACLE_RINGS:
+        for _ in range(4):
+            X = rand_elem(rng, ring)
+            for sigma in itertools.permutations((1, 2, 3)):
+                assert as_matrix(apply_perm(X, sigma)) == oracle_perm(X, sigma), (ring, sigma)
