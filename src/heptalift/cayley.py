@@ -229,23 +229,32 @@ def _build_structure():
 _S = _build_structure()
 
 
+def _form_source(rows, names):
+    """Source text of sum_i x_i (sum_j rows[i][j] names[j]) for integer rows,
+    with zero coefficients left out and each x_i multiplied once."""
+    parts = []
+    for i, row in enumerate(rows):
+        lin = "".join(
+            ("+" if c > 0 else "-") + ("" if abs(c) == 1 else "%d*" % abs(c)) + name
+            for c, name in zip(row, names) if c)
+        if lin:
+            parts.append("x%d*(%s)" % (i, lin.lstrip("+")))
+    return "+".join(parts) or "0"
+
+
 def _build_mul_kernel():
     """Straight-line product of two coordinate vectors, generated from _S.
 
-    Every structure constant is +-1, so each output coordinate is a signed
-    sum of x_i y_j monomials; unrolling removes the interpreter loop from
-    the hottest primitive in the package.
+    Every structure constant is +-1, so each output coordinate is a sum of
+    x_i times a signed sum of y_j; unrolling removes the interpreter loop
+    from the hottest primitive in the package.
     """
-    terms = [[] for _ in range(8)]
-    for i in range(8):
-        for j in range(8):
-            for k, v in enumerate(_S[i][j]):
-                if v not in (0, 1, -1):
-                    raise AssertionError("structure constants are not all +-1")
-                if v:
-                    terms[k].append(("+" if v > 0 else "-") + "x%d*y%d" % (i, j))
-    exprs = [("".join(t)).lstrip("+") for t in terms]
-    args = ",".join(["x%d" % i for i in range(8)] + ["y%d" % j for j in range(8)])
+    if any(v not in (0, 1, -1) for plane in _S for row in plane for v in row):
+        raise AssertionError("structure constants are not all +-1")
+    ys = ["y%d" % j for j in range(8)]
+    exprs = [_form_source([[_S[i][j][k] for j in range(8)] for i in range(8)], ys)
+             for k in range(8)]
+    args = ",".join(["x%d" % i for i in range(8)] + ys)
     ns = {}
     exec("def mul(%s):\n    return (%s)" % (args, ",".join(exprs)), ns)
     return ns["mul"]
@@ -261,6 +270,20 @@ _GRAM = tuple(
     tuple(sum(a * b for a, b in zip(_ALPHA_2E[i], _ALPHA_2E[j])) // 2 for j in range(8))
     for i in range(8)
 )
+
+
+def _build_norm_kernel():
+    """Straight-line N(x) = sum_i x_i (G_ii/2 x_i + sum_{j>i} G_ij x_j),
+    generated from _GRAM like the product kernel."""
+    xs = ["x%d" % i for i in range(8)]
+    rows = [[_GRAM[i][i] // 2 if j == i else _GRAM[i][j] if j > i else 0
+             for j in range(8)] for i in range(8)]
+    ns = {}
+    exec("def norm(%s):\n    return %s" % (",".join(xs), _form_source(rows, xs)), ns)
+    return ns["norm"]
+
+
+_NORM_RAW = _build_norm_kernel()
 
 # Tr(x y) bilinear form: Tr(a_i a_j) picked out of the structure constants
 _GRAM_NOCONJ = tuple(
@@ -303,7 +326,11 @@ class Octonion:
 
     def __init__(self, ring, coords):
         self.ring = ring
-        self.co = tuple(ring.el(v) for v in coords)
+        co = tuple(coords)
+        # plain ints are already canonical in Z
+        if ring is not ZZ or not all(type(v) is int for v in co):
+            co = tuple(map(ring.el, co))
+        self.co = co
 
     @classmethod
     def _raw(cls, ring, coords):
@@ -393,17 +420,8 @@ class Octonion:
 
     def norm(self):
         """N(x) = x conj(x), as a ring scalar."""
-        acc = 0
-        co = self.co
-        for i in range(8):
-            ci = co[i]
-            if not ci:
-                continue
-            acc += ci * ci * (_GRAM[i][i] // 2)
-            for j in range(i + 1, 8):
-                if co[j]:
-                    acc += _GRAM[i][j] * ci * co[j]
-        return self.ring.el(acc)
+        acc = _NORM_RAW(*self.co)
+        return acc if self.ring is ZZ else self.ring.el(acc)
 
     def norm_polar(self, other):
         """Tr(x conj(y)) = N(x+y) - N(x) - N(y), as a ring scalar."""

@@ -25,7 +25,23 @@ at w = 0 and applying the functional equation (Lambda is entire for a level
 one cusp form).  Each J is computed by the trapezoid rule on a vertical
 line: the integrand is analytic in a strip around the line and decays like
 exp(-3 pi |t| / 4), so the rule converges geometrically and one table of
-Gamma values serves every n.
+Gamma values G_j serves every n: n enters only through r^j, r = n^{-ih}.
+
+`sym2_lvalues` evaluates several points s in one pass over n, and
+`sym2_lvalue` is its one-point case.  At each n the pass takes log n once.
+Kernels with the same step h share the powers r^j: the J(s) kernels of
+s = 1, 5, 9 and J(0) have strip 5.5, and the J(1 - s) kernels of s = 5 and
+s = 9 have strip 6.5.  Each power is formed once, by the same sequence of
+rounded complex products r^j = r^{j-1} * r that a kernel alone would use.
+Each kernel accumulates only the real part of G_0/2 + sum_j G_j r^j, on
+raw mpmath.libmp tuples: the term is round(Re G_j Re r^j - Im G_j Im r^j),
+added with one rounding.  Those are exactly the operations that mpc
+multiplication and addition perform for the real part, and the imaginary
+part never enters the result, so the values are bit-identical to those of
+each J evaluated alone in complex mpc arithmetic.  The J(1 - s) kernels of
+s = 5 and s = 9 also sample gamma_infinity at the same arguments 6 + i j h,
+so the pass computes those node values once.  Each point keeps its own
+stopping rule and stops at the same n as it would alone.
 
 Summation is serial in ascending n, so results are bit-identical across
 runs and worker counts.  Error bounds are conservative but heuristic at the
@@ -34,9 +50,12 @@ intervals.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import zip_longest
 from math import isqrt
 
 import mpmath
+from mpmath.libmp import fone, fzero, mpc_mul, mpf_add, mpf_mul, mpf_shift, mpf_sub
 
 from .exactnum import BigFloat, rational_reconstruct
 from .genfun import gamma_k
@@ -51,6 +70,7 @@ __all__ = [
     "sym2_dirichlet_coeffs",
     "sym2_dirichlet_sum",
     "sym2_lvalue",
+    "sym2_lvalues",
     "triple_divisor_count",
 ]
 
@@ -140,104 +160,188 @@ def gamma_infinity(s, k):
     )
 
 
+def _contour(z, c0=None):
+    """The abscissa c0 of J(z, n) (default: the one for z) and the half-width
+    of the pole-free strip around the line Re w = c0, which sizes the step."""
+    if c0 is None:
+        c0 = max(6, 6 - z)
+    c0 = mpmath.mpf(c0)
+    return c0, min(float(c0), float(mpmath.mpf(z) + c0 + 1)) - 0.5
+
+
 class _Kernel:
     """Trapezoid data for J(z, n) on the vertical line Re w = c0.
 
     The abscissa keeps Re(z + w) >= 6 (absolute convergence with room) and
     the pole of 1/w at distance >= 6.  The step is sized from the width of
     the pole-free strip; one table of node values G_j serves every n because
-    n enters only through the rotation n^{-i j h} = r^j.
+    n enters only through the rotation n^{-i j h} = r^j.  The nodes are kept
+    as raw mpmath.libmp tuples: Re(G_0 / 2) and the pairs (Re G_j, Im G_j)
+    for j >= 1.
+
+    `gamma_at` stands in for gamma_infinity; a joint pass hands the kernels
+    of one line a version that reuses values.
     """
 
-    def __init__(self, z, k, digits, c0=None):
+    def __init__(self, z, k, digits, c0=None, gamma_at=None):
+        if gamma_at is None:
+            gamma_at = gamma_infinity
         self.z = mpmath.mpf(z)
-        if c0 is None:
-            c0 = max(6, 6 - z)
-        self.c0 = mpmath.mpf(c0)
-        strip = min(float(self.c0), float(self.z + self.c0 + 1)) - 0.5
+        self.c0, strip = _contour(z, c0)
         if strip <= 0:
             raise ValueError("contour abscissa too close to a pole")
         eps = mpmath.mpf(10) ** (-(digits + 12))
         self.h = 2 * mpmath.pi * strip / mpmath.log(1 / eps)
         nodes = []
         gmax = mpmath.mpf(0)
+        gsum = mpmath.mpf(0)
         j = 0
         low = 0
         while True:
             wj = mpmath.mpc(self.c0, j * self.h)
-            g = gamma_infinity(self.z + wj, k) / wj
-            nodes.append(g)
-            gmax = max(gmax, abs(g))
-            low = low + 1 if abs(g) < gmax * eps else 0
+            g = gamma_at(self.z + wj, k) / wj
+            nodes.append(g._mpc_)
+            size = abs(g)
+            gsum += size
+            gmax = max(gmax, size)
+            low = low + 1 if size < gmax * eps else 0
             if low >= 3 and j > 8:
                 break
             if j > 200000:
                 raise ArithmeticError("kernel quadrature failed to truncate")
             j += 1
-        self.nodes = nodes
-        gsum = sum((abs(g) for g in nodes), mpmath.mpf(0))
+        self.head = mpf_shift(nodes[0][0], -1)  # halving a node is exact
+        self.terms = nodes[1:]
+        self.weight = self.h / mpmath.pi
         # heuristic discretization + truncation bound with safety factor;
         # the residual n-dependence n^{strip - (z + c0)} is at most n^{1/2}
-        self.base_err = 100 * (self.h / mpmath.pi) * gsum * eps
+        self.base_err = 100 * self.weight * gsum * eps
         self.n_pow = strip - float(self.z + self.c0)
+        self.decay = -(self.z + self.c0)
 
     def __call__(self, n):
+        """J(z, n) as a BigFloat."""
         lnn = mpmath.log(n)
-        r = mpmath.expj(-self.h * lnn)
-        acc = self.nodes[0] / 2
-        rp = mpmath.mpc(1)
-        for g in self.nodes[1:]:
-            rp = rp * r
-            acc = acc + g * rp
-        scale = mpmath.exp(-(self.z + self.c0) * lnn)
-        val = (self.h / mpmath.pi) * scale * acc.real
+        return self.finish(n, lnn, _step_sums([self], lnn)[0])
+
+    def finish(self, n, lnn, acc):
+        """J(z, n) from acc = Re(G_0/2 + sum_j G_j r^j), a raw mpf."""
+        scale = mpmath.exp(self.decay * lnn)
+        val = self.weight * scale * mpmath.mp.make_mpf(acc)
         err = self.base_err * mpmath.mpf(n) ** self.n_pow
         return BigFloat(val, err)
 
 
-def _smoothed_lambda(eigen, s, digits):
-    """Completed value Lambda(s) by the smoothed series; returns (value, cutoff)."""
-    k = eigen.k
-    ker_s = _Kernel(s, k, digits)
-    ker_r = _Kernel(1 - s, k, digits)
-    eps_term = abs(gamma_infinity(s, k)) * mpmath.mpf(10) ** (-(digits + 6))
-    total = BigFloat(0)
-    bs = []
-    n = 0
-    calm = 0
-    while True:
-        n += 1
-        if n > len(bs):
-            try:
-                bs = sym2_dirichlet_coeffs(eigen, max(2 * len(bs), 64))
-            except KeyError as exc:
-                raise ValueError(f"need more eigenvalues: {exc}") from None
-        js = ker_s(n)
-        jr = ker_r(n)
-        total = total + BigFloat.exact(bs[n - 1]) * (js + jr)
-        bound = triple_divisor_count(n) * (
-            abs(js.value) + js.err + abs(jr.value) + jr.err
-        )
-        calm = calm + 1 if bound < eps_term else 0
-        if calm >= 5 and n >= 8:
-            break
-        if n > 100000:
-            raise ValueError("need more eigenvalues: series did not settle")
-    return BigFloat(total.value, total.err + 10 * eps_term), n
+def _step_sums(kernels, lnn):
+    """Re(G_0/2 + sum_j G_j r^j) for kernels that share the step h, as raw mpfs.
+
+    Each power r^j = r^{j-1} * r of r = n^{-ih} is formed once, by the same
+    rounded complex product as a kernel alone would use, and each term adds
+    round(Re G_j Re r^j - Im G_j Im r^j): the real part of the mpc product
+    and sum, rounded the same way, so sharing changes no bit.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    r = mpmath.expj(-kernels[0].h * lnn)._mpc_
+    rp = (fone, fzero)
+    accs = [ker.head for ker in kernels]
+    for column in zip_longest(*(ker.terms for ker in kernels)):
+        rp = mpc_mul(rp, r, prec, rnd)
+        rre, rim = rp
+        for i, g in enumerate(column):
+            if g is not None:
+                accs[i] = mpf_add(
+                    accs[i], mpf_sub(mpf_mul(g[0], rre), mpf_mul(g[1], rim), prec, rnd),
+                    prec, rnd)
+    return accs
 
 
-def sym2_lvalue(eigen, s, digits=20):
-    """L(s, Sym^2) at s in {1, 5, 9} as a BigFloat with an error bound."""
-    if s not in CRITICAL_POINTS:
+class _Series:
+    """Running smoothed series of Lambda(s) for one point s."""
+
+    def __init__(self, s, k, digits, ker_s, ker_r):
+        self.ker_s = ker_s
+        self.ker_r = ker_r
+        self.gamma = gamma_infinity(s, k)
+        self.eps_term = abs(self.gamma) * mpmath.mpf(10) ** (-(digits + 6))
+        self.total = BigFloat(0)
+        self.calm = 0
+
+    def add_term(self, n, b, d3, js, jr):
+        """Add b(n) [J(s, n) + J(1 - s, n)]; True once the series has settled."""
+        self.total = self.total + b * (js + jr)
+        bound = d3 * (abs(js.value) + js.err + abs(jr.value) + jr.err)
+        self.calm = self.calm + 1 if bound < self.eps_term else 0
+        return self.calm >= 5 and n >= 8
+
+    def lvalue(self):
+        """L(s) = Lambda(s) / gamma_infinity(s) with the truncation allowance."""
+        lam = BigFloat(self.total.value, self.total.err + 10 * self.eps_term)
+        ulp = abs(self.gamma) * mpmath.mpf(2) ** (-mpmath.mp.prec + 2)
+        return lam / BigFloat(self.gamma, ulp)
+
+
+def _joint_series(points, k, digits):
+    """One _Series per point, its kernels J(s, .) and J(1 - s, .) built line by
+    line: kernels whose nodes z + c0 + i j h lie on one line share their
+    gamma_infinity values (the J(1 - s) kernels of s = 5 and s = 9 both sample
+    6 + i j h), and a line's values are dropped once its kernels exist.  All
+    kernels of the pass are held at once, so the node tables are raw tuples
+    only."""
+    lines = {}
+    for z in dict.fromkeys(z for s in points for z in (s, 1 - s)):
+        c0, strip = _contour(z)
+        lines.setdefault((z + c0, strip), []).append(z)
+    kernels = {}
+    for zs in lines.values():
+        # only a line that several kernels sample keeps its values
+        gamma_at = cache(gamma_infinity) if len(zs) > 1 else None
+        for z in zs:
+            kernels[z] = _Kernel(z, k, digits, gamma_at=gamma_at)
+    return [_Series(s, k, digits, kernels[s], kernels[1 - s]) for s in points]
+
+
+def sym2_lvalues(eigen, points, digits=20):
+    """L(s, Sym^2) for every s in points, each in {1, 5, 9}, from one pass
+    over n; returns BigFloats with error bounds, in the order of points."""
+    points = tuple(points)
+    if any(s not in CRITICAL_POINTS for s in points):
         raise ValueError("s must be one of 1, 5, 9")
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in [1, {MAX_DIGITS}]")
     with mpmath.workdps(digits + 18):
-        lam, _ = _smoothed_lambda(eigen, s, digits)
-        g = gamma_infinity(s, eigen.k)
-        ulp = abs(g) * mpmath.mpf(2) ** (-mpmath.mp.prec + 2)
-        out = lam / BigFloat(g, ulp)
-    return out
+        series = _joint_series(points, eigen.k, digits)
+        live = series
+        bs = []
+        n = 0
+        while live:
+            n += 1
+            if n > len(bs):
+                try:
+                    bs = sym2_dirichlet_coeffs(eigen, max(2 * len(bs), 64))
+                except KeyError as exc:
+                    raise ValueError(f"need more eigenvalues: {exc}") from None
+            # every live kernel at this n, one rotation sequence per step h
+            lnn = mpmath.log(n)
+            steps = {}
+            for sr in live:
+                for ker in (sr.ker_s, sr.ker_r):
+                    steps.setdefault(ker.h._mpf_, []).append(ker)
+            jn = {}
+            for kernels in steps.values():
+                for ker, acc in zip(kernels, _step_sums(kernels, lnn)):
+                    jn[ker] = ker.finish(n, lnn, acc)
+            b = BigFloat.exact(bs[n - 1])
+            d3 = triple_divisor_count(n)
+            live = [sr for sr in live
+                    if not sr.add_term(n, b, d3, jn[sr.ker_s], jn[sr.ker_r])]
+            if live and n > 100000:
+                raise ValueError("need more eigenvalues: series did not settle")
+        return [sr.lvalue() for sr in series]
+
+
+def sym2_lvalue(eigen, s, digits=20):
+    """L(s, Sym^2) at s in {1, 5, 9} as a BigFloat with an error bound."""
+    return sym2_lvalues(eigen, (s,), digits)[0]
 
 
 def sym2_dirichlet_sum(eigen, s, N, digits=20):
@@ -267,7 +371,7 @@ def period_report(k, eigen, digits=20):
     """Period and its factors: gamma_k, pi power, and the three L-values."""
     if k != eigen.k:
         raise ValueError("weight parameter does not match the eigenvalue table")
-    lvals = [sym2_lvalue(eigen, s, digits) for s in CRITICAL_POINTS]
+    lvals = sym2_lvalues(eigen, CRITICAL_POINTS, digits)
     g = gamma_k(k)
     with mpmath.workdps(digits + 18):
         pi_pow = mpmath.pi ** (-(6 * k + 3))
@@ -323,9 +427,8 @@ def rationality_probe(eigen, k, digits=(20, 30)):
     cands = {"r5": [], "r9": []}
     for d in (d1, d2):
         with mpmath.workdps(d + 20):
-            l1 = sym2_lvalue(eigen, 1, d)
-            pairs = (("r5", sym2_lvalue(eigen, 5, d), 8),
-                     ("r9", sym2_lvalue(eigen, 9, d), 16))
+            l1, l5, l9 = sym2_lvalues(eigen, CRITICAL_POINTS, d)
+            pairs = (("r5", l5, 8), ("r9", l9, 16))
             for key, lv, h in pairs:
                 pw = mpmath.pi ** h
                 den = l1 * BigFloat(pw, abs(pw) * mpmath.mpf(2) ** (-mpmath.mp.prec + 4))

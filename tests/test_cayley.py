@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from heptalift.cayley import (
     QQ,
     ZZ,
@@ -96,6 +98,32 @@ def test_trace_form_identities():
         assert ((x * y) * z).trace() == (x * (y * z)).trace()
         assert x.trace_with(y) == (x * y).trace()
         assert x.norm_polar(y) == (x + y).norm() - x.norm() - y.norm()
+
+
+def test_norm_is_half_gram_form():
+    # the generated norm kernel against N(x) = x^T G x / 2 summed in full
+    rng = random.Random(131)
+    G = trace_pairing_gram()
+    for ring in (ZZ, QQ, Zmod(7), Zmod(9)):
+        for _ in range(300):
+            co = [rng.randint(-9, 9) for _ in range(8)]
+            if ring is QQ:
+                co = [Fraction(v, rng.randint(1, 6)) for v in co]
+            x = Octonion(ring, co)
+            full = sum(G[i][j] * x.co[i] * x.co[j] for i in range(8) for j in range(8))
+            assert full % 2 == 0 or ring is QQ
+            want = ring.el(Fraction(full, 2))
+            got = x.norm()
+            assert got == want and type(got) is type(want)
+
+
+def test_integer_coordinates_are_canonical():
+    # plain ints pass through; anything else goes through the ring
+    x = Octonion(ZZ, [Fraction(4, 2), True, 3, 0, 0, 0, 0, -1])
+    assert x.co == (2, 1, 3, 0, 0, 0, 0, -1)
+    assert all(type(v) is int for v in x.co)
+    with pytest.raises(ValueError):
+        Octonion(ZZ, [Fraction(1, 2)] + [0] * 7)
 
 
 def test_mod_ring_reduction_commutes():

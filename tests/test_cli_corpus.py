@@ -1,8 +1,8 @@
 """Golden CLI corpus: SHA-256 of stdout for a fixed list of invocations.
 
 Any change to the exact algebra (Siegel polynomials, generating series,
-local factors, densities, residue algebra) that alters a printed byte shows
-up here.  `census` is left out because its payload carries elapsed time.
+local factors, densities, residue algebra) or to the L-value summation that
+alters a printed byte shows up here.  `census` is left out because its payload carries elapsed time.
 """
 
 import hashlib
@@ -36,6 +36,10 @@ CORPUS = [
      "2e18320926ec45d56cabb451457ea7a513efa9988d8daea67bc15066001e3e25"),
     (("gamma-k", "--k", "10", "--derived"),
      "002322b684269407166ff5ada33ea0e1b25396e12876932d56bf50d8610ba53a"),
+    (("period", "--k", "10", "--digits", "12"),
+     "29e115710bc9cc5cc36a35368abecfb0d56e39d2852cbe27d669aab62e431e74"),
+    (("probe", "--k", "10", "--digits", "10,14"),
+     "4ed290ae72fca2073ac9d3bbf6ab34d2e8efd566c7ae304afbf40112d27016e8"),
 ]
 
 

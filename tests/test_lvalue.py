@@ -23,6 +23,7 @@ from heptalift.lvalue import (
     sym2_dirichlet_coeffs,
     sym2_dirichlet_sum,
     sym2_lvalue,
+    sym2_lvalues,
     triple_divisor_count,
 )
 
@@ -128,11 +129,39 @@ def test_monotone_error():
     assert errs[0] > errs[1] > errs[2]
 
 
+@pytest.mark.parametrize("digits", [12, 20])
+def test_joint_pass_matches_one_point(digits):
+    # the joint pass shares rotation powers between kernels of one step and
+    # gamma_infinity values between kernels of one argument; a wrong grouping
+    # changes bits that the one-point pass, with nothing to share, keeps
+    joint = period_report(10, EIGEN, digits)["lvalues"]
+    for s, lv in zip((1, 5, 9), joint):
+        alone = sym2_lvalue(EIGEN, s, digits)
+        assert lv.value == alone.value
+        assert lv.err == alone.err
+    reordered = sym2_lvalues(EIGEN, (9, 1), digits)
+    assert [lv.value for lv in reordered] == [joint[2].value, joint[0].value]
+
+
+@pytest.mark.parametrize("digits", [10, 20])
+def test_error_bounds_enclose_finer_value(digits):
+    # a run 25 digits finer lands inside both intervals; 50 + 25 digits
+    # would exceed the supported maximum
+    coarse = sym2_lvalues(EIGEN, (1, 5, 9), digits)
+    fine = sym2_lvalues(EIGEN, (1, 5, 9), digits + 25)
+    with mpmath.workdps(80):
+        for c, f in zip(coarse, fine):
+            assert abs(c.value - f.value) <= c.err + f.err
+            assert f.err < c.err
+
+
 def test_lvalue_preconditions():
     with pytest.raises(ValueError):
         sym2_lvalue(EIGEN, 3, 20)
     with pytest.raises(ValueError):
         sym2_lvalue(EIGEN, 9, 60)
+    with pytest.raises(ValueError):
+        sym2_lvalues(EIGEN, (1, 3), 20)
     with pytest.raises(ValueError):
         period(11, EIGEN, 10)
     small = eigen_delta(20)
