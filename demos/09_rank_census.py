@@ -1,7 +1,7 @@
 """Exhaustive rank census of the Jordan algebra over F_2.
 
 The 2^27 residue classes are enumerated with precompiled numpy tables and
-counted by rank stratum in parallel.  The rank-3 count matches a closed
+counted by rank stratum in one process.  The rank-3 count matches a closed
 form, and the census independently reproduces the local density at 2 —
 an end-to-end check connecting raw enumeration to the density formulas.
 """
@@ -12,7 +12,7 @@ from heptalift import beta_exps, beta_from_census, census_f2
 from heptalift.census import sample_rank_fractions
 
 t0 = time.perf_counter()
-counts = census_f2(threads=4)
+counts = census_f2()
 elapsed = time.perf_counter() - t0
 print("census of 2^27 elements in %.2fs:" % elapsed)
 for stratum in ("rank0", "rank1", "rank2", "rank3"):

@@ -50,7 +50,6 @@ from .exactnum import (
     LaurentPoly,
     SpecialValue,
     bernoulli,
-    frac_parse,
     frac_str,
     rational_reconstruct,
     zeta_special,
@@ -142,7 +141,6 @@ __all__ = [
     "f_poly_oracle",
     "factorize",
     "fourier_coeff",
-    "frac_parse",
     "frac_str",
     "gamma_RS",
     "gamma_infinity",

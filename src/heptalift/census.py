@@ -13,18 +13,16 @@ and adjoint evaluate as vectorized byte operations; rank classification
 follows the generic rule (zero; nonzero with vanishing adjoint; vanishing
 determinant; invertible).
 
-Work is partitioned by the top bits of the packed index (the z byte): each
-worker owns a disjoint z range and returns local counters that the parent
-sums in a fixed order, so counts are identical for any worker count.  The
-worker count defaults to HEPTALIFT_THREADS, then to the CPU count.
+The census runs in one process, one z byte at a time: rank 3 from four
+block counts of the polar matrix, rank 1 from the few (x, y) pairs that a
+vanishing adjoint allows (see `_counts`), and rank 2 as the remainder.
 
 Full enumeration is limited to p = 2; for p = 3 a seeded uniform sampler
 reports stratum fractions with a binomial confidence interval as a
 statistical consistency check only.
 """
 
-import multiprocessing
-import os
+import itertools
 import random
 from fractions import Fraction
 from math import sqrt
@@ -134,68 +132,75 @@ def rank_f2(idx):
     return 1 if adj_zero else 2
 
 
-def _range_counts(zlo, zhi):
-    """(rank1, rank2, rank3) raw counts over z in [zlo, zhi); the zero
-    element, when present, is counted in rank1 and fixed up by the caller."""
+def _rank1_mask(xs, ys, z, a, b, c):
+    """Mask of the candidate pairs (xs, ys) for which (a, b, c, x, y, z) has
+    vanishing adjoint and determinant; the arrays broadcast together."""
     mul2, conj2, n2, mc = _tables()
-    xcol = np.arange(256, dtype=np.uint8)[:, None]
-    yrow = np.arange(256, dtype=np.uint8)[None, :]
-    mc_zero = mc == 0
+    nx, ny = n2[xs], n2[ys]
+    xz = mul2[xs, z]
+    det = n2[xz ^ ys] ^ n2[xz] ^ ny ^ (b & ny) ^ (c & nx) \
+        ^ ((a & b & c) ^ (a & int(n2[z])))
+    return (
+        (nx == (a & b)) & (ny == (a & c)) & (det == 0)
+        & (mul2[ys, int(conj2[z])] == (xs if c else 0))
+        & (xz == (ys if b else 0))
+        & (mc[xs, ys] == (z if a else 0))
+    )
+
+
+def _counts():
+    """(rank1, rank3) raw counts over all of J(F_2); the zero element is
+    counted in rank1 and fixed up by the caller.
+
+    Rank 3: with x and y sorted by N mod 2, each (N(x), N(y)) class is a
+    contiguous block of the polar matrix N(xz + y) + N(xz) + N(y), and the
+    diagonal terms of det only flip whole blocks, so four block counts per z
+    give the rank-3 count of every (a, b, c).  Rank 1: a vanishing adjoint
+    needs x z = b y and y conj(z) = c x, so the candidates are (x, xz) for
+    b = 1, (y conj(z), y) for c = 1, and the product of the two annihilators
+    for b = c = 0; every condition is then tested on the candidates.
+    """
+    mul2, conj2, n2, _ = _tables()
+    u = np.arange(256, dtype=np.uint8)
+    order = np.argsort(n2, kind="stable").astype(np.uint8)
+    k0 = 256 - int(n2.sum())
+    sizes = (k0, 256 - k0)
+    blocks = (slice(None, k0), slice(k0, None))
+    polar = n2[u[:, None] ^ order[None, :]] ^ n2[:, None] ^ n2[order][None, :]
     n1 = 0
     n3 = 0
-    for z in range(zlo, zhi):
+    for z in range(256):
         nz = int(n2[z])
         xz = mul2[:, z]
         yzc = mul2[:, int(conj2[z])]
-        polar = n2[xz[:, None] ^ yrow] ^ n2[xz][:, None] ^ n2[None, :]
-        mc_z = mc == z
-        for diag in range(8):
-            a, b, c = diag & 1, (diag >> 1) & 1, (diag >> 2) & 1
-            det = polar ^ (b & n2)[None, :] ^ (c & n2)[:, None] \
-                ^ ((a & b & c) ^ (a & nz))
-            n3 += int(np.count_nonzero(det))
-            if ((b & c) ^ nz) != 0:
+        pz = polar[xz[order]]
+        ones = [[int(np.count_nonzero(pz[r, s])) for s in blocks] for r in blocks]
+        for a, b, c in itertools.product((0, 1), repeat=3):
+            k = (a & b & c) ^ (a & nz)
+            for i in (0, 1):
+                for j in (0, 1):
+                    flip = k ^ (b & j) ^ (c & i)
+                    n3 += sizes[i] * sizes[j] - ones[i][j] if flip else ones[i][j]
+            if (b & c) != nz:
                 continue
-            okb = ((a & c) ^ n2) == 0
-            okc = ((a & b) ^ n2) == 0
-            if not (okb.any() and okc.any()):
-                continue
-            adjx = (yzc[None, :] == xcol) if c else (yzc == 0)[None, :]
-            adjy = (xz[:, None] == yrow) if b else (xz == 0)[:, None]
-            adjz = mc_z if a else mc_zero
-            mask = adjx & adjy & adjz & okc[:, None] & okb[None, :] & (det == 0)
-            n1 += int(np.count_nonzero(mask))
-    total = (zhi - zlo) * 8 * 65536
-    return n1, total - n1 - n3, n3
+            if b:
+                xs, ys = u, xz
+            elif c:
+                xs, ys = yzc, u
+            else:
+                xs, ys = np.flatnonzero(xz == 0)[:, None], np.flatnonzero(yzc == 0)[None, :]
+            n1 += int(np.count_nonzero(_rank1_mask(xs, ys, z, a, b, c)))
+    return n1, n3
 
 
-def _thread_count(threads=None):
-    if threads is None:
-        env = os.environ.get("HEPTALIFT_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError("thread count must be positive")
-    return threads
-
-
-def census_f2(threads=None):
+def census_f2():
     """Rank-stratum counts over all 2^27 elements of J(F_2)."""
-    t = _thread_count(threads)
-    chunks = [(z, min(z + 8, 256)) for z in range(0, 256, 8)]
-    if t == 1:
-        parts = [_range_counts(zlo, zhi) for zlo, zhi in chunks]
-    else:
-        with multiprocessing.Pool(t) as pool:
-            parts = pool.starmap(_range_counts, chunks, chunksize=1)
-    n1 = sum(p[0] for p in parts)
-    n2 = sum(p[1] for p in parts)
-    n3 = sum(p[2] for p in parts)
+    n1, n3 = _counts()
     # the zero element has vanishing adjoint but rank 0
-    return {"rank0": 1, "rank1": n1 - 1, "rank2": n2, "rank3": n3}
+    return {"rank0": 1, "rank1": n1 - 1, "rank2": _SIZE - n1 - n3, "rank3": n3}
 
 
-def beta_from_census(p=2, counts=None, threads=None):
+def beta_from_census(p=2, counts=None):
     """Density of the unit class recovered from the census orbit count.
 
     Computes delta_2 (1 - 1/2) 2^27 / rank3 and checks it against the
@@ -204,7 +209,7 @@ def beta_from_census(p=2, counts=None, threads=None):
     if p != 2:
         raise ValueError("full enumeration is only available mod 2")
     if counts is None:
-        counts = census_f2(threads)
+        counts = census_f2()
     got = (
         constants(2).delta
         * Fraction(1, 2)

@@ -10,9 +10,6 @@ Exit codes: 0 success, 2 usage error (bad flags, malformed or out-of-domain
 input), 1 computational failure (a verified identity did not hold, or a
 series could not be driven to the requested accuracy).  Both error paths
 write a one-object JSON diagnostic to stderr.
-
-The default thread count for the census comes from HEPTALIFT_THREADS, then
-from the CPU count.
 """
 
 import argparse
@@ -25,7 +22,7 @@ from fractions import Fraction
 import mpmath
 
 from . import acceptance
-from .census import _thread_count, beta_from_census, census_f2
+from .census import beta_from_census, census_f2
 from .density import beta_exps, igusa_verify, mass
 from .exactnum import frac_str
 from .genfun import (
@@ -74,17 +71,6 @@ def _emit(payload, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _num_str(v):
-    """Decimal string for an int, 'num/den' for a rational."""
-    if isinstance(v, Fraction):
-        return frac_str(v)
-    return str(v)
-
-
-def _mp_str(x, sig):
-    return mpmath.nstr(x, sig)
 
 
 def _check_prime(p):
@@ -167,7 +153,7 @@ def _cmd_siegel(args):
         "prime": p,
         "m": [m1, m2, m3],
         "weight": f.weight,
-        "coefficients": [_num_str(c) for c in f.coeffs()],
+        "coefficients": [frac_str(c) for c in f.coeffs()],
     }
     if args.eval is not None:
         name, _, rhs = args.eval.partition("=")
@@ -261,7 +247,7 @@ def _cmd_lift_coeff(args):
         "k": args.k,
         "det": str(T.det()),
         "divisors": {str(p): list(d.exps) for p, d in genus.items()},
-        "coefficient": _num_str(a),
+        "coefficient": frac_str(a),
     }
 
 
@@ -287,7 +273,7 @@ def _cmd_lift_table(args):
                     "divisors": {
                         str(p): list(exps) for p, exps in zip(primes, combo)
                     },
-                    "coefficient": _num_str(coeff),
+                    "coefficient": frac_str(coeff),
                 }
             )
     return {"k": args.k, "max_det": args.max_det, "rows": rows}
@@ -326,12 +312,16 @@ def _cmd_period(args):
     return {
         "k": args.k,
         "digits": args.digits,
-        "value": _mp_str(value.value, args.digits),
-        "error_bound": _mp_str(value.err, 3),
+        "value": mpmath.nstr(value.value, args.digits),
+        "error_bound": mpmath.nstr(value.err, 3),
         "gamma_k": frac_str(report["gamma_k"]),
         "pi_power": report["pi_power"],
         "lvalues": [
-            {"s": s, "value": _mp_str(lv.value, args.digits), "error_bound": _mp_str(lv.err, 3)}
+            {
+                "s": s,
+                "value": mpmath.nstr(lv.value, args.digits),
+                "error_bound": mpmath.nstr(lv.err, 3),
+            }
             for s, lv in zip(CRITICAL_POINTS, report["lvalues"])
         ],
     }
@@ -359,9 +349,8 @@ def _cmd_probe(args):
 def _cmd_census(args):
     if args.prime != 2:
         raise UsageError("the exhaustive census is implemented for --prime 2 only")
-    threads = _thread_count(args.threads)
     t0 = time.perf_counter()
-    counts = census_f2(threads)
+    counts = census_f2()
     elapsed = time.perf_counter() - t0
     try:
         beta = beta_from_census(2, counts)
@@ -369,13 +358,7 @@ def _cmd_census(args):
         raise ComputeError(str(exc), {"prime": 2, "counts": counts})
     return {
         "prime": 2,
-        "threads": threads,
-        "counts": {
-            "rank0": counts["rank0"],
-            "rank1": counts["rank1"],
-            "rank2": counts["rank2"],
-            "rank3": counts["rank3"],
-        },
+        "counts": counts,
         "beta": frac_str(beta),
         "elapsed_seconds": round(elapsed, 3),
     }
@@ -475,7 +458,6 @@ def build_parser():
 
     sp = add("census", _cmd_census, "exhaustive rank census of the 2^27 residue space")
     sp.add_argument("--prime", type=int, default=2)
-    sp.add_argument("--threads", type=int, default=None)
 
     add("selftest", _cmd_selftest, "run the full acceptance suite")
 

@@ -19,10 +19,6 @@ def frac_str(q) -> str:
     return str(Fraction(q))
 
 
-def frac_parse(s: str) -> Fraction:
-    return Fraction(s)
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 

@@ -219,13 +219,20 @@ class JordanElement:
 
     @classmethod
     def from_json(cls, d, ring=ZZ):
-        a, b, c = d["diag"]
-        return cls(
-            ring, a, b, c,
-            Octonion.from_list(d["x"], ring),
-            Octonion.from_list(d["y"], ring),
-            Octonion.from_list(d["z"], ring),
-        )
+        """Inverse of to_json.  "diag" must be a list of 3 JSON integers and
+        "x", "y", "z" lists of 8; anything else (floats, strings, booleans,
+        other lengths, missing keys) raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("an element is a JSON object")
+
+        def ints(key, n):
+            v = d.get(key)
+            if type(v) is not list or len(v) != n or any(type(t) is not int for t in v):
+                raise ValueError("%r must be a list of %d integers" % (key, n))
+            return v
+
+        a, b, c = ints("diag", 3)
+        return cls(ring, a, b, c, *(Octonion.from_list(ints(k, 8), ring) for k in "xyz"))
 
     def __repr__(self):
         return "JordanElement(%s, diag=%r, x=%r, y=%r, z=%r)" % (

@@ -44,7 +44,7 @@ so the pass computes those node values once.  Each point keeps its own
 stopping rule and stops at the same n as it would alone.
 
 Summation is serial in ascending n, so results are bit-identical across
-runs and worker counts.  Error bounds are conservative but heuristic at the
+runs.  Error bounds are conservative but heuristic at the
 Gamma-kernel level; they are propagated through BigFloat, not proof-grade
 intervals.
 """

@@ -25,7 +25,7 @@ RANK1_COUNT = 139503  # frozen enumeration output, cross-checked by partition
 
 @pytest.fixture(scope="module")
 def counts():
-    return census_f2(threads=4)
+    return census_f2()
 
 
 def test_tables_match_generic_arithmetic():
@@ -73,11 +73,6 @@ def test_census_counts(counts):
     # fraction identity for the open stratum
     frac = Fraction(counts["rank3"], 1 << 27)
     assert frac == Fraction(1, 2) * (1 - Fraction(1, 2 ** 5)) * (1 - Fraction(1, 2 ** 9))
-
-
-def test_thread_count_independence(counts):
-    assert census_f2(threads=1) == counts
-    assert census_f2(threads=16) == counts
 
 
 def test_beta_from_census(counts):

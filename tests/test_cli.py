@@ -83,6 +83,55 @@ def test_reduce_malformed_input(tmp_path, capsys):
     assert "malformed JSON" in json.loads(err)["error"]
 
 
+ZERO8_TEXT = json.dumps(ZERO8)
+
+
+def _element_text(**fields):
+    d = {"diag": "[1, 1, 1]", "x": ZERO8_TEXT, "y": ZERO8_TEXT, "z": ZERO8_TEXT}
+    d.update(fields)
+    return "{%s}" % ", ".join('"%s": %s' % kv for kv in d.items() if kv[1] is not None)
+
+
+MALFORMED_ELEMENTS = {
+    "float-diag": _element_text(diag="[1.5, 1, 1]"),
+    "string-diag": _element_text(diag='"123"'),
+    "overflow-diag": _element_text(diag="[1, 1, 1e400]"),
+    "bool-diag": _element_text(diag="[true, 1, 1]"),
+    "short-diag": _element_text(diag="[1, 1]"),
+    "long-diag": _element_text(diag="[1, 1, 1, 1]"),
+    "string-octonion": _element_text(x='"00000000"'),
+    "bool-octonion": _element_text(y=json.dumps([True] + [0] * 7)),
+    "float-octonion": _element_text(z="[0.0, 0, 0, 0, 0, 0, 0, 0]"),
+    "nested-octonion": _element_text(x=json.dumps([[0]] * 8)),
+    "short-octonion": _element_text(x=json.dumps([0] * 7)),
+    "long-octonion": _element_text(y=json.dumps([0] * 9)),
+    "missing-diag": _element_text(diag=None),
+    "missing-z": _element_text(z=None),
+    "null-x": _element_text(x="null"),
+    "top-level-list": "[1, 1, 1]",
+    "top-level-string": '"diag"',
+    "top-level-number": "3",
+    "top-level-null": "null",
+}
+
+
+def test_element_text_baseline_is_valid(tmp_path, capsys):
+    path = tmp_path / "elem.json"
+    path.write_text(_element_text())
+    code, out, _ = run_cli(capsys, "mass", "--input", str(path))
+    assert code == 0 and json.loads(out)["mass"] == frac_str(MASS_CONSTANT)
+
+
+@pytest.mark.parametrize("argv", [("mass",), ("reduce", "--prime", "2")], ids=lambda a: a[0])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ELEMENTS))
+def test_malformed_element_json(tmp_path, capsys, argv, case):
+    path = tmp_path / "elem.json"
+    path.write_text(MALFORMED_ELEMENTS[case])
+    code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
+
+
 def test_siegel_payload_and_eval(capsys):
     code, out, _ = run_cli(
         capsys, "siegel", "--prime", "3", "--m", "0,1,1", "--eval", "X=1/3"
@@ -180,12 +229,17 @@ def test_probe_payload(capsys):
 
 
 def test_census_payload(capsys):
-    code, out, _ = run_cli(capsys, "census", "--threads", "4")
+    code, out, _ = run_cli(capsys, "census")
     assert code == 0
     payload = json.loads(out)
-    assert payload["counts"]["rank3"] == 64884736
+    assert payload["counts"] == {
+        "rank0": 1, "rank1": 139503, "rank2": 69193488, "rank3": 64884736,
+    }
     assert payload["beta"] == frac_str(beta_exps(2, (0, 0, 0)))
     assert "elapsed_seconds" in payload
+    assert "threads" not in payload
+    code, out, err = run_cli(capsys, "census", "--threads", "4")
+    assert code == 2 and out == "" and "error" in json.loads(err)
     code, _, err = run_cli(capsys, "census", "--prime", "3")
     assert code == 2 and "prime 2" in json.loads(err)["error"]
 

@@ -1,7 +1,7 @@
-"""Smoke test: demos 01-07 run to completion as standalone scripts.
+"""Smoke test: demos 01-07 and 09 run to completion as standalone scripts.
 
-Demos 08 (period pipeline) and 09 (rank census) are left out; acceptance
-criteria 12 and 3 run the same code paths.
+Demo 08 (period pipeline) is left out; acceptance criterion 12 runs the
+same code path.
 """
 
 import os
@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-7]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-79]_*.py"))
 
 
 def test_demo_list():
-    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05", "06", "07"]
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05", "06", "07", "09"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
