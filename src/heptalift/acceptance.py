@@ -46,20 +46,31 @@ class CriterionResult:
     detail: str
 
 
+def _draws(rng, bound, count):
+    """count values of rng.randint(-bound, bound), as the same stream.
+
+    Draws k-bit integers and rejects those >= 2 bound + 1, the loop that
+    Random._randbelow runs under randint, without its per-call overhead.
+    """
+    n = 2 * bound + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    while len(out) < count:
+        r = getrandbits(k)
+        if r < n:
+            out.append(r - bound)
+    return out
+
+
 def _rand_oct(rng, bound=2, ring=ZZ):
-    return Octonion(ring, [rng.randint(-bound, bound) for _ in range(8)])
+    return Octonion(ring, _draws(rng, bound, 8))
 
 
 def _rand_jordan(rng, bound=3, ring=ZZ):
-    return JordanElement(
-        ring,
-        rng.randint(-bound, bound),
-        rng.randint(-bound, bound),
-        rng.randint(-bound, bound),
-        _rand_oct(rng, 2, ring),
-        _rand_oct(rng, 2, ring),
-        _rand_oct(rng, 2, ring),
-    )
+    a, b, c = _draws(rng, bound, 3)
+    x, y, z = (_rand_oct(rng, 2, ring) for _ in range(3))
+    return JordanElement(ring, a, b, c, x, y, z)
 
 
 def _unit_word(rng, length):

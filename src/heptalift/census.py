@@ -149,8 +149,9 @@ def _rank1_mask(xs, ys, z, a, b, c):
 
 
 def _counts():
-    """(rank1, rank3) raw counts over all of J(F_2); the zero element is
-    counted in rank1 and fixed up by the caller.
+    """(n1, n3): the raw rank-1 count over all of J(F_2), where the zero
+    element is counted and fixed up by the caller, and the rank-3 counts
+    n3[z][4a + 2b + c] of each z byte and diagonal (a, b, c).
 
     Rank 3: with x and y sorted by N mod 2, each (N(x), N(y)) class is a
     contiguous block of the polar matrix N(xz + y) + N(xz) + N(y), and the
@@ -168,19 +169,19 @@ def _counts():
     blocks = (slice(None, k0), slice(k0, None))
     polar = n2[u[:, None] ^ order[None, :]] ^ n2[:, None] ^ n2[order][None, :]
     n1 = 0
-    n3 = 0
+    n3 = [[0] * 8 for _ in range(256)]
     for z in range(256):
         nz = int(n2[z])
         xz = mul2[:, z]
         yzc = mul2[:, int(conj2[z])]
         pz = polar[xz[order]]
         ones = [[int(np.count_nonzero(pz[r, s])) for s in blocks] for r in blocks]
-        for a, b, c in itertools.product((0, 1), repeat=3):
+        for abc, (a, b, c) in enumerate(itertools.product((0, 1), repeat=3)):
             k = (a & b & c) ^ (a & nz)
             for i in (0, 1):
                 for j in (0, 1):
                     flip = k ^ (b & j) ^ (c & i)
-                    n3 += sizes[i] * sizes[j] - ones[i][j] if flip else ones[i][j]
+                    n3[z][abc] += sizes[i] * sizes[j] - ones[i][j] if flip else ones[i][j]
             if (b & c) != nz:
                 continue
             if b:
@@ -195,7 +196,8 @@ def _counts():
 
 def census_f2():
     """Rank-stratum counts over all 2^27 elements of J(F_2)."""
-    n1, n3 = _counts()
+    n1, by_z = _counts()
+    n3 = sum(map(sum, by_z))
     # the zero element has vanishing adjoint but rank 0
     return {"rank0": 1, "rank1": n1 - 1, "rank2": _SIZE - n1 - n3, "rank3": n3}
 

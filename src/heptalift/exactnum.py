@@ -193,15 +193,19 @@ class LaurentPoly:
     def divide_exact(self, den: "LaurentPoly") -> "LaurentPoly":
         """Exact division by another Laurent polynomial; raises if inexact.
 
-        Coefficients must be scalars (division happens in Q).
+        Coefficients must be scalars.  When both sides have int coefficients
+        the division happens in Z, so the quotient must be integral too;
+        otherwise it happens in Q.
         """
         if not den:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
             return LaurentPoly.zero(self.var)
         sv, dv = self.valuation(), den.valuation()
-        num = {e - sv: Fraction(v) for e, v in self.c.items()}
-        dd = {e - dv: Fraction(v) for e, v in den.c.items()}
+        over_z = all(type(v) is int for v in (*self.c.values(), *den.c.values()))
+        cast = int if over_z else Fraction
+        num = {e - sv: cast(v) for e, v in self.c.items()}
+        dd = {e - dv: cast(v) for e, v in den.c.items()}
         ddeg = max(dd)
         lead = dd[ddeg]
         q = {}
@@ -210,7 +214,12 @@ class LaurentPoly:
             rdeg = max(rem)
             if rdeg < ddeg:
                 raise ArithmeticError("inexact polynomial division")
-            f = rem[rdeg] / lead
+            if over_z:
+                f, r = divmod(rem[rdeg], lead)
+                if r:
+                    raise ArithmeticError("inexact polynomial division")
+            else:
+                f = rem[rdeg] / lead
             q[rdeg - ddeg] = f
             for e, v in dd.items():
                 ee = e + rdeg - ddeg

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import genus_invariants
+from .padic import genus_invariants, is_prime
 from .siegel import f_poly, symmetric_coefficients, tilde_f
 
 
@@ -109,10 +109,7 @@ class EigenData:
 def eigen_delta(max_prime=100):
     """Built-in EigenData for the weight-12 generator (k = 10)."""
     taus = tau_table(max_prime)
-    table = {}
-    for p in range(2, max_prime + 1):
-        if all(p % q for q in range(2, int(p ** 0.5) + 1)):
-            table[p] = taus[p - 1]
+    table = {p: taus[p - 1] for p in range(2, max_prime + 1) if is_prime(p)}
     return EigenData(10, table)
 
 

@@ -10,6 +10,14 @@ independent routes are implemented:
   * f_poly_oracle a two-coefficient recursion in m1 on top of the
                   explicit base polynomial at m1 = 0.
 
+Both routes run on integers only.  The one non-integral denominator factor,
+1 - p^-4 X, is cleared to p^4 - X, and the p^4 it gains moves into the
+numerators of the terms that carry it (the d7 term of f_poly, the C1 term
+of the oracle), so every division is an exact division over Z that raises
+on a remainder.  f_poly is memoized on (p, m1, m2, m3) for the life of the
+process; the oracle is not, so a check of one against the other always
+computes both.
+
 tilde(X) = X^m f(X^{-2}) is supported on {-m, -m+2, ..., m} and is
 invariant under X -> 1/X.
 """
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import LaurentPoly
 from .padic import is_prime
@@ -54,11 +63,11 @@ class SiegelPoly:
 
 def _lin(c):
     """1 - c X."""
-    return LaurentPoly("X", {0: 1, 1: -Fraction(c)})
+    return LaurentPoly("X", {0: 1, 1: -c})
 
 
 def _mono(coeff, exp):
-    return LaurentPoly.monomial(Fraction(coeff), exp)
+    return LaurentPoly.monomial(coeff, exp)
 
 
 def _finish(p, m, q: LaurentPoly) -> SiegelPoly:
@@ -94,19 +103,25 @@ def _sum_symmetric(half: LaurentPoly, terms) -> LaurentPoly:
     return (plus * half_inv + minus * half).divide_exact(half * half_inv)
 
 
+@lru_cache(maxsize=None)
 def f_poly(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
-    """Eight-term closed form, summed over one common denominator."""
+    """Eight-term closed form, summed over one common denominator.
+
+    Memoized on (p, m1, m2, m3); callers share the returned object.
+    """
     _check_args(p, m1, m2, m3)
-    p4, p8 = Fraction(p) ** 4, Fraction(p) ** 8
-    p4i = 1 / p4
+    p4, p8 = p ** 4, p ** 8
+    # p^4 - X = p^4 (1 - p^-4 X) keeps every coefficient an integer
+    p4_x = LaurentPoly("X", {0: p4, 1: -1})
     d_plus = _lin(1) * _lin(p4) * _lin(p8)
     d5 = _lin(1) * _lin(1) * _lin(p4)
-    d7 = _lin(1) * _lin(1) * _lin(p4i)
-    # (1-X)^2 (1-p^4 X)(1-p^8 X)(1-p^-4 X); the minus side uses X -> 1/X
-    half = d5 * _lin(p8) * _lin(p4i)
+    d7 = _lin(1) * _lin(1) * p4_x
+    # (1-X)^2 (1-p^4 X)(1-p^8 X)(p^4-X); the minus side uses X -> 1/X
+    half = d5 * _lin(p8) * p4_x
     a = -(p ** (8 * m1 + 8))
     b = -(p ** (8 * m1 + 4 * (m2 + 1)))
-    c = -(p ** (8 * m1 + 4 * m2))
+    # the d7 term carries the p^4 that d7 gained over (1-X)^2 (1-p^-4 X)
+    c = -(p ** (8 * m1 + 4 * m2 + 4))
     terms = [
         (_mono(1, 0), _mono(1, 3 * m1 + m2 + m3), d_plus),
         (_mono(a, m1 + 1), _mono(a, 2 * m1 + m2 + m3 - 1), d_plus),
@@ -133,17 +148,19 @@ def f_poly_oracle(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
                + C1(X) p^{8m1} X^{m1} + C0(X)).
     """
     _check_args(p, m1, m2, m3)
-    p4, p8 = Fraction(p) ** 4, Fraction(p) ** 8
+    p4, p8 = p ** 4, p ** 8
     f0 = _base_poly(p, m2, m3)
     fm = _base_poly(p, m2 - 1, m3 - 1) if m2 >= 1 else LaurentPoly.zero("X")
     c0_den = _lin(1) * _lin(p4) * _lin(p8) * f0
     c1_num = (f0 - fm.shift(2)) * _lin(p8) - LaurentPoly(
         "X", {0: 1, 1: 1 + p4}
     )
-    c1_den = _lin(p8) * _lin(1) * _lin(1 / p4) * f0
+    # C1's factor 1 - X/p^4 is scaled to p^4 - X; its numerators carry the p^4
+    p4_x = LaurentPoly("X", {0: p4, 1: -1})
+    c1_den = _lin(p8) * _lin(1) * p4_x * f0
     # a multiple of both C0 and C1 denominators; the minus side uses X -> 1/X
-    half = c0_den * _lin(1 / p4)
-    q = p ** (8 * m1)
+    half = c0_den * p4_x
+    q = p ** (8 * m1 + 4)
     terms = [
         (f0, _mono(1, 3 * m1) * f0, c0_den),
         (

@@ -6,6 +6,8 @@ budget per criterion.  A criterion fails this test if any of its checks
 fail or if it runs over budget, and the printed line says which.
 """
 
+import random
+
 import pytest
 
 from heptalift import acceptance
@@ -32,3 +34,12 @@ def test_registry_shape():
     assert numbers == list(range(1, 13))
     assert len({c.slug for c in acceptance.CRITERIA}) == 12
     assert all(c.budget_seconds > 0 for c in acceptance.CRITERIA)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_draws_match_randint_stream(bound):
+    # the gates' inputs must stay the randint stream they were written with
+    fast, slow = random.Random(1001 + bound), random.Random(1001 + bound)
+    got = acceptance._draws(fast, bound, 40000)
+    assert got == [slow.randint(-bound, bound) for _ in range(40000)]
+    assert fast.getstate() == slow.getstate()

@@ -7,6 +7,7 @@ import pytest
 
 from heptalift.cayley import Octonion, ZZ, Zmod
 from heptalift.census import (
+    _counts,
     _oct_byte,
     _tables,
     beta_from_census,
@@ -73,6 +74,26 @@ def test_census_counts(counts):
     # fraction identity for the open stratum
     frac = Fraction(counts["rank3"], 1 << 27)
     assert frac == Fraction(1, 2) * (1 - Fraction(1, 2 ** 5)) * (1 - Fraction(1, 2 ** 9))
+
+
+@pytest.fixture(scope="module")
+def rank3_by_z():
+    return _counts()[1]
+
+
+# one z with N(z) = 1 and one with N(z) = 0, each with b != c so that the
+# (0, 1) and (1, 0) polar blocks enter with different flips
+@pytest.mark.parametrize("z,abc", [(0x5A, (1, 0, 1)), (0x1F, (0, 1, 0))])
+def test_rank3_counts_per_z_match_generic_rank(rank3_by_z, z, abc):
+    F2 = Zmod(2)
+    octs = [Octonion(F2, [(u >> i) & 1 for i in range(8)]) for u in range(256)]
+    a, b, c = abc
+    generic = sum(
+        JordanElement(F2, a, b, c, octs[x], octs[y], octs[z]).rank_mod_p() == 3
+        for x in range(256)
+        for y in range(256)
+    )
+    assert rank3_by_z[z][4 * a + 2 * b + c] == generic
 
 
 def test_beta_from_census(counts):

@@ -40,6 +40,12 @@ CORPUS = [
      "29e115710bc9cc5cc36a35368abecfb0d56e39d2852cbe27d669aab62e431e74"),
     (("probe", "--k", "10", "--digits", "10,14"),
      "4ed290ae72fca2073ac9d3bbf6ab34d2e8efd566c7ae304afbf40112d27016e8"),
+    (("lift-table", "--k", "10", "--max-det", "200"),
+     "a7bc03b4c91d93a64bf16fc2f6e49eec74a055c42b43dbc745192a050e741879"),
+    (("siegel", "--prime", "199", "--m", "1,1,2", "--eval", "X=3/7"),
+     "75b75707a15827fca834deaba181489938df0938375c71773e3a5172b07bf585"),
+    (("hp-verify", "--prime", "7", "--tmax", "10", "--table-route"),
+     "2fbd3011a4c2c789c6642de8723c186b1a68d9278fea77eac001ecc802aae4e0"),
 ]
 
 

@@ -111,6 +111,19 @@ def test_laurent_exact_division():
         pass
 
 
+def test_integer_division_stays_in_z():
+    X = LaurentPoly.gen("X")
+    q = ((2 * X + 1) * (X - 3)).divide_exact(2 * X + 1)
+    assert q == X - 3
+    assert all(type(v) is int for v in q.c.values())
+    for num, den in [(X ** 2 + 1, 2 * X + 1), (2 * X + 1, 2 * X)]:
+        with pytest.raises(ArithmeticError):
+            num.divide_exact(den)
+    # the same division with a rational dividend has a Laurent quotient in Q
+    half = LaurentPoly("X", {0: Fraction(1), 1: Fraction(2)})
+    assert half.divide_exact(2 * X) == LaurentPoly("X", {0: 1, -1: Fraction(1, 2)})
+
+
 def test_series_inverse_roundtrip():
     rng = random.Random(13)
     for _ in range(100):

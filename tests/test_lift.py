@@ -1,5 +1,6 @@
 """Lift coefficients: eigen data, power sums, Fourier values, L-factors."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -65,6 +66,16 @@ def test_eigen_delta_and_bound():
         EigenData(10, bad)
     with pytest.raises(ValueError):
         EigenData(9, {})
+
+
+def test_eigen_delta_table_is_pinned():
+    # sha256 of repr(sorted(items)) for the 303 primes up to 2000, recorded
+    # when the primes were still found by trial division
+    t = eigen_delta(2000).table
+    assert len(t) == 303 and max(t) == 1999
+    assert t[1999] == -1159913672832202000
+    digest = hashlib.sha256(repr(sorted(t.items())).encode()).hexdigest()
+    assert digest == "c3f6521ade11e06471e9172ebe750508d5603a099c1961281d1f718b58524c57"
 
 
 def test_eigen_csv_roundtrip(tmp_path):

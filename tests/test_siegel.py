@@ -2,7 +2,10 @@
 
 import pytest
 
+from heptalift import siegel
 from heptalift.exactnum import LaurentPoly
+from heptalift.genfun import exponent_triples, lambda_p
+from heptalift.lift import eigen_delta, local_factor
 from heptalift.siegel import (
     SiegelPoly,
     f_poly,
@@ -42,6 +45,56 @@ def test_routes_agree():
             a = f_poly(p, m1, m2, m3)
             b = f_poly_oracle(p, m1, m2, m3)
             assert a.poly == b.poly, (p, m1, m2, m3)
+
+
+def test_routes_agree_at_larger_primes():
+    for p in (2, 3, 5, 7, 11, 97, 101):
+        for m1 in range(3):
+            for m3 in range(5):
+                for m2 in range(m3 + 1):
+                    a = f_poly(p, m1, m2, m3)
+                    assert a == f_poly_oracle(p, m1, m2, m3), (p, m1, m2, m3)
+                    assert all(type(v) is int for v in a.poly.c.values())
+
+
+def test_memo_hands_out_unmutated_polys():
+    f_poly.cache_clear()
+    eigen = eigen_delta(10)
+    local_factor(3, (1, 2, 4), eigen)
+    lambda_p(3, 7)
+    local_factor(3, (1, 2, 4), eigen)
+    assert f_poly.cache_info().hits >= 1
+    for a1, a2, a3 in exponent_triples(7):
+        args = (3, a1, a2 - a1, a3 - a1)
+        cached = f_poly(*args)
+        assert cached is f_poly(*args)
+        assert cached == f_poly.__wrapped__(*args)
+
+
+@pytest.mark.parametrize("factor", ["1", "p^4", "p^8"])
+def test_wrong_denominator_raises_in_both_routes(monkeypatch, factor):
+    lin = siegel._lin
+    f_poly.cache_clear()
+    good = f_poly(2, 1, 0, 2)
+    try:
+        for p in (2, 3, 5):
+            target = {"1": 1, "p^4": p ** 4, "p^8": p ** 8}[factor]
+            # the factor 1 - c X becomes 1 - (c + 1) X for c = target
+            monkeypatch.setattr(
+                siegel, "_lin", lambda c, t=target: lin(c + 1 if c == t else c)
+            )
+            if p == 2:
+                # a memo hit would hide the mutation
+                assert f_poly(2, 1, 0, 2) is good
+                f_poly.cache_clear()
+            for m in all_triples(6):
+                with pytest.raises(ArithmeticError):
+                    f_poly(p, *m)
+                with pytest.raises(ArithmeticError):
+                    f_poly_oracle(p, *m)
+    finally:
+        monkeypatch.undo()
+        f_poly.cache_clear()
 
 
 def test_degree_and_constant_term():
