@@ -2,8 +2,9 @@
 expansion, Bernoulli/zeta values, and a small symbolic ring for products of
 pi-powers, odd zeta values and symmetric-square L-values.
 
-Everything here is over Q (fractions.Fraction); nothing floats except the
-BigFloat carrier at the bottom, which wraps mpmath with a tracked error bound.
+Everything here is over Q (fractions.Fraction), except exact polynomial
+division, which is over Z; nothing floats except the BigFloat carrier at the
+bottom, which wraps mpmath with a tracked error bound.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, coeff, exp, var="X"):
         return cls(var, {exp: coeff})
-
-    @classmethod
-    def gen(cls, var="X"):
-        return cls(var, {1: 1})
 
     def __bool__(self):
         return bool(self.c)
@@ -191,35 +188,28 @@ class LaurentPoly:
         return total
 
     def divide_exact(self, den: "LaurentPoly") -> "LaurentPoly":
-        """Exact division by another Laurent polynomial; raises if inexact.
+        """Exact division over Z by another Laurent polynomial.
 
-        Coefficients must be scalars.  When both sides have int coefficients
-        the division happens in Z, so the quotient must be integral too;
-        otherwise it happens in Q.
+        Coefficients must be integers; the quotient must be integral too, and
+        a nonzero remainder at any step raises ArithmeticError.
         """
         if not den:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
             return LaurentPoly.zero(self.var)
         sv, dv = self.valuation(), den.valuation()
-        over_z = all(type(v) is int for v in (*self.c.values(), *den.c.values()))
-        cast = int if over_z else Fraction
-        num = {e - sv: cast(v) for e, v in self.c.items()}
-        dd = {e - dv: cast(v) for e, v in den.c.items()}
+        dd = {e - dv: v for e, v in den.c.items()}
         ddeg = max(dd)
         lead = dd[ddeg]
         q = {}
-        rem = dict(num)
+        rem = {e - sv: v for e, v in self.c.items()}
         while rem:
             rdeg = max(rem)
             if rdeg < ddeg:
                 raise ArithmeticError("inexact polynomial division")
-            if over_z:
-                f, r = divmod(rem[rdeg], lead)
-                if r:
-                    raise ArithmeticError("inexact polynomial division")
-            else:
-                f = rem[rdeg] / lead
+            f, r = divmod(rem[rdeg], lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
             q[rdeg - ddeg] = f
             for e, v in dd.items():
                 ee = e + rdeg - ddeg

@@ -5,6 +5,10 @@ by local densities), the closed triple generating function P(A,B,C,t), the
 local series H_p(X,t) with its product form and an exact replication of its
 verification, the rewrite of H_p into zeta / symmetric-square local factors,
 and the residue algebra that yields the rational period constant gamma_k.
+
+The 64-term table route runs on integers: the factor 1 - p^-4 X^{+-2} is
+cleared to p^4 - X^{+-2}, P is expanded in u = t/p^9, and the division by the
+primitive common denominator is exact over Z (Gauss's lemma).
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import mul
 
 from .density import MASS_CONSTANT, beta_exps, constants
 from .exactnum import (
     LaurentPoly,
     SpecialValue,
-    frac_str,
     gamma_half_special,
     ratfun_expand,
     symsq_special,
@@ -54,28 +58,37 @@ def lambda_p(p, m):
     return total
 
 
+def _P_in_u(p, A, B, C, order):
+    """c1 P(A,B,C,t) at t = p^9 u, expanded in u through u^order.
+
+    In u the closed form is
+      (1 + (p^4+1) C u + (p^4+1) BC u^2 + p^4 BC^2 u^3)
+      / ((1 - A u^3)(1 - p^8 BC u^2)(1 - p^8 C u)),
+    so the series has integer coefficients whenever A, B and C do.
+    """
+    p4, p8 = p ** 4, p ** 8
+    BC = B * C
+    num = {0: 1, 1: (p4 + 1) * C, 2: (p4 + 1) * BC, 3: p4 * (BC * C)}
+    den = [{0: 1, 3: -A}, {0: 1, 2: -(p8 * BC)}, {0: 1, 1: -(p8 * C)}]
+    return ratfun_expand(num, den, order)
+
+
+def _from_u(p, m):
+    """1 / (c1 p^{9m}), taking u^m coefficients of _P_in_u to t^m ones of P."""
+    return Fraction(1) / (constants(p).c1 * p ** (9 * m))
+
+
 def P_closed(p, A, B, C, order):
     """Closed form of P(A,B,C,t) = sum over triples (m1, m1+m2, m1+m3) of
     t^{3m1+m2+m3} A^{m1} B^{m2} C^{m3} / beta_p, expanded through t^order.
 
-    A, B, C may be scalars or (nested) Laurent polynomials.
+    A, B, C may be scalars or (nested) Laurent polynomials.  The expansion
+    runs in u = t/p^9 (see _P_in_u) and is rescaled coefficientwise.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    cs = constants(p)
-    BC = B * C
-    num = {
-        0: 1,
-        1: (_q(p, 5) + _q(p, 9)) * C,
-        2: (_q(p, 14) + _q(p, 18)) * BC,
-        3: _q(p, 23) * (BC * C),
-    }
-    den = [
-        {0: 1, 3: -(_q(p, 27) * A)},
-        {0: 1, 2: -(_q(p, 10) * BC)},
-        {0: 1, 1: -(_q(p, 1) * C)},
-    ]
-    return ratfun_expand(num, den, order) * (Fraction(1) / cs.c1)
+    ser = _P_in_u(p, A, B, C, order)
+    return LaurentPoly("t", {m: v * _from_u(p, m) for m, v in ser.c.items()})
 
 
 def P_direct(p, A, B, C, order):
@@ -121,14 +134,6 @@ class HpClosedForm:
             num = num * f
         return ratfun_expand(num, list(self.denominator_factors), order)
 
-    def serialize(self):
-        return {
-            "p": self.p,
-            "prefactor": frac_str(self.prefactor),
-            "numerator_factors": [repr(f) for f in self.numerator_factors],
-            "denominator_factors": [repr(f) for f in self.denominator_factors],
-        }
-
 
 def hp_closed_form(p):
     """The product form of H_p(X,t).
@@ -163,47 +168,49 @@ def _mono(coeff, e):
     return LaurentPoly.monomial(coeff, e, "X")
 
 
+def _p4_minus_x2(p):
+    """p^4 - X^2 = p^4 (1 - p^-4 X^2), the table's one factor cleared to Z."""
+    return LaurentPoly("X", {0: p ** 4, 2: -1})
+
+
 @lru_cache(maxsize=None)
 def _cleared_table(p):
-    """The eight Laurent-series terms with denominators cleared.
+    """The eight Laurent-series terms with denominators cleared, over Z.
 
     tilde_f for exponents (m1, m1+m2, m1+m3) equals
     sum_i N_i/D_i * X_i^{m1} Y_i^{m2} Z_i^{m3}; every D_i divides a common
     half-denominator Dhalf.  Returns ([(W_i, X_i, Y_i, Z_i)], Dhalf) with
     W_i = N_i * Dhalf / D_i, so that the sum of W_i X_i^.. Y_i^.. Z_i^..
     divided by Dhalf recovers tilde_f.
+
+    The one non-integral factor, 1 - p^-4 X^2, is cleared to p^4 - X^2 (and
+    1 - p^-4 X^-2 to p^4 - X^-2); the numerator of the term it divides
+    carries the extra p^4.  So every W_i and Dhalf has int coefficients.
+    Each factor of Dhalf has a coefficient +-1, so Dhalf is primitive and,
+    by Gauss's lemma, an integer polynomial that Dhalf divides over Q it
+    also divides over Z.
     """
     p4, p8 = p ** 4, p ** 8
-    iq4 = Fraction(1, p4)
-    half = [(1, 2), (1, 2), (p4, 2), (p8, 2), (iq4, 2)]
-    dhalf_params = half + [(c, -e) for c, e in half]
+    one, q4, q8 = _lin2(1, 2), _lin2(p4, 2), _lin2(p8, 2)
+    p4_x2 = _p4_minus_x2(p)
+    half = [one, one, q4, q8, p4_x2]
     base = [
-        (_mono(1, 0), [(1, 2), (p4, 2), (p8, 2)], _mono(1, -3), _mono(1, -1), _mono(1, -1)),
-        (_mono(-p8, 2), [(1, 2), (p4, 2), (p8, 2)], _mono(p8, -1), _mono(1, -1), _mono(1, -1)),
-        (_mono(-p4, 2), [(1, 2), (1, 2), (p4, 2)], _mono(p8, -1), _mono(p4, 1), _mono(1, -1)),
-        (_mono(-1, 2), [(1, 2), (1, 2), (iq4, 2)], _mono(p8, -1), _mono(p4, -1), _mono(1, 1)),
+        (_mono(1, 0), [one, q4, q8], _mono(1, -3), _mono(1, -1), _mono(1, -1)),
+        (_mono(-p8, 2), [one, q4, q8], _mono(p8, -1), _mono(1, -1), _mono(1, -1)),
+        (_mono(-p4, 2), [one, one, q4], _mono(p8, -1), _mono(p4, 1), _mono(1, -1)),
+        # -X^2 over (1-X^2)^2 (1-p^-4 X^2) is -p^4 X^2 over (1-X^2)^2 (p^4-X^2)
+        (_mono(-p4, 2), [one, one, p4_x2], _mono(p8, -1), _mono(p4, -1), _mono(1, 1)),
     ]
-    terms = list(base)
-    for n, dpar, xi, yi, zi in base:
-        terms.append(
-            (
-                n.subst_inverse(),
-                [(c, -e) for c, e in dpar],
-                xi.subst_inverse(),
-                yi.subst_inverse(),
-                zi.subst_inverse(),
-            )
-        )
-    dhalf = reduce(lambda a, b: a * b, (_lin2(c, e) for c, e in dhalf_params))
+    inv = lambda fs: [f.subst_inverse() for f in fs]
+    terms = base + [(n.subst_inverse(), inv(d), *inv(xyz)) for n, d, *xyz in base]
+    factors = half + inv(half)
+    dhalf = reduce(mul, factors)
     cleared = []
     for n, dpar, xi, yi, zi in terms:
-        rest = list(dhalf_params)
-        for par in dpar:
-            rest.remove(par)
-        w = n
-        for c, e in rest:
-            w = w * _lin2(c, e)
-        cleared.append((w, xi, yi, zi))
+        rest = list(factors)
+        for f in dpar:
+            rest.remove(f)
+        cleared.append((reduce(mul, rest, n), xi, yi, zi))
     return tuple(cleared), dhalf
 
 
@@ -221,22 +228,22 @@ def tilde_from_table(p, m1, m2, m3):
 def hp_table_route(p, tmax):
     """H_p t-coefficients via the 64-term sum of A_i A_j P(X_iX_j, Y_iY_j, Z_iZ_j, t).
 
-    Every pair contributes its P-expansion weighted by the cleared numerators;
-    exact division by the squared common denominator certifies that the sum
-    collapses to Laurent polynomials in X.
+    Every pair contributes its integer series c1 P in u = t/p^9 (_P_in_u),
+    weighted by the cleared numerators.  Each u^m coefficient of the sum is
+    c1 p^{9m} Dhalf^2 H_m with integer coefficients; Dhalf^2 is primitive,
+    so its exact division over Z certifies that the sum collapses to
+    Laurent polynomials in X, and 1/(c1 p^{9m}) rescales the quotient.
     """
     cleared, dhalf = _cleared_table(p)
     dh2 = dhalf * dhalf
     coeffs = [LaurentPoly.zero("X") for _ in range(tmax + 1)]
     for wi, xi, yi, zi in cleared:
         for wj, xj, yj, zj in cleared:
-            ser = P_closed(p, xi * xj, yi * yj, zi * zj, tmax)
+            ser = _P_in_u(p, xi * xj, yi * yj, zi * zj, tmax)
             wij = wi * wj
-            for m in range(tmax + 1):
-                cm = ser.coeff(m)
-                if cm:
-                    coeffs[m] = coeffs[m] + wij * cm
-    return [c.divide_exact(dh2) for c in coeffs]
+            for m, cm in ser.c.items():
+                coeffs[m] = coeffs[m] + wij * cm
+    return [c.divide_exact(dh2) * _from_u(p, m) for m, c in enumerate(coeffs)]
 
 
 def H_verify(p, tmax, table_route=False):
@@ -288,7 +295,7 @@ def rs_euler_factors(p):
         ]
         for i in (1, 2, 3)
     ]
-    prod = lambda fs: reduce(lambda a, b: a * b, fs)
+    prod = lambda fs: reduce(mul, fs)
     lhs = prod(list(h.numerator_factors) + zeta_denominators + [f for tri in sym2_denominators for f in tri])
     rhs = prod(t2_numerators + list(h.denominator_factors))
     return {
@@ -368,15 +375,13 @@ def gamma_k_derived(k):
     """Solves the residue identity for the period constant, as a rational.
 
     The self series of a weight-2k lift has residue
-    <F,F> * 2^{12k-2} pi^{6k-12} / ((2k-1)!(2k-5)!(2k-9)!)
-         * xi(5) xi(9) / (xi(10) xi(14) xi(18))
+    <F,F> / (4 gamma_RS(2k)) * xi(5) xi(9) / (xi(10) xi(14) xi(18))
     at s = 2k.  Dividing the closed-form residue by that prefactor and
     reading off the coefficient of pi^{-6k-3} SymSq(1)SymSq(5)SymSq(9) must
     reproduce gamma_k; all odd zeta symbols have to cancel on the way.
     """
     _check_half_weight(k)
-    fac = math.factorial(2 * k - 1) * math.factorial(2 * k - 5) * math.factorial(2 * k - 9)
-    pre = SpecialValue.pi_half_power(12 * k - 24, Fraction(2 ** (12 * k - 2), fac))
+    pre = SpecialValue.rational(Fraction(1, 4)) / gamma_RS(2 * k)
     pre = pre * _xi_completed(5) * _xi_completed(9)
     for n in (10, 14, 18):
         pre = pre / _xi_completed(n)

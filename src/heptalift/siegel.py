@@ -25,7 +25,6 @@ invariant under X -> 1/X.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import LaurentPoly
@@ -68,16 +67,6 @@ def _lin(c):
 
 def _mono(coeff, exp):
     return LaurentPoly.monomial(coeff, exp)
-
-
-def _finish(p, m, q: LaurentPoly) -> SiegelPoly:
-    ints = {}
-    for e, v in q.c.items():
-        v = Fraction(v)
-        if v.denominator != 1:
-            raise ArithmeticError("closed-form transcription error: non-integer")
-        ints[e] = int(v)
-    return SiegelPoly(p, tuple(m), LaurentPoly("X", ints))
 
 
 def _check_args(p, m1, m2, m3):
@@ -128,7 +117,7 @@ def f_poly(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
         (_mono(b, m1 + m2 + 1), _mono(b, 2 * m1 + m3 - 1), d5),
         (_mono(c, m1 + m3 + 1), _mono(c, 2 * m1 + m2 - 1), d7),
     ]
-    return _finish(p, (m1, m2, m3), _sum_symmetric(half, terms))
+    return SiegelPoly(p, (m1, m2, m3), _sum_symmetric(half, terms))
 
 
 def _base_poly(p: int, m2: int, m3: int) -> LaurentPoly:
@@ -169,7 +158,7 @@ def f_poly_oracle(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
             c1_den,
         ),
     ]
-    return _finish(p, (m1, m2, m3), _sum_symmetric(half, terms))
+    return SiegelPoly(p, (m1, m2, m3), _sum_symmetric(half, terms))
 
 
 def tilde_f(s: SiegelPoly) -> LaurentPoly:

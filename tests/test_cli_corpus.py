@@ -46,6 +46,10 @@ CORPUS = [
      "75b75707a15827fca834deaba181489938df0938375c71773e3a5172b07bf585"),
     (("hp-verify", "--prime", "7", "--tmax", "10", "--table-route"),
      "2fbd3011a4c2c789c6642de8723c186b1a68d9278fea77eac001ecc802aae4e0"),
+    (("hp-verify", "--prime", "11", "--tmax", "10", "--table-route"),
+     "0c36df956ab0167862016568a14c86af798947473afd505399323868dc4ab0e4"),
+    (("hp-verify", "--prime", "3", "--tmax", "12", "--table-route"),
+     "bce99cd2486749ff9f3a38f49bbcc00e673ae5b35468c3f8df622eb52007ab6d"),
 ]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from heptalift import genfun
 from heptalift.density import MASS_CONSTANT, beta_exps, constants
 from heptalift.exactnum import LaurentPoly, SpecialValue, zeta_special
 from heptalift.genfun import (
@@ -28,7 +29,7 @@ from heptalift.siegel import f_poly, tilde_f
 
 def sym_ABC():
     """A, B, C as independent symbols via nested Laurent polynomials."""
-    A = LaurentPoly("C", {0: LaurentPoly("B", {0: LaurentPoly.gen("A")})})
+    A = LaurentPoly("C", {0: LaurentPoly("B", {0: LaurentPoly("A", {1: 1})})})
     B = LaurentPoly("C", {0: LaurentPoly("B", {1: 1})})
     C = LaurentPoly("C", {1: 1})
     return A, B, C
@@ -89,9 +90,12 @@ def test_hp_closed_low_coefficients():
 
 
 def test_table_reproduces_tilde():
-    for p in (2, 3):
-        for m1, m2, m3 in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 2), (2, 1, 3), (1, 2, 2)]:
-            assert tilde_from_table(p, m1, m2, m3) == tilde_f(f_poly(p, m1, m2, m3))
+    # criterion 6's profile grid: every (m1, m2, m3) of weight at most 9
+    for p in (2, 3, 5):
+        for m1 in range(4):
+            for m2 in range(10):
+                for m3 in range(m2, 10 - 3 * m1 - m2):
+                    assert tilde_from_table(p, m1, m2, m3) == tilde_f(f_poly(p, m1, m2, m3))
     with pytest.raises(ValueError):
         tilde_from_table(2, 0, 2, 1)
 
@@ -105,6 +109,34 @@ def test_three_routes_agree():
     for p in (2, 3, 5):
         ok, report = H_verify(p, 8, table_route=True)
         assert ok, report
+
+
+def test_table_route_runs_in_z():
+    for p in (2, 3, 5, 7):
+        cleared, dhalf = genfun._cleared_table(p)
+        for poly in [w for w, *_ in cleared] + [dhalf]:
+            assert all(type(v) is int for v in poly.c.values())
+    for p in (7, 11):
+        ok, report = H_verify(p, 10, table_route=True)
+        assert ok, report
+
+
+def test_wrong_cleared_factor_raises_in_table_routes(monkeypatch):
+    # p^4 - X^2 becomes p^4 + 1 - X^2
+    monkeypatch.setattr(
+        genfun, "_p4_minus_x2", lambda p: LaurentPoly("X", {0: p ** 4 + 1, 2: -1})
+    )
+    genfun._cleared_table.cache_clear()
+    try:
+        for p in (2, 3):
+            for m in [(0, 0, 0), (0, 1, 1), (1, 0, 2), (2, 1, 3)]:
+                with pytest.raises(ArithmeticError):
+                    tilde_from_table(p, *m)
+            with pytest.raises(ArithmeticError):
+                hp_table_route(p, 4)
+    finally:
+        monkeypatch.undo()
+        genfun._cleared_table.cache_clear()
 
 
 def test_hp_verify_rejects_bad_order():
