@@ -90,11 +90,12 @@ def test_hp_closed_low_coefficients():
 
 
 def test_table_reproduces_tilde():
-    # criterion 6's profile grid: every (m1, m2, m3) of weight at most 9
+    # criterion 6's profile grid (weight at most 9) plus weight 10, which
+    # holds (2, 1, 3): every (m1, m2, m3) with 3 m1 + m2 + m3 <= 10
     for p in (2, 3, 5):
         for m1 in range(4):
-            for m2 in range(10):
-                for m3 in range(m2, 10 - 3 * m1 - m2):
+            for m2 in range(11):
+                for m3 in range(m2, 11 - 3 * m1 - m2):
                     assert tilde_from_table(p, m1, m2, m3) == tilde_f(f_poly(p, m1, m2, m3))
     with pytest.raises(ValueError):
         tilde_from_table(2, 0, 2, 1)
