@@ -358,26 +358,6 @@ class Octonion:
         co[i] = 1
         return cls(ring, co)
 
-    @classmethod
-    def from_e_coords(cls, e_coords, ring=ZZ):
-        """Build from ordinary e-basis coordinates (must land in the order)."""
-        w2 = [2 * Fraction(v) for v in e_coords]
-        inv = _mat_inv_frac(_ALPHA_2E)
-        out = []
-        for k in range(8):
-            acc = sum(w2[i] * inv[i][k] for i in range(8))
-            out.append(acc)
-        return cls(ring, out)
-
-    def e_coords_doubled(self):
-        """Integer vector of 2x the e-basis coordinates."""
-        out = [0] * 8
-        for i, c in enumerate(self.co):
-            if c:
-                for j in range(8):
-                    out[j] += c * _ALPHA_2E[i][j]
-        return out
-
     def is_zero(self):
         return all(not v for v in self.co)
 

@@ -35,11 +35,12 @@ from .genfun import (
 )
 from .jordan import JordanElement
 from .lift import eigen_delta, eigen_from_csv, fourier_coeff, local_factor
-from .lvalue import CRITICAL_POINTS, MAX_DIGITS, period_report, rationality_probe
+from .lvalue import CRITICAL_POINTS, period_report, rationality_probe
 from .padic import factorize, genus_invariants, is_prime, reduce_at
 from .siegel import f_poly
 
 _EIGEN_PRIME_CAP = 10 ** 6
+MAX_DIGITS = 50  # the CLI's --digits limit; the library accepts more
 
 
 class UsageError(Exception):

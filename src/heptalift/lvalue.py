@@ -28,20 +28,41 @@ exp(-3 pi |t| / 4), so the rule converges geometrically and one table of
 Gamma values G_j serves every n: n enters only through r^j, r = n^{-ih}.
 
 `sym2_lvalues` evaluates several points s in one pass over n, and
-`sym2_lvalue` is its one-point case.  At each n the pass takes log n once.
-Kernels with the same step h share the powers r^j: the J(s) kernels of
-s = 1, 5, 9 and J(0) have strip 5.5, and the J(1 - s) kernels of s = 5 and
-s = 9 have strip 6.5.  Each power is formed once, by the same sequence of
-rounded complex products r^j = r^{j-1} * r that a kernel alone would use.
-Each kernel accumulates only the real part of G_0/2 + sum_j G_j r^j, on
-raw mpmath.libmp tuples: the term is round(Re G_j Re r^j - Im G_j Im r^j),
-added with one rounding.  Those are exactly the operations that mpc
-multiplication and addition perform for the real part, and the imaginary
-part never enters the result, so the values are bit-identical to those of
-each J evaluated alone in complex mpc arithmetic.  The J(1 - s) kernels of
-s = 5 and s = 9 also sample gamma_infinity at the same arguments 6 + i j h,
-so the pass computes those node values once.  Each point keeps its own
-stopping rule and stops at the same n as it would alone.
+`sym2_lvalue` is its one-point case.  Kernels with the same step h share
+the powers r^j: the J(s) kernels of s = 1, 5, 9 and J(0) have strip 5.5,
+and the J(1 - s) kernels of s = 5 and s = 9 have strip 6.5.
+
+The node sums run in fixed point, with F = working precision + GUARD_BITS.
+A kernel holds its nodes as integers at one scale 2^-S, S = F minus the
+bit size of its largest node component, rounded to nearest.  At each n the
+rotation r is rounded to F fractional bits and r^j = (r^{j-1} r) >> F,
+rounded to nearest, is formed once per step h, so |r^j computed - r^j| <=
+1.42 j 2^-F.  Each kernel sums Re(G_0/2 + sum_j G_j r^j) exactly as an
+integer and rounds it once into an mpf.  Against the exact sum over its
+J + 1 nodes that is off by at most
+
+    2^(1-F) sum_j j |G_j| + 2^(1-S) (J + 1)
+
+plus the final rounding; `_Kernel.finish` adds this term, times the
+kernel's weight and n^-(z + c0), to its bound.  The final rounding and the
+other working-precision errors (at 50 digits the nodes lie up to about 70
+ulps from gamma_infinity evaluated 60 bits finer) stay four digits below
+eps = 10^-(digits + 12) and are covered by the factor 100 of the
+discretization bound.  A kernel's sum depends on its nodes and n alone, so
+sharing the powers changes no bit.
+
+The nodes come from the shift rule gamma_infinity(s + 2) =
+gamma_infinity(s) (s + 1)(s + w)(s + w + 1) / (8 pi^3), w = 2k - 9.  A
+kernel whose nodes lie on the line Re = x takes direct gamma_infinity
+values on the base line x0 = x - 2 floor((x - 6)/2) in [6, 8) (a line left
+of 6 is its own base) and moves each up (x - x0)/2 steps, the factor formed
+in extra precision and applied with one rounding.  So the J(s) kernels of
+s = 5 and 9 (lines 11 and 15) are built from line 7, the line of s = 1,
+and the J(1 - s) kernels of s = 5 and 9 both sample line 6; a joint pass
+computes each shared base line once.  The rule depends only on (z, c0, k,
+digits), so a one-point pass and the joint pass produce the same bits.
+Each point keeps its own stopping rule and stops at the same n as it
+would alone.
 
 Summation is serial in ascending n, so results are bit-identical across
 runs.  Error bounds are conservative but heuristic at the
@@ -51,11 +72,13 @@ intervals.
 
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
 from math import isqrt
+from operator import mul
 
 import mpmath
-from mpmath.libmp import fone, fzero, mpc_mul, mpf_add, mpf_mul, mpf_shift, mpf_sub
+from mpmath.libmp import (
+    from_int, from_man_exp, mpf_cos_sin, mpf_log, mpf_mul, mpf_shift, to_int,
+)
 
 from .exactnum import BigFloat, rational_reconstruct
 from .genfun import gamma_k
@@ -75,7 +98,8 @@ __all__ = [
 ]
 
 CRITICAL_POINTS = (1, 5, 9)
-MAX_DIGITS = 50
+MAX_DIGITS = 100
+GUARD_BITS = 32
 
 
 def triple_divisor_count(n):
@@ -160,13 +184,28 @@ def gamma_infinity(s, k):
     )
 
 
+def _shift_factor(s, m, k):
+    """gamma_infinity(s + 2m) / gamma_infinity(s) in extra precision, from
+    gamma_infinity(s + 2) = gamma_infinity(s) (s + 1)(s + w)(s + w + 1) / (8 pi^3)."""
+    w = 2 * k - 9
+    with mpmath.extraprec(24):
+        f = mpmath.mpf(1)
+        for i in range(m):
+            a = s + 2 * i
+            f *= (a + 1) * (a + w) * (a + w + 1)
+        return f / (8 * mpmath.pi ** 3) ** m
+
+
 def _contour(z, c0=None):
-    """The abscissa c0 of J(z, n) (default: the one for z) and the half-width
-    of the pole-free strip around the line Re w = c0, which sizes the step."""
+    """The abscissa c0 of J(z, n) (default: the one for z), the half-width
+    of the pole-free strip around the line Re w = c0, which sizes the step,
+    and the base line x0 of the nodes with the shift count m, z + c0 = x0 + 2m."""
     if c0 is None:
         c0 = max(6, 6 - z)
     c0 = mpmath.mpf(c0)
-    return c0, min(float(c0), float(mpmath.mpf(z) + c0 + 1)) - 0.5
+    x = z + c0
+    m = max(0, int(mpmath.floor((x - 6) / 2)))
+    return c0, min(float(c0), float(x + 1)) - 0.5, x - 2 * m, m
 
 
 class _Kernel:
@@ -176,18 +215,19 @@ class _Kernel:
     the pole of 1/w at distance >= 6.  The step is sized from the width of
     the pole-free strip; one table of node values G_j serves every n because
     n enters only through the rotation n^{-i j h} = r^j.  The nodes are kept
-    as raw mpmath.libmp tuples: Re(G_0 / 2) and the pairs (Re G_j, Im G_j)
-    for j >= 1.
+    as integers at the scale 2^-S (`scale` = S, `frac` = F; see the module
+    docstring): `head` = Re(G_0 / 2) at 2^-(S + F), and `re`, `im` for
+    j >= 1 at 2^-S.
 
-    `gamma_at` stands in for gamma_infinity; a joint pass hands the kernels
-    of one line a version that reuses values.
+    `gamma_at` stands in for gamma_infinity on the base line; a joint pass
+    hands the kernels of one base line a version that reuses values.
     """
 
     def __init__(self, z, k, digits, c0=None, gamma_at=None):
         if gamma_at is None:
             gamma_at = gamma_infinity
         self.z = mpmath.mpf(z)
-        self.c0, strip = _contour(z, c0)
+        self.c0, strip, base, shifts = _contour(self.z, c0)
         if strip <= 0:
             raise ValueError("contour abscissa too close to a pole")
         eps = mpmath.mpf(10) ** (-(digits + 12))
@@ -198,9 +238,13 @@ class _Kernel:
         j = 0
         low = 0
         while True:
-            wj = mpmath.mpc(self.c0, j * self.h)
-            g = gamma_at(self.z + wj, k) / wj
-            nodes.append(g._mpc_)
+            t = j * self.h
+            arg = mpmath.mpc(base, t)
+            g = gamma_at(arg, k)
+            if shifts:
+                g *= _shift_factor(arg, shifts, k)
+            g /= mpmath.mpc(self.c0, t)
+            nodes.append(g)
             size = abs(g)
             gsum += size
             gmax = max(gmax, size)
@@ -210,8 +254,7 @@ class _Kernel:
             if j > 200000:
                 raise ArithmeticError("kernel quadrature failed to truncate")
             j += 1
-        self.head = mpf_shift(nodes[0][0], -1)  # halving a node is exact
-        self.terms = nodes[1:]
+        self._fix(nodes)
         self.weight = self.h / mpmath.pi
         # heuristic discretization + truncation bound with safety factor;
         # the residual n-dependence n^{strip - (z + c0)} is at most n^{1/2}
@@ -219,40 +262,54 @@ class _Kernel:
         self.n_pow = strip - float(self.z + self.c0)
         self.decay = -(self.z + self.c0)
 
+    def _fix(self, nodes):
+        """Integer node table at the scale 2^-S and the rounding term
+        2^(1-F) sum_j j |G_j| + 2^(1-S) (J + 1) of its sums."""
+        frac = self.frac = mpmath.mp.prec + GUARD_BITS
+        top = max(mpmath.mag(c) for g in nodes for c in (g.real, g.imag) if c)
+        scale = self.scale = frac - top
+        self.head = to_int(mpf_shift(nodes[0].real._mpf_, scale + frac - 1), "n")
+        self.re = [to_int(mpf_shift(g.real._mpf_, scale), "n") for g in nodes[1:]]
+        self.im = [to_int(mpf_shift(g.imag._mpf_, scale), "n") for g in nodes[1:]]
+        moment = mpmath.fsum(j * abs(g) for j, g in enumerate(nodes))
+        self.round_err = mpmath.ldexp(moment, 1 - frac) + mpmath.ldexp(len(nodes), 1 - scale)
+
     def __call__(self, n):
         """J(z, n) as a BigFloat."""
-        lnn = mpmath.log(n)
-        return self.finish(n, lnn, _step_sums([self], lnn)[0])
+        return self.finish(n, mpmath.log(n), _step_sums([self], n)[0])
 
     def finish(self, n, lnn, acc):
         """J(z, n) from acc = Re(G_0/2 + sum_j G_j r^j), a raw mpf."""
-        scale = mpmath.exp(self.decay * lnn)
-        val = self.weight * scale * mpmath.mp.make_mpf(acc)
-        err = self.base_err * mpmath.mpf(n) ** self.n_pow
+        factor = self.weight * mpmath.exp(self.decay * lnn)
+        val = factor * mpmath.mp.make_mpf(acc)
+        err = self.base_err * mpmath.mpf(n) ** self.n_pow + factor * self.round_err
         return BigFloat(val, err)
 
 
-def _step_sums(kernels, lnn):
+def _step_sums(kernels, n):
     """Re(G_0/2 + sum_j G_j r^j) for kernels that share the step h, as raw mpfs.
 
-    Each power r^j = r^{j-1} * r of r = n^{-ih} is formed once, by the same
-    rounded complex product as a kernel alone would use, and each term adds
-    round(Re G_j Re r^j - Im G_j Im r^j): the real part of the mpc product
-    and sum, rounded the same way, so sharing changes no bit.
+    r = n^{-ih} is rounded to F fractional bits and each power r^j is formed
+    once, rounded to nearest; each kernel's sum is exact in integers at the
+    scale 2^-(S + F) and rounded once to the working precision.
     """
     prec, rnd = mpmath.mp._prec_rounding
-    r = mpmath.expj(-kernels[0].h * lnn)._mpc_
-    rp = (fone, fzero)
-    accs = [ker.head for ker in kernels]
-    for column in zip_longest(*(ker.terms for ker in kernels)):
-        rp = mpc_mul(rp, r, prec, rnd)
-        rre, rim = rp
-        for i, g in enumerate(column):
-            if g is not None:
-                accs[i] = mpf_add(
-                    accs[i], mpf_sub(mpf_mul(g[0], rre), mpf_mul(g[1], rim), prec, rnd),
-                    prec, rnd)
-    return accs
+    frac = kernels[0].frac
+    wp = frac + 10
+    theta = mpf_mul(kernels[0].h._mpf_, mpf_log(from_int(n), wp), wp)
+    cos, sin = mpf_cos_sin(theta, wp)
+    ra = to_int(mpf_shift(cos, frac), "n")
+    rb = -to_int(mpf_shift(sin, frac), "n")
+    half = 1 << (frac - 1)
+    pa, pb = [ra], [rb]
+    a, b = ra, rb
+    for _ in range(max(len(ker.re) for ker in kernels) - 1):
+        a, b = (a * ra - b * rb + half) >> frac, (a * rb + b * ra + half) >> frac
+        pa.append(a)
+        pb.append(b)
+    return [from_man_exp(ker.head + sum(map(mul, ker.re, pa)) - sum(map(mul, ker.im, pb)),
+                         -(ker.scale + frac), prec, rnd)
+            for ker in kernels]
 
 
 class _Series:
@@ -281,16 +338,15 @@ class _Series:
 
 
 def _joint_series(points, k, digits):
-    """One _Series per point, its kernels J(s, .) and J(1 - s, .) built line by
-    line: kernels whose nodes z + c0 + i j h lie on one line share their
-    gamma_infinity values (the J(1 - s) kernels of s = 5 and s = 9 both sample
-    6 + i j h), and a line's values are dropped once its kernels exist.  All
-    kernels of the pass are held at once, so the node tables are raw tuples
-    only."""
+    """One _Series per point, its kernels J(s, .) and J(1 - s, .) built base
+    line by base line: kernels that take their gamma_infinity values from one
+    base line with one step share them (line 7 serves the J(s) kernels of
+    s = 1, 5, 9; line 6 the J(1 - s) kernels of s = 5 and s = 9), and a line's
+    values are dropped once its kernels exist."""
     lines = {}
     for z in dict.fromkeys(z for s in points for z in (s, 1 - s)):
-        c0, strip = _contour(z)
-        lines.setdefault((z + c0, strip), []).append(z)
+        _, strip, base, _ = _contour(z)
+        lines.setdefault((base, strip), []).append(z)
     kernels = {}
     for zs in lines.values():
         # only a line that several kernels sample keeps its values
@@ -328,7 +384,7 @@ def sym2_lvalues(eigen, points, digits=20):
                     steps.setdefault(ker.h._mpf_, []).append(ker)
             jn = {}
             for kernels in steps.values():
-                for ker, acc in zip(kernels, _step_sums(kernels, lnn)):
+                for ker, acc in zip(kernels, _step_sums(kernels, n)):
                     jn[ker] = ker.finish(n, lnn, acc)
             b = BigFloat.exact(bs[n - 1])
             d3 = triple_divisor_count(n)

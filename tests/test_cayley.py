@@ -4,14 +4,33 @@ from fractions import Fraction
 import pytest
 
 from heptalift.cayley import (
+    _ALPHA_2E,
     QQ,
     ZZ,
     Octonion,
     Zmod,
+    _mat_inv_frac,
     gram_det,
     structure_constants,
     trace_pairing_gram,
 )
+
+
+def from_e_coords(e_coords):
+    """Octonion from ordinary e-basis coordinates (must land in the order)."""
+    w2 = [2 * Fraction(v) for v in e_coords]
+    inv = _mat_inv_frac(_ALPHA_2E)
+    return Octonion(ZZ, [sum(w2[i] * inv[i][k] for i in range(8)) for k in range(8)])
+
+
+def e_coords_doubled(x):
+    """Integer vector of 2x the e-basis coordinates of x."""
+    out = [0] * 8
+    for i, c in enumerate(x.co):
+        if c:
+            for j in range(8):
+                out[j] += c * _ALPHA_2E[i][j]
+    return out
 
 
 def rand_oct(rng, ring=ZZ, bound=4):
@@ -22,7 +41,7 @@ def test_e_basis_products():
     def e(i):
         v = [0] * 8
         v[i] = 1
-        return Octonion.from_e_coords(v)
+        return from_e_coords(v)
 
     assert e(1) * e(2) == e(4)
     assert e(2) * e(1) == -e(4)
@@ -148,8 +167,8 @@ def test_e_coords_roundtrip():
     rng = random.Random(127)
     for _ in range(200):
         x = rand_oct(rng)
-        d = x.e_coords_doubled()
-        y = Octonion.from_e_coords([Fraction(v, 2) for v in d])
+        d = e_coords_doubled(x)
+        y = from_e_coords([Fraction(v, 2) for v in d])
         assert y == x
 
 

@@ -220,6 +220,16 @@ def test_period_deterministic_bytes(capsys):
     assert all("error_bound" in lv for lv in payload["lvalues"])
 
 
+def test_digits_cap_is_fifty(capsys):
+    # the library accepts more digits; the CLI keeps its own limit of 50
+    for argv in (("period", "--k", "10", "--digits", "51"),
+                 ("period", "--k", "10", "--digits", "0"),
+                 ("probe", "--k", "10", "--digits", "20,51")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "between 1 and 50" in json.loads(err)["error"]
+
+
 def test_probe_payload(capsys):
     code, out, _ = run_cli(capsys, "probe", "--k", "10", "--digits", "20,30")
     assert code == 0

@@ -50,6 +50,10 @@ CORPUS = [
      "0c36df956ab0167862016568a14c86af798947473afd505399323868dc4ab0e4"),
     (("hp-verify", "--prime", "3", "--tmax", "12", "--table-route"),
      "bce99cd2486749ff9f3a38f49bbcc00e673ae5b35468c3f8df622eb52007ab6d"),
+    (("period", "--k", "10", "--digits", "50"),
+     "fbb7e68c1caecd156236ab8bfeebf23d91de2cf39d2336a63d3501b8da08611b"),
+    (("probe", "--k", "10", "--digits", "20,30"),
+     "49c16e1b27b30c266b7e278fb401f70d9e19d6e6dfe1e6c02cf174faae04cf58"),
 ]
 
 

@@ -14,7 +14,12 @@ from heptalift.exactnum import BigFloat
 from heptalift.genfun import gamma_k
 from heptalift.lift import eigen_delta
 from heptalift.lvalue import (
+    CRITICAL_POINTS,
+    GUARD_BITS,
+    _contour,
     _Kernel,
+    _joint_series,
+    _step_sums,
     gamma_infinity,
     period,
     period_report,
@@ -129,7 +134,93 @@ def test_monotone_error():
     assert errs[0] > errs[1] > errs[2]
 
 
-@pytest.mark.parametrize("digits", [12, 20])
+def _spy_nodes(monkeypatch):
+    """Record each kernel's complex node table as it is converted to integers."""
+    nodes = {}
+    fix = _Kernel._fix
+
+    def spy(ker, table):
+        nodes[ker] = table
+        fix(ker, table)
+
+    monkeypatch.setattr(_Kernel, "_fix", spy)
+    return nodes
+
+
+def _mpc_oracle(nodes, h, n):
+    """Re(G_0/2 + sum_j G_j r^j) by rounded complex products r^j = r^{j-1} r,
+    the mpc route, in 80 extra bits: the exact sum over the given nodes to far
+    below the fixed-point rounding term."""
+    with mpmath.extraprec(80):
+        r = mpmath.expj(-h * mpmath.log(n))
+        rp = mpmath.mpc(1)
+        acc = nodes[0].real / 2
+        for g in nodes[1:]:
+            rp *= r
+            acc += (g * rp).real
+    return acc
+
+
+@pytest.mark.parametrize("digits", [12, 30, 50])
+def test_fixed_point_sums_match_mpc_oracle(monkeypatch, digits):
+    # every kernel of a joint pass: the integer sum lies within the stated
+    # rounding term 2^(1-F) sum_j j|G_j| + 2^(1-S)(J+1), plus its final
+    # rounding, of the exact sum, with F = working precision + guard bits and
+    # S sized from the largest node
+    nodes = _spy_nodes(monkeypatch)
+    with mpmath.workdps(digits + 18):
+        series = _joint_series(CRITICAL_POINTS, 10, digits)
+        kernels = list(dict.fromkeys(ker for sr in series for ker in (sr.ker_s, sr.ker_r)))
+        assert len(kernels) == 6
+        prec = mpmath.mp.prec
+        frac = prec + GUARD_BITS
+        term = {}
+        for ker in kernels:
+            table = nodes[ker]
+            top = max(mpmath.mag(c) for g in table for c in (g.real, g.imag) if c)
+            assert ker.frac == frac and ker.scale == frac - top
+            term[ker] = (
+                mpmath.ldexp(mpmath.fsum(j * abs(g) for j, g in enumerate(table)), 1 - frac)
+                + mpmath.ldexp(len(table), 1 - ker.scale))
+            assert ker.round_err >= term[ker]
+        steps = {}
+        for ker in kernels:
+            steps.setdefault(ker.h, []).append(ker)
+        assert len(steps) == 2
+        for n in (1, 2, 17, 154):
+            lnn = mpmath.log(n)
+            for group in steps.values():
+                for ker, acc in zip(group, _step_sums(group, n)):
+                    fixed = mpmath.mp.make_mpf(acc)
+                    exact = _mpc_oracle(nodes[ker], ker.h, n)
+                    ulp = mpmath.ldexp(abs(fixed), 1 - prec)
+                    assert abs(fixed - exact) <= term[ker] + ulp
+                    # the bound of J(z, n) carries the term, scaled like the sum
+                    # (up to the rounding of that sum)
+                    factor = ker.weight * mpmath.exp(ker.decay * lnn)
+                    err = ker.finish(n, lnn, acc).err
+                    extra = err - ker.base_err * mpmath.mpf(n) ** ker.n_pow
+                    assert extra >= factor * term[ker] - mpmath.ldexp(err, 1 - prec)
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_shift_rule_nodes_match_direct_gamma(monkeypatch, k):
+    # lines 11 and 15 (the J(s) kernels of s = 5, 9) come from line 7, and
+    # the line 18.5 of c0 = 9.5 from line 6.5; every node agrees with
+    # gamma_infinity(z + w_j) / w_j evaluated directly to a few ulps
+    assert [_contour(z, c0)[2:] for z, c0 in ((1, None), (5, None), (9, None), (9, 9.5))] == [
+        (7, 0), (7, 2), (7, 4), (6.5, 6)]
+    nodes = _spy_nodes(monkeypatch)
+    with mpmath.workdps(38):
+        for z, c0 in ((5, None), (9, None), (9, 9.5)):
+            ker = _Kernel(z, k, 20, c0=c0)
+            for j, g in enumerate(nodes[ker]):
+                w = mpmath.mpc(ker.c0, j * ker.h)
+                direct = gamma_infinity(ker.z + w, k) / w
+                assert abs(g - direct) <= mpmath.ldexp(abs(direct), 4 - mpmath.mp.prec)
+
+
+@pytest.mark.parametrize("digits", [12, 20, 50])
 def test_joint_pass_matches_one_point(digits):
     # the joint pass shares rotation powers between kernels of one step and
     # gamma_infinity values between kernels of one argument; a wrong grouping
@@ -143,10 +234,9 @@ def test_joint_pass_matches_one_point(digits):
     assert [lv.value for lv in reordered] == [joint[2].value, joint[0].value]
 
 
-@pytest.mark.parametrize("digits", [10, 20])
+@pytest.mark.parametrize("digits", [10, 20, 30])
 def test_error_bounds_enclose_finer_value(digits):
-    # a run 25 digits finer lands inside both intervals; 50 + 25 digits
-    # would exceed the supported maximum
+    # a run 25 digits finer lands inside both intervals
     coarse = sym2_lvalues(EIGEN, (1, 5, 9), digits)
     fine = sym2_lvalues(EIGEN, (1, 5, 9), digits + 25)
     with mpmath.workdps(80):
@@ -159,7 +249,7 @@ def test_lvalue_preconditions():
     with pytest.raises(ValueError):
         sym2_lvalue(EIGEN, 3, 20)
     with pytest.raises(ValueError):
-        sym2_lvalue(EIGEN, 9, 60)
+        sym2_lvalue(EIGEN, 9, 101)
     with pytest.raises(ValueError):
         sym2_lvalues(EIGEN, (1, 3), 20)
     with pytest.raises(ValueError):
