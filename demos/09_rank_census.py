@@ -1,9 +1,10 @@
 """Exhaustive rank census of the Jordan algebra over F_2.
 
-The 2^27 residue classes are enumerated with precompiled numpy tables and
-counted by rank stratum in one process.  The rank-3 count matches a closed
-form, and the census independently reproduces the local density at 2 —
-an end-to-end check connecting raw enumeration to the density formulas.
+The 2^27 residue classes are counted by rank stratum in one process, from
+precompiled mod-2 lookup tables of the octonion product, conjugation and
+norm.  The rank-3 count matches a closed form, and the census independently
+reproduces the local density at 2 — an end-to-end check connecting raw
+enumeration to the density formulas.
 """
 
 import time

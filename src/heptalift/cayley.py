@@ -229,35 +229,42 @@ def _build_structure():
 _S = _build_structure()
 
 
+def _lin_source(coeffs, names):
+    """Source text of sum_j coeffs[j] names[j] for integer coeffs, with zero
+    coefficients left out."""
+    return "".join(
+        ("+" if c > 0 else "-") + ("" if abs(c) == 1 else "%d*" % abs(c)) + name
+        for c, name in zip(coeffs, names) if c).lstrip("+") or "0"
+
+
 def _form_source(rows, names):
     """Source text of sum_i x_i (sum_j rows[i][j] names[j]) for integer rows,
     with zero coefficients left out and each x_i multiplied once."""
-    parts = []
-    for i, row in enumerate(rows):
-        lin = "".join(
-            ("+" if c > 0 else "-") + ("" if abs(c) == 1 else "%d*" % abs(c)) + name
-            for c, name in zip(row, names) if c)
-        if lin:
-            parts.append("x%d*(%s)" % (i, lin.lstrip("+")))
-    return "+".join(parts) or "0"
+    return "+".join("x%d*(%s)" % (i, _lin_source(row, names))
+                    for i, row in enumerate(rows) if any(row)) or "0"
+
+
+_XS = ["x%d" % i for i in range(8)]
+_YS = ["y%d" % j for j in range(8)]
+
+
+def _compile(name, args, expr):
+    """Straight-line function `name(*args)` returning the source text `expr`;
+    unrolling removes the interpreter loop from the octonion primitives."""
+    ns = {}
+    exec("def %s(%s):\n    return %s" % (name, ",".join(args), expr), ns)
+    return ns[name]
 
 
 def _build_mul_kernel():
-    """Straight-line product of two coordinate vectors, generated from _S.
-
-    Every structure constant is +-1, so each output coordinate is a sum of
-    x_i times a signed sum of y_j; unrolling removes the interpreter loop
-    from the hottest primitive in the package.
-    """
+    """Product of two coordinate vectors, generated from _S: every structure
+    constant is +-1, so each output coordinate is a sum of x_i times a signed
+    sum of y_j."""
     if any(v not in (0, 1, -1) for plane in _S for row in plane for v in row):
         raise AssertionError("structure constants are not all +-1")
-    ys = ["y%d" % j for j in range(8)]
-    exprs = [_form_source([[_S[i][j][k] for j in range(8)] for i in range(8)], ys)
+    exprs = [_form_source([[_S[i][j][k] for j in range(8)] for i in range(8)], _YS)
              for k in range(8)]
-    args = ",".join(["x%d" % i for i in range(8)] + ys)
-    ns = {}
-    exec("def mul(%s):\n    return (%s)" % (args, ",".join(exprs)), ns)
-    return ns["mul"]
+    return _compile("mul", _XS + _YS, "(%s)" % ",".join(exprs))
 
 
 _MUL_RAW = _build_mul_kernel()
@@ -271,25 +278,23 @@ _GRAM = tuple(
     for i in range(8)
 )
 
-
-def _build_norm_kernel():
-    """Straight-line N(x) = sum_i x_i (G_ii/2 x_i + sum_{j>i} G_ij x_j),
-    generated from _GRAM like the product kernel."""
-    xs = ["x%d" % i for i in range(8)]
-    rows = [[_GRAM[i][i] // 2 if j == i else _GRAM[i][j] if j > i else 0
-             for j in range(8)] for i in range(8)]
-    ns = {}
-    exec("def norm(%s):\n    return %s" % (",".join(xs), _form_source(rows, xs)), ns)
-    return ns["norm"]
-
-
-_NORM_RAW = _build_norm_kernel()
-
 # Tr(x y) bilinear form: Tr(a_i a_j) picked out of the structure constants
 _GRAM_NOCONJ = tuple(
     tuple(sum(_S[i][j][k] * _TRV[k] for k in range(8)) for j in range(8))
     for i in range(8)
 )
+
+# N(x) = sum_i x_i (G_ii/2 x_i + sum_{j>i} G_ij x_j)
+_NORM_RAW = _compile("norm", _XS, _form_source(
+    [[_GRAM[i][i] // 2 if j == i else _GRAM[i][j] if j > i else 0 for j in range(8)]
+     for i in range(8)], _XS))
+_POLAR_RAW = _compile("polar", _XS + _YS, _form_source(_GRAM, _YS))
+_TRACE_WITH_RAW = _compile("trace_with", _XS + _YS, _form_source(_GRAM_NOCONJ, _YS))
+_TRACE_RAW = _compile("trace", _XS, _lin_source(_TRV, _XS))
+# conj(x) = Tr(x) - x
+_CONJ_RAW = _compile("conj", _XS, "(%s)" % ",".join(
+    _lin_source([_TRV[j] * (k == 0) - (j == k) for j in range(8)], _XS)
+    for k in range(8)))
 
 
 def _check_tables():
@@ -389,14 +394,14 @@ class Octonion:
         return Octonion._raw(self.ring, [other * v for v in self.co])
 
     def conj(self):
-        t = sum(c * _TRV[i] for i, c in enumerate(self.co))
-        co = [-v for v in self.co]
-        co[0] = t + co[0]
-        return Octonion._raw(self.ring, co)
+        return Octonion._raw(self.ring, _CONJ_RAW(*self.co))
+
+    # plain ints are already canonical in Z, so the forms skip ring.el there
 
     def trace(self):
         """Tr(x) = x + conj(x), as a ring scalar."""
-        return self.ring.el(sum(c * _TRV[i] for i, c in enumerate(self.co)))
+        acc = _TRACE_RAW(*self.co)
+        return acc if self.ring is ZZ else self.ring.el(acc)
 
     def norm(self):
         """N(x) = x conj(x), as a ring scalar."""
@@ -405,25 +410,13 @@ class Octonion:
 
     def norm_polar(self, other):
         """Tr(x conj(y)) = N(x+y) - N(x) - N(y), as a ring scalar."""
-        acc = 0
-        for i, ci in enumerate(self.co):
-            if not ci:
-                continue
-            for j, dj in enumerate(other.co):
-                if dj:
-                    acc += _GRAM[i][j] * ci * dj
-        return self.ring.el(acc)
+        acc = _POLAR_RAW(*self.co, *other.co)
+        return acc if self.ring is ZZ else self.ring.el(acc)
 
     def trace_with(self, other):
         """Tr(x y), as a ring scalar."""
-        acc = 0
-        for i, ci in enumerate(self.co):
-            if not ci:
-                continue
-            for j, dj in enumerate(other.co):
-                if dj:
-                    acc += _GRAM_NOCONJ[i][j] * ci * dj
-        return self.ring.el(acc)
+        acc = _TRACE_WITH_RAW(*self.co, *other.co)
+        return acc if self.ring is ZZ else self.ring.el(acc)
 
     def map_ring(self, ring):
         return Octonion(ring, self.co)

@@ -7,27 +7,26 @@ z[0..7]).  The packed index is bijective with J(F_2), so iterating over
 range(2^27) enumerates the algebra once.
 
 The mod-2 arithmetic is precompiled from the integral-order structure
-constants into lookup tables: a 256 x 256 octonion product table, a
-conjugation table, and a norm-bit table.  Addition is XOR, so determinant
-and adjoint evaluate as vectorized byte operations; rank classification
-follows the generic rule (zero; nonzero with vanishing adjoint; vanishing
-determinant; invertible).
+constants into plain-int lookup tables: a 256 x 256 octonion product table,
+built by F_2-linearity from the 64 basis products, a conjugation table, and a
+norm-bit table.  Addition is XOR; rank classification follows the generic
+rule (zero; nonzero with vanishing adjoint; vanishing determinant;
+invertible).
 
-The census runs in one process, one z byte at a time: rank 3 from four
-block counts of the polar matrix, rank 1 from the few (x, y) pairs that a
-vanishing adjoint allows (see `_counts`), and rank 2 as the remainder.
+The census runs one z byte at a time: rank 3 from four block counts of the
+polar form, rank 1 from the few (x, y) pairs that a vanishing adjoint allows
+(see `_counts`), and rank 2 as the remainder.
 
 Full enumeration is limited to p = 2; for p = 3 a seeded uniform sampler
 reports stratum fractions with a binomial confidence interval as a
 statistical consistency check only.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 from math import sqrt
-
-import numpy as np
 
 from .cayley import Octonion, ZZ, Zmod
 from .density import beta_exps, constants
@@ -45,40 +44,34 @@ __all__ = [
 _BITS = 27
 _SIZE = 1 << _BITS
 
-_T = None
-
 
 def _oct_byte(o):
     """Mod-2 coordinate byte of an octonion in the order basis."""
     return sum(((int(v) & 1) << i) for i, v in enumerate(o.co))
 
 
+def _linear(images):
+    """Table over all 256 bytes of the F_2-linear map sending bit i to
+    images[i]."""
+    t = [0] * 256
+    for u in range(1, 256):
+        low = u & -u
+        t[u] = t[u ^ low] ^ images[low.bit_length() - 1]
+    return t
+
+
+@functools.cache
 def _tables():
-    """(MUL2, CONJ2, N2, MC): mod-2 product, conjugation, norm bit, and the
-    row-gathered table MC[u, v] = conj(u) * v."""
-    global _T
-    if _T is None:
-        idx = np.arange(256)
-        bits = [((idx >> i) & 1).astype(np.uint8) for i in range(8)]
-        mul2 = np.zeros((256, 256), np.uint8)
-        for i in range(8):
-            ei = Octonion.basis(i)
-            for j in range(8):
-                m = _oct_byte(ei * Octonion.basis(j))
-                if m:
-                    mul2 ^= (bits[i][:, None] & bits[j][None, :]) * np.uint8(m)
-        conj2 = np.zeros(256, np.uint8)
-        for i in range(8):
-            cb = _oct_byte(Octonion.basis(i).conj())
-            if cb:
-                conj2 ^= bits[i] * np.uint8(cb)
-        n2 = np.array(
-            [int(Octonion(ZZ, [(u >> i) & 1 for i in range(8)]).norm()) & 1
-             for u in range(256)],
-            np.uint8,
-        )
-        _T = (mul2, conj2, n2, mul2[conj2, :])
-    return _T
+    """(MUL2, CONJ2, N2, MC): mod-2 product rows MUL2[u][v] = u v, conjugation,
+    norm bit, and the rows MC[u][v] = conj(u) v."""
+    e = [Octonion.basis(i) for i in range(8)]
+    # column j holds u e_j for every u; row u of MUL2 is linear in v
+    cols = [_linear([_oct_byte(ei * ej) for ei in e]) for ej in e]
+    mul2 = [_linear(images) for images in zip(*cols)]
+    conj2 = _linear([_oct_byte(ei.conj()) for ei in e])
+    n2 = [Octonion(ZZ, [(u >> i) & 1 for i in range(8)]).norm() & 1
+          for u in range(256)]
+    return mul2, conj2, n2, [mul2[conj2[u]] for u in range(256)]
 
 
 def pack_f2(X):
@@ -110,14 +103,14 @@ def rank_f2(idx):
         raise ValueError("packed index out of range")
     if idx == 0:
         return 0
-    mul2, conj2, n2, _ = _tables()
+    mul2, conj2, n2, mc = _tables()
     a, b, c = idx & 1, (idx >> 1) & 1, (idx >> 2) & 1
     xb, yb, zb = (idx >> 3) & 255, (idx >> 11) & 255, (idx >> 19) & 255
-    nx, ny, nz = int(n2[xb]), int(n2[yb]), int(n2[zb])
-    xz = int(mul2[xb, zb])
+    nx, ny, nz = n2[xb], n2[yb], n2[zb]
+    xz = mul2[xb][zb]
     det = (
         (a & b & c) ^ (a & nz) ^ (b & ny) ^ (c & nx)
-        ^ int(n2[xz ^ yb]) ^ int(n2[xz]) ^ ny
+        ^ n2[xz ^ yb] ^ n2[xz] ^ ny
     )
     if det:
         return 3
@@ -125,27 +118,11 @@ def rank_f2(idx):
         ((b & c) ^ nz) == 0
         and ((a & c) ^ ny) == 0
         and ((a & b) ^ nx) == 0
-        and int(mul2[yb, int(conj2[zb])]) == (xb if c else 0)
+        and mul2[yb][conj2[zb]] == (xb if c else 0)
         and xz == (yb if b else 0)
-        and int(mul2[int(conj2[xb]), yb]) == (zb if a else 0)
+        and mc[xb][yb] == (zb if a else 0)
     )
     return 1 if adj_zero else 2
-
-
-def _rank1_mask(xs, ys, z, a, b, c):
-    """Mask of the candidate pairs (xs, ys) for which (a, b, c, x, y, z) has
-    vanishing adjoint and determinant; the arrays broadcast together."""
-    mul2, conj2, n2, mc = _tables()
-    nx, ny = n2[xs], n2[ys]
-    xz = mul2[xs, z]
-    det = n2[xz ^ ys] ^ n2[xz] ^ ny ^ (b & ny) ^ (c & nx) \
-        ^ ((a & b & c) ^ (a & int(n2[z])))
-    return (
-        (nx == (a & b)) & (ny == (a & c)) & (det == 0)
-        & (mul2[ys, int(conj2[z])] == (xs if c else 0))
-        & (xz == (ys if b else 0))
-        & (mc[xs, ys] == (z if a else 0))
-    )
 
 
 def _counts():
@@ -153,44 +130,56 @@ def _counts():
     element is counted and fixed up by the caller, and the rank-3 counts
     n3[z][4a + 2b + c] of each z byte and diagonal (a, b, c).
 
-    Rank 3: with x and y sorted by N mod 2, each (N(x), N(y)) class is a
-    contiguous block of the polar matrix N(xz + y) + N(xz) + N(y), and the
-    diagonal terms of det only flip whole blocks, so four block counts per z
-    give the rank-3 count of every (a, b, c).  Rank 1: a vanishing adjoint
-    needs x z = b y and y conj(z) = c x, so the candidates are (x, xz) for
-    b = 1, (y conj(z), y) for c = 1, and the product of the two annihilators
-    for b = c = 0; every condition is then tested on the candidates.
+    Rank 3: cnt[s][w] counts the y with N(y) = s on which the polar form
+    N(w + y) + N(w) + N(y) is 1, so one pass over x per z gives the ones of
+    each (N(x), N(y)) block of N(xz + y) + N(xz) + N(y); the diagonal terms of
+    det only flip whole blocks, so four block counts per z give the rank-3
+    count of every (a, b, c).  Rank 1: a vanishing adjoint needs
+    N(z) = bc, N(y) = ac, N(x) = ab, x z = b y, y conj(z) = c x and
+    conj(x) y = a z, so the candidates are (x, xz) for b = 1, (y conj(z), y)
+    for c = 1 and the product of the two annihilators for b = c = 0, each
+    taken only where its norm conditions hold; the remaining conditions are
+    tested on the candidates.  Substituting y = xz, or xz = 0, into det leaves
+    terms that those tests already decide.
     """
-    mul2, conj2, n2, _ = _tables()
-    u = np.arange(256, dtype=np.uint8)
-    order = np.argsort(n2, kind="stable").astype(np.uint8)
-    k0 = 256 - int(n2.sum())
-    sizes = (k0, 256 - k0)
-    blocks = (slice(None, k0), slice(k0, None))
-    polar = n2[u[:, None] ^ order[None, :]] ^ n2[:, None] ^ n2[order][None, :]
+    mul2, conj2, n2, mc = _tables()
+    by_norm = ([u for u in range(256) if not n2[u]], [u for u in range(256) if n2[u]])
+    sizes = tuple(map(len, by_norm))
+    cnt = [[sum(n2[w ^ y] ^ n2[w] ^ s for y in ys) for w in range(256)]
+           for s, ys in enumerate(by_norm)]
     n1 = 0
     n3 = [[0] * 8 for _ in range(256)]
     for z in range(256):
-        nz = int(n2[z])
-        xz = mul2[:, z]
-        yzc = mul2[:, int(conj2[z])]
-        pz = polar[xz[order]]
-        ones = [[int(np.count_nonzero(pz[r, s])) for s in blocks] for r in blocks]
+        nz = n2[z]
+        xz = [row[z] for row in mul2]
+        yzc = [row[conj2[z]] for row in mul2]
+        ones = [[sum(map(cnt[j].__getitem__, map(xz.__getitem__, xs))) for j in (0, 1)]
+                for xs in by_norm]
         for abc, (a, b, c) in enumerate(itertools.product((0, 1), repeat=3)):
             k = (a & b & c) ^ (a & nz)
             for i in (0, 1):
                 for j in (0, 1):
                     flip = k ^ (b & j) ^ (c & i)
                     n3[z][abc] += sizes[i] * sizes[j] - ones[i][j] if flip else ones[i][j]
-            if (b & c) != nz:
-                continue
-            if b:
-                xs, ys = u, xz
-            elif c:
-                xs, ys = yzc, u
-            else:
-                xs, ys = np.flatnonzero(xz == 0)[:, None], np.flatnonzero(yzc == 0)[None, :]
-            n1 += int(np.count_nonzero(_rank1_mask(xs, ys, z, a, b, c)))
+        for a in (0, 1):
+            za = z if a else 0
+            norm_a = by_norm[a]
+            # b = 1, c = N(z): x with N(x) = a, y = xz
+            n1 += sum(1 for x, y in zip(norm_a, map(xz.__getitem__, norm_a))
+                      if n2[y] == a & nz and yzc[y] == (x if nz else 0) and mc[x][y] == za)
+            if not nz:
+                # b = 0, c = 1: y with N(y) = a, x = y conj(z)
+                n1 += sum(1 for x, y in zip(map(yzc.__getitem__, norm_a), norm_a)
+                          if not n2[x] and not xz[x] and mc[x][y] == za)
+        if nz:
+            continue
+        # b = c = 0: N(x) = N(y) = 0, xz = 0, y conj(z) = 0, and conj(x) y is
+        # 0 for a = 0 and z for a = 1
+        ys = [y for y in by_norm[0] if not yzc[y]]
+        for x in by_norm[0]:
+            if not xz[x]:
+                v = [mc[x][y] for y in ys]
+                n1 += v.count(0) + v.count(z)
     return n1, n3
 
 

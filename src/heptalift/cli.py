@@ -40,6 +40,9 @@ from .padic import factorize, genus_invariants, is_prime, reduce_at
 from .siegel import f_poly
 
 _EIGEN_PRIME_CAP = 10 ** 6
+# primes of the builtin table for period and probe: the L-value pass reads
+# b(n) for n <= 64 up to 40 digits and n <= 128 at 45-50 digits
+_SERIES_PRIMES = 256
 MAX_DIGITS = 50  # the CLI's --digits limit; the library accepts more
 
 
@@ -304,7 +307,7 @@ def _check_digits(digits):
 
 def _cmd_period(args):
     _check_digits(args.digits)
-    eigen = _load_eigen(args.eigen, args.k, 80 * args.digits)
+    eigen = _load_eigen(args.eigen, args.k, _SERIES_PRIMES)
     try:
         report = period_report(args.k, eigen, digits=args.digits)
     except ValueError as exc:
@@ -334,7 +337,7 @@ def _cmd_probe(args):
     _check_digits(d2)
     if d1 >= d2:
         raise UsageError("--digits expects an increasing pair")
-    eigen = _load_eigen(args.eigen, args.k, 80 * d2)
+    eigen = _load_eigen(args.eigen, args.k, _SERIES_PRIMES)
     try:
         out = rationality_probe(eigen, args.k, digits=(d1, d2))
     except ValueError as exc:

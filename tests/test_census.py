@@ -1,7 +1,11 @@
 """Exhaustive F_2 census: table kernels, counts, and the density bridge."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,15 +35,28 @@ def counts():
 
 def test_tables_match_generic_arithmetic():
     mul2, conj2, n2, mc = _tables()
-    rng = random.Random(7)
-    for _ in range(500):
-        u, v = rng.randrange(256), rng.randrange(256)
-        ou = Octonion(ZZ, [(u >> i) & 1 for i in range(8)])
-        ov = Octonion(ZZ, [(v >> i) & 1 for i in range(8)])
-        assert int(mul2[u, v]) == _oct_byte(ou * ov)
-        assert int(conj2[u]) == _oct_byte(ou.conj())
-        assert int(n2[u]) == int(ou.norm()) & 1
-        assert int(mc[u, v]) == _oct_byte(ou.conj() * ov)
+    octs = [Octonion(ZZ, [(u >> i) & 1 for i in range(8)]) for u in range(256)]
+    for u, ou in enumerate(octs):
+        assert conj2[u] == _oct_byte(ou.conj())
+        assert n2[u] == ou.norm() & 1
+        assert mul2[u] == [_oct_byte(ou * ov) for ov in octs]
+        assert mc[u] == [_oct_byte(ou.conj() * ov) for ov in octs]
+
+
+def test_import_and_census_leave_numpy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = (
+        "import sys, heptalift\n"
+        "from heptalift import cli\n"
+        "assert cli.main(['census']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert '"rank3": 64884736' in proc.stdout
 
 
 def test_pack_unpack_roundtrip():
