@@ -45,24 +45,37 @@ J + 1 nodes that is off by at most
 
 plus the final rounding; `_Kernel.finish` adds this term, times the
 kernel's weight and n^-(z + c0), to its bound.  The final rounding and the
-other working-precision errors (at 50 digits the nodes lie up to about 70
-ulps from gamma_infinity evaluated 60 bits finer) stay four digits below
+other working-precision errors (every node lies within 0.8 units of
+2^-prec max_j |G_j| of gamma_infinity evaluated 60 bits finer, measured
+for k = 10, 12 at 12, 30 and 50 digits) stay four digits below
 eps = 10^-(digits + 12) and are covered by the factor 100 of the
 discretization bound.  A kernel's sum depends on its nodes and n alone, so
 sharing the powers changes no bit.
 
-The nodes come from the shift rule gamma_infinity(s + 2) =
-gamma_infinity(s) (s + 1)(s + w)(s + w + 1) / (8 pi^3), w = 2k - 9.  A
-kernel whose nodes lie on the line Re = x takes direct gamma_infinity
-values on the base line x0 = x - 2 floor((x - 6)/2) in [6, 8) (a line left
-of 6 is its own base) and moves each up (x - x0)/2 steps, the factor formed
-in extra precision and applied with one rounding.  So the J(s) kernels of
-s = 5 and 9 (lines 11 and 15) are built from line 7, the line of s = 1,
-and the J(1 - s) kernels of s = 5 and 9 both sample line 6; a joint pass
-computes each shared base line once.  The rule depends only on (z, c0, k,
-digits), so a one-point pass and the joint pass produce the same bits.
-Each point keeps its own stopping rule and stops at the same n as it
-would alone.
+The nodes come from one pair of Gamma values per grid point.  On a line
+Re s = x0, at s = x0 + it with t = j h, gamma_infinity(s) is M A B e^(-i
+beta t) with A = Gamma((s + 1)/2), B = Gamma(s + w), w = 2k - 9, a real
+magnitude M and beta = ln(pi)/2 + ln(2 pi): the complex powers of pi and
+2 pi are one rotation.  The line x0 - 1 on the same grid needs no further
+Gamma value: the duplication formula Gamma(s/2) Gamma((s + 1)/2) =
+2^(1-s) sqrt(pi) Gamma(s) with Gamma(s) = B / prod_{m<w} (s + m) and
+Gamma(s - 1 + w) = B / (s - 1 + w) give gamma_infinity(s - 1) from A and
+B.  Lines further right follow from the shift rule gamma_infinity(s + 2)
+= gamma_infinity(s) (s + 1)(s + w)(s + w + 1) / (8 pi^3): a kernel whose
+nodes lie on the line Re = x takes the base line x0 = x - 2 floor((x -
+6)/2) in [6, 8) (a line left of 6 is its own base) and moves up (x -
+x0)/2 steps, each step continuing the product of the one before.  A base
+line from 7 up computes its own pairs; one below 7 takes those of the
+line one to its right.  So the J(s) kernels of s = 1, 5, 9 (lines 7, 11,
+15) and J(0) (line 6) all come from line 7's pairs at strip 5.5, and the
+J(1 - s) kernels of s = 5 and 9 (line 6) from line 7's pairs at strip
+6.5; a joint pass computes each pair once and drops a line's pairs once
+its kernels exist.  The polynomial factors are exact Gaussian-integer
+products, the rest runs NODE_GUARD_BITS above the working precision
+(t ulp(beta) would otherwise cost several units at large t), and each node
+is rounded once.  A node depends only on (z, c0, k, digits), so a
+one-point pass and the joint pass produce the same bits.  Each point
+keeps its own stopping rule and stops at the same n as it would alone.
 
 Summation is serial in ascending n, so results are bit-identical across
 runs.  Error bounds are conservative but heuristic at the
@@ -71,7 +84,6 @@ intervals.
 """
 
 from fractions import Fraction
-from functools import cache
 from math import isqrt
 from operator import mul
 
@@ -100,6 +112,7 @@ __all__ = [
 CRITICAL_POINTS = (1, 5, 9)
 MAX_DIGITS = 100
 GUARD_BITS = 32
+NODE_GUARD_BITS = 16
 
 
 def triple_divisor_count(n):
@@ -184,18 +197,6 @@ def gamma_infinity(s, k):
     )
 
 
-def _shift_factor(s, m, k):
-    """gamma_infinity(s + 2m) / gamma_infinity(s) in extra precision, from
-    gamma_infinity(s + 2) = gamma_infinity(s) (s + 1)(s + w)(s + w + 1) / (8 pi^3)."""
-    w = 2 * k - 9
-    with mpmath.extraprec(24):
-        f = mpmath.mpf(1)
-        for i in range(m):
-            a = s + 2 * i
-            f *= (a + 1) * (a + w) * (a + w + 1)
-        return f / (8 * mpmath.pi ** 3) ** m
-
-
 def _contour(z, c0=None):
     """The abscissa c0 of J(z, n) (default: the one for z), the half-width
     of the pole-free strip around the line Re w = c0, which sizes the step,
@@ -206,6 +207,101 @@ def _contour(z, c0=None):
     x = z + c0
     m = max(0, int(mpmath.floor((x - 6) / 2)))
     return c0, min(float(c0), float(x + 1)) - 0.5, x - 2 * m, m
+
+
+def _rising(x, t, offsets, acc=(1, 0, 0)):
+    """acc times prod_c (x + c + it) over the integer offsets c, exactly in
+    Gaussian integers: x and t are dyadic mpfs, and acc = (re, im, e) and the
+    result stand for (re + i im) 2^e."""
+    (xs, xm, xe, _), (ts, tm, te, _) = x._mpf_, t._mpf_
+    e = min(xe, te, 0)
+    X, T, one = (-xm if xs else xm) << (xe - e), (-tm if ts else tm) << (te - e), 1 << -e
+    re, im, n = acc
+    for c in offsets:
+        a = X + c * one
+        re, im = re * a - im * T, re * T + im * a
+    return re, im, n + e * len(offsets)
+
+
+def _mpc(acc, prec):
+    """(re + i im) 2^e rounded to prec bits."""
+    re, im, e = acc
+    return mpmath.mp.make_mpc((from_man_exp(re, e, prec, "n"), from_man_exp(im, e, prec, "n")))
+
+
+class _NodeSource:
+    """Node values gamma_infinity(x + 2m + it) / (c0 + it) at t = j h on the
+    lines x = x0 and x = x0 - 1 (see the module docstring).  At s = x0 + it,
+    from A = Gamma((s + 1)/2) and B = Gamma(s + w):
+
+        gamma_infinity(s)     = M  e^(-i beta t) A B,
+        gamma_infinity(s - 1) = M' e^(-i (beta + ln 2) t) B^2 / (A (s - 1 + w) prod_{m<w} (s + m)),
+
+    with M = 2 pi^(-(x0+1)/2) (2 pi)^(-(x0+w)), M' = 2^(2-x0) pi^((1-x0)/2)
+    (2 pi)^(1-x0-w) and beta = ln(pi)/2 + ln(2 pi).  The step h = 2 pi
+    strip / ln(1/eps), eps = 10^-(digits + 12), comes from the half-width of
+    the pole-free strip.  `pairs` holds (A, B) per t, `rows` per line and t
+    the value and the exact shift products.
+    """
+
+    def __init__(self, x0, strip, k, digits):
+        self.x0, self.w = x0, 2 * k - 9
+        self.eps = mpmath.mpf(10) ** (-(digits + 12))
+        self.h = 2 * mpmath.pi * strip / mpmath.log(1 / self.eps)
+        self.wp = mpmath.mp.prec + NODE_GUARD_BITS
+        self.pairs = []
+        self.rows = {x0: [], x0 - 1: []}
+        with mpmath.workprec(self.wp):
+            pi = mpmath.pi
+            beta = mpmath.log(pi) / 2 + mpmath.log(2 * pi)
+            self.lines = {
+                x0: (2 * pi ** (-(x0 + 1) / 2) * (2 * pi) ** (-(x0 + self.w)), beta),
+                x0 - 1: (2 ** (2 - x0) * pi ** ((1 - x0) / 2) * (2 * pi) ** (1 - x0 - self.w),
+                         beta + mpmath.ln2),
+            }
+            self.cube = 8 * pi ** 3
+            self.inv_cubes = [mpmath.mpf(1)]
+
+    def node(self, j, x, m, c0):
+        """gamma_infinity(x + 2m + it) / (c0 + it) at t = j h, x in {x0, x0 - 1}."""
+        rows = self.rows[x]
+        while len(rows) <= j:
+            rows.append(self._row(len(rows), x))
+        g, t, prods = rows[j]
+        if m:
+            # gamma_infinity(a + 2) = gamma_infinity(a) (a + 1)(a + w)(a + w + 1) / (8 pi^3)
+            while len(prods) <= m:
+                i = 2 * len(prods) - 2
+                prods.append(_rising(x, t, (i + 1, i + self.w, i + self.w + 1), prods[-1]))
+            with mpmath.workprec(self.wp):
+                while len(self.inv_cubes) <= m:
+                    self.inv_cubes.append(self.inv_cubes[-1] / self.cube)
+                g = g * _mpc(prods[m], self.wp) * self.inv_cubes[m]
+        return g / mpmath.mpc(c0, t)
+
+    def _row(self, j, x):
+        """[gamma_infinity(x + it), t, [1]] at t = j h, in the guarded precision;
+        the list collects the shift products."""
+        t = j * self.h
+        w = self.w
+        with mpmath.workprec(self.wp):
+            # each line's rows are built in order of j, so a missing pair is the next one
+            if len(self.pairs) == j:
+                self.pairs.append((mpmath.gamma(mpmath.mpc((self.x0 + 1) / 2, t / 2)),
+                                   mpmath.gamma(mpmath.mpc(self.x0 + w, t))))
+            a, b = self.pairs[j]
+            if x == self.x0:
+                core = a * b
+            else:
+                core = b * b / (a * _mpc(_rising(self.x0, t, (w - 1, *range(w))), self.wp))
+            mag, beta = self.lines[x]
+            return [mag * mpmath.expj(-beta * t) * core, t, [(1, 0, 0)]]
+
+
+def _pair_line(base):
+    """The line whose Gamma pairs give the nodes of a base line: the base line
+    itself from 7 up, else the line one to its right."""
+    return base if base >= 7 else base + 1
 
 
 class _Kernel:
@@ -219,33 +315,30 @@ class _Kernel:
     docstring): `head` = Re(G_0 / 2) at 2^-(S + F), and `re`, `im` for
     j >= 1 at 2^-S.
 
-    `gamma_at` stands in for gamma_infinity on the base line; a joint pass
-    hands the kernels of one base line a version that reuses values.
+    The node values and the step come from `source`, a _NodeSource on the
+    pair line of the kernel's base line and its strip; a joint pass hands
+    the kernels of one such line and strip one source.
     """
 
-    def __init__(self, z, k, digits, c0=None, gamma_at=None):
-        if gamma_at is None:
-            gamma_at = gamma_infinity
+    def __init__(self, z, k, digits, c0=None, source=None):
         self.z = mpmath.mpf(z)
         self.c0, strip, base, shifts = _contour(self.z, c0)
         if strip <= 0:
             raise ValueError("contour abscissa too close to a pole")
-        eps = mpmath.mpf(10) ** (-(digits + 12))
-        self.h = 2 * mpmath.pi * strip / mpmath.log(1 / eps)
+        if source is None:
+            source = _NodeSource(_pair_line(base), strip, k, digits)
+        eps, self.h = source.eps, source.h
         nodes = []
+        sizes = []
         gmax = mpmath.mpf(0)
         gsum = mpmath.mpf(0)
         j = 0
         low = 0
         while True:
-            t = j * self.h
-            arg = mpmath.mpc(base, t)
-            g = gamma_at(arg, k)
-            if shifts:
-                g *= _shift_factor(arg, shifts, k)
-            g /= mpmath.mpc(self.c0, t)
+            g = source.node(j, base, shifts, self.c0)
             nodes.append(g)
             size = abs(g)
+            sizes.append(size)
             gsum += size
             gmax = max(gmax, size)
             low = low + 1 if size < gmax * eps else 0
@@ -254,7 +347,7 @@ class _Kernel:
             if j > 200000:
                 raise ArithmeticError("kernel quadrature failed to truncate")
             j += 1
-        self._fix(nodes)
+        self._fix(nodes, sizes)
         self.weight = self.h / mpmath.pi
         # heuristic discretization + truncation bound with safety factor;
         # the residual n-dependence n^{strip - (z + c0)} is at most n^{1/2}
@@ -262,16 +355,16 @@ class _Kernel:
         self.n_pow = strip - float(self.z + self.c0)
         self.decay = -(self.z + self.c0)
 
-    def _fix(self, nodes):
+    def _fix(self, nodes, sizes):
         """Integer node table at the scale 2^-S and the rounding term
-        2^(1-F) sum_j j |G_j| + 2^(1-S) (J + 1) of its sums."""
+        2^(1-F) sum_j j |G_j| + 2^(1-S) (J + 1) of its sums; sizes[j] = |G_j|."""
         frac = self.frac = mpmath.mp.prec + GUARD_BITS
         top = max(mpmath.mag(c) for g in nodes for c in (g.real, g.imag) if c)
         scale = self.scale = frac - top
         self.head = to_int(mpf_shift(nodes[0].real._mpf_, scale + frac - 1), "n")
         self.re = [to_int(mpf_shift(g.real._mpf_, scale), "n") for g in nodes[1:]]
         self.im = [to_int(mpf_shift(g.imag._mpf_, scale), "n") for g in nodes[1:]]
-        moment = mpmath.fsum(j * abs(g) for j, g in enumerate(nodes))
+        moment = mpmath.fsum(j * size for j, size in enumerate(sizes))
         self.round_err = mpmath.ldexp(moment, 1 - frac) + mpmath.ldexp(len(nodes), 1 - scale)
 
     def __call__(self, n):
@@ -338,21 +431,20 @@ class _Series:
 
 
 def _joint_series(points, k, digits):
-    """One _Series per point, its kernels J(s, .) and J(1 - s, .) built base
-    line by base line: kernels that take their gamma_infinity values from one
-    base line with one step share them (line 7 serves the J(s) kernels of
-    s = 1, 5, 9; line 6 the J(1 - s) kernels of s = 5 and s = 9), and a line's
-    values are dropped once its kernels exist."""
-    lines = {}
+    """One _Series per point, its kernels J(s, .) and J(1 - s, .) built source
+    by source: kernels whose nodes come from the Gamma pairs of one line and
+    step share them (line 7 with strip 5.5 serves the J(s) kernels of s = 1, 5,
+    9 and J(0) on line 6; line 7 with strip 6.5 the J(1 - s) kernels of s = 5
+    and s = 9 on line 6), and a source is dropped once its kernels exist."""
+    groups = {}
     for z in dict.fromkeys(z for s in points for z in (s, 1 - s)):
         _, strip, base, _ = _contour(z)
-        lines.setdefault((base, strip), []).append(z)
+        groups.setdefault((_pair_line(base), strip), []).append(z)
     kernels = {}
-    for zs in lines.values():
-        # only a line that several kernels sample keeps its values
-        gamma_at = cache(gamma_infinity) if len(zs) > 1 else None
+    for key, zs in groups.items():
+        source = _NodeSource(*key, k, digits)
         for z in zs:
-            kernels[z] = _Kernel(z, k, digits, gamma_at=gamma_at)
+            kernels[z] = _Kernel(z, k, digits, source=source)
     return [_Series(s, k, digits, kernels[s], kernels[1 - s]) for s in points]
 
 

@@ -5,6 +5,7 @@ runs cross-checked at two precisions; the Petersson-norm anchor is the
 classical weight-12 value known from the literature.
 """
 
+import hashlib
 from fractions import Fraction
 
 import mpmath
@@ -139,9 +140,9 @@ def _spy_nodes(monkeypatch):
     nodes = {}
     fix = _Kernel._fix
 
-    def spy(ker, table):
+    def spy(ker, table, *rest):
         nodes[ker] = table
-        fix(ker, table)
+        fix(ker, table, *rest)
 
     monkeypatch.setattr(_Kernel, "_fix", spy)
     return nodes
@@ -207,7 +208,9 @@ def test_fixed_point_sums_match_mpc_oracle(monkeypatch, digits):
 def test_shift_rule_nodes_match_direct_gamma(monkeypatch, k):
     # lines 11 and 15 (the J(s) kernels of s = 5, 9) come from line 7, and
     # the line 18.5 of c0 = 9.5 from line 6.5; every node agrees with
-    # gamma_infinity(z + w_j) / w_j evaluated directly to a few ulps
+    # gamma_infinity(z + w_j) / w_j, evaluated directly 60 bits finer (at the
+    # working precision the direct value itself is off by up to ~50 ulps at
+    # large t), to a few ulps
     assert [_contour(z, c0)[2:] for z, c0 in ((1, None), (5, None), (9, None), (9, 9.5))] == [
         (7, 0), (7, 2), (7, 4), (6.5, 6)]
     nodes = _spy_nodes(monkeypatch)
@@ -216,8 +219,58 @@ def test_shift_rule_nodes_match_direct_gamma(monkeypatch, k):
             ker = _Kernel(z, k, 20, c0=c0)
             for j, g in enumerate(nodes[ker]):
                 w = mpmath.mpc(ker.c0, j * ker.h)
-                direct = gamma_infinity(ker.z + w, k) / w
-                assert abs(g - direct) <= mpmath.ldexp(abs(direct), 4 - mpmath.mp.prec)
+                tol = mpmath.ldexp(1, 4 - mpmath.mp.prec)
+                with mpmath.extraprec(60):
+                    direct = gamma_infinity(ker.z + w, k) / w
+                    assert abs(g - direct) <= tol * abs(direct)
+
+
+@pytest.mark.parametrize("k, digits, c0", [
+    (10, 12, None), (10, 30, None), (10, 50, None),
+    (12, 12, None), (12, 30, None), (12, 50, None),
+    (10, 20, 9.5),
+])
+def test_kernel_nodes_match_gamma_oracle(monkeypatch, k, digits, c0):
+    # every kernel of a joint pass (lines 6, 7, 11, 15; line 6 from line 7's
+    # Gamma pairs by the duplication formula), or the kernel on line 18.5
+    # from base line 6.5: every 5th node lies within 4 units of
+    # 2^-prec max_j |G_j| of gamma_infinity(z + w_j) / w_j evaluated 60 bits
+    # finer at the same rounded w_j = c0 + i j h
+    nodes = _spy_nodes(monkeypatch)
+    with mpmath.workdps(digits + 18):
+        if c0 is None:
+            _joint_series(CRITICAL_POINTS, k, digits)
+            assert len(nodes) == 6
+        else:
+            _Kernel(9, k, digits, c0=c0)
+        for ker, table in nodes.items():
+            tol = mpmath.ldexp(max(abs(g) for g in table), 2 - mpmath.mp.prec)
+            for j in range(0, len(table), 5):
+                w = mpmath.mpc(ker.c0, j * ker.h)
+                with mpmath.extraprec(60):
+                    want = gamma_infinity(ker.z + w, k) / w
+                    assert abs(table[j] - want) <= tol
+
+
+@pytest.mark.parametrize("k, digits, counts", [
+    (10, 50, [350, 344, 370, 292, 390, 293]),
+    (12, 20, [115, 113, 123, 96, 131, 97]),
+    (10, 100, [1024, 1012, 1070, 858, 1112, 859]),
+])
+def test_kernel_node_counts(monkeypatch, k, digits, counts):
+    # J + 1 nodes of the kernels z = 1, 0, 5, -4, 9, -8: the truncation point
+    # sets base_err, so a moved count moves every error bound
+    calls = []
+    gamma = mpmath.gamma
+    monkeypatch.setattr(mpmath, "gamma", lambda z: calls.append(z) or gamma(z))
+    with mpmath.workdps(digits + 18):
+        series = _joint_series(CRITICAL_POINTS, k, digits)
+    kernels = {int(ker.z): ker for sr in series for ker in (sr.ker_s, sr.ker_r)}
+    assert [len(kernels[z].re) + 1 for z in (1, 0, 5, -4, 9, -8)] == counts
+    # one Gamma pair per grid point: line 7's pairs at strip 5.5 serve lines
+    # 6, 7, 11 and 15, and at strip 6.5 both kernels on line 6
+    points = max(counts[0], counts[1], counts[2], counts[4]) + max(counts[3], counts[5])
+    assert sum(isinstance(z, mpmath.mpc) for z in calls) == 2 * points
 
 
 @pytest.mark.parametrize("digits", [12, 20, 50])
@@ -234,7 +287,7 @@ def test_joint_pass_matches_one_point(digits):
     assert [lv.value for lv in reordered] == [joint[2].value, joint[0].value]
 
 
-@pytest.mark.parametrize("digits", [10, 20, 30])
+@pytest.mark.parametrize("digits", [10, 20, 30, 50])
 def test_error_bounds_enclose_finer_value(digits):
     # a run 25 digits finer lands inside both intervals
     coarse = sym2_lvalues(EIGEN, (1, 5, 9), digits)
@@ -243,6 +296,26 @@ def test_error_bounds_enclose_finer_value(digits):
         for c, f in zip(coarse, fine):
             assert abs(c.value - f.value) <= c.err + f.err
             assert f.err < c.err
+
+
+# SHA-256 of the period and its three L-values at digits + 15 significant
+# digits with their bounds to 6, the output of the benchmark's
+# period_unrounded batch; the low digits move with any change to how the
+# kernels round
+UNROUNDED_SHA256 = {
+    10: "295dc37909cd5e73d9b0c60e7b829c8512b694eb318aa1a1ff1ab90d78567e73",
+    14: "060575182d0aba4127551bbc3d8d3d6894a21def7a7ba9c112aa3b210515c080",
+    18: "2d79293ee606695a37d9ca71f4979f5c0602081e80f0954346b0b071fca9f98a",
+    22: "e2924480434ffa3c098646551c1d8028eca28fd09bc001edcdb26c6ad25f7d71",
+}
+
+
+@pytest.mark.parametrize("digits", sorted(UNROUNDED_SHA256))
+def test_unrounded_period_digest(digits):
+    rep = period_report(10, eigen_delta(80 * digits), digits)
+    text = " ".join(f"{mpmath.nstr(bf.value, digits + 15)} {mpmath.nstr(bf.err, 6)}"
+                    for bf in (rep["value"], *rep["lvalues"]))
+    assert hashlib.sha256(text.encode()).hexdigest() == UNROUNDED_SHA256[digits]
 
 
 def test_lvalue_preconditions():
