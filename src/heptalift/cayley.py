@@ -22,6 +22,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+__all__ = [
+    "Octonion",
+    "QQ",
+    "ZZ",
+    "Zmod",
+    "gram_det",
+    "structure_constants",
+    "trace_pairing_gram",
+]
+
 
 # ---------------------------------------------------------------------------
 # rings

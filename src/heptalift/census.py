@@ -1,10 +1,10 @@
 """Exhaustive rank census of the exceptional Jordan algebra over F_2.
 
-An element is packed into 27 bits: bit 0..2 hold the diagonal (a, b, c) and
-bits 3..10, 11..18, 19..26 hold the order coordinates of the off-diagonal
-octonions x, y, z reduced mod 2, in the layout (a, b, c, x[0..7], y[0..7],
-z[0..7]).  The packed index is bijective with J(F_2), so iterating over
-range(2^27) enumerates the algebra once.
+An element of J(F_2) is its diagonal bits (a, b, c) and three bytes, the
+order coordinates of the off-diagonal octonions x, y, z reduced mod 2, so the
+algebra has 2^27 elements.  `_counts` never visits them one at a time: it
+walks the 256 z bytes and, for each, the 256 x bytes against tables indexed
+by N(y) and a byte, which covers every (x, y) pair and all eight diagonals.
 
 The mod-2 arithmetic is precompiled from the integral-order structure
 constants into plain-int lookup tables: a 256 x 256 octonion product table,
@@ -35,10 +35,7 @@ from .jordan import JordanElement
 __all__ = [
     "beta_from_census",
     "census_f2",
-    "pack_f2",
-    "rank_f2",
     "sample_rank_fractions",
-    "unpack_f2",
 ]
 
 _BITS = 27
@@ -72,57 +69,6 @@ def _tables():
     n2 = [Octonion(ZZ, [(u >> i) & 1 for i in range(8)]).norm() & 1
           for u in range(256)]
     return mul2, conj2, n2, [mul2[conj2[u]] for u in range(256)]
-
-
-def pack_f2(X):
-    """Packed index of a Jordan element with coordinates reduced mod 2."""
-    out = (int(X.a) & 1) | ((int(X.b) & 1) << 1) | ((int(X.c) & 1) << 2)
-    for base, o in ((3, X.x), (11, X.y), (19, X.z)):
-        out |= _oct_byte(o) << base
-    return out
-
-
-def unpack_f2(idx, ring=None):
-    """Jordan element for a packed index; defaults to the field of two
-    elements."""
-    if not 0 <= idx < _SIZE:
-        raise ValueError("packed index out of range")
-    if ring is None:
-        ring = Zmod(2)
-    co = lambda base: [(idx >> (base + i)) & 1 for i in range(8)]
-    return JordanElement(
-        ring,
-        idx & 1, (idx >> 1) & 1, (idx >> 2) & 1,
-        Octonion(ring, co(3)), Octonion(ring, co(11)), Octonion(ring, co(19)),
-    )
-
-
-def rank_f2(idx):
-    """Rank stratum of a packed index via the table kernel."""
-    if not 0 <= idx < _SIZE:
-        raise ValueError("packed index out of range")
-    if idx == 0:
-        return 0
-    mul2, conj2, n2, mc = _tables()
-    a, b, c = idx & 1, (idx >> 1) & 1, (idx >> 2) & 1
-    xb, yb, zb = (idx >> 3) & 255, (idx >> 11) & 255, (idx >> 19) & 255
-    nx, ny, nz = n2[xb], n2[yb], n2[zb]
-    xz = mul2[xb][zb]
-    det = (
-        (a & b & c) ^ (a & nz) ^ (b & ny) ^ (c & nx)
-        ^ n2[xz ^ yb] ^ n2[xz] ^ ny
-    )
-    if det:
-        return 3
-    adj_zero = (
-        ((b & c) ^ nz) == 0
-        and ((a & c) ^ ny) == 0
-        and ((a & b) ^ nx) == 0
-        and mul2[yb][conj2[zb]] == (xb if c else 0)
-        and xz == (yb if b else 0)
-        and mc[xb][yb] == (zb if a else 0)
-    )
-    return 1 if adj_zero else 2
 
 
 def _counts():

@@ -44,6 +44,10 @@ _EIGEN_PRIME_CAP = 10 ** 6
 # b(n) for n <= 64 up to 40 digits and n <= 128 at 45-50 digits
 _SERIES_PRIMES = 256
 MAX_DIGITS = 50  # the CLI's --digits limit; the library accepts more
+# the largest k whose gamma_k prints within Python's default limit of 4300
+# digits on int-to-str conversion; the factorials of a larger k would run
+# for seconds to minutes before that limit rejected them
+MAX_GAMMA_K = 343
 
 
 class UsageError(Exception):
@@ -229,6 +233,8 @@ def _cmd_hp_verify(args):
 def _cmd_gamma_k(args):
     if args.k < 10:
         raise UsageError("--k must be an integer >= 10")
+    if args.k > MAX_GAMMA_K:
+        raise UsageError("--k must be <= %d, the largest k whose gamma_k prints" % MAX_GAMMA_K)
     payload = {"k": args.k, "gamma_k": frac_str(gamma_k(args.k))}
     if args.derived:
         payload["derived"] = frac_str(gamma_k_derived(args.k))

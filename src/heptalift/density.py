@@ -21,6 +21,16 @@ from functools import lru_cache
 
 from .padic import ElemDivisors, genus_invariants, is_prime
 
+__all__ = [
+    "MASS_CONSTANT",
+    "alpha_p",
+    "beta_exps",
+    "beta_p",
+    "constants",
+    "igusa_verify",
+    "mass",
+]
+
 
 def _prod_one_minus(p, ks):
     out = Fraction(1)
@@ -115,22 +125,6 @@ def igusa_verify(p: int, order: int):
         ok = ok and lhs == rhs
         rows.append({"m": m, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
     return ok, rows
-
-
-# ---------------------------------------------------------------------------
-# structure-group orders over Z/p^n
-
-
-def group_orders(p: int, n: int = 1):
-    """(#M(Z/p^n), #M'(Z/p^n)); the second is the multiplier-1 subgroup."""
-    if n < 1:
-        raise ValueError(n)
-    if not is_prime(p):
-        raise ValueError("p must be prime: %r" % (p,))
-    m1 = p ** 36
-    for k in (12, 9, 8, 6, 5, 2, 1):
-        m1 *= p ** k - 1
-    return p ** (79 * (n - 1)) * m1, p ** (78 * (n - 1)) * (m1 // (p - 1))
 
 
 # ---------------------------------------------------------------------------

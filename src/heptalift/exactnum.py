@@ -14,6 +14,16 @@ from functools import lru_cache, reduce
 
 import mpmath
 
+__all__ = [
+    "BigFloat",
+    "LaurentPoly",
+    "SpecialValue",
+    "bernoulli",
+    "frac_str",
+    "rational_reconstruct",
+    "zeta_special",
+]
+
 
 def frac_str(q) -> str:
     """Serialize a rational as 'num/den' (or 'num' when the denominator is 1)."""

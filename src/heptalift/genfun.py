@@ -30,6 +30,18 @@ from .exactnum import (
 )
 from .siegel import f_poly, tilde_f
 
+__all__ = [
+    "H_verify",
+    "exponent_triples",
+    "gamma_RS",
+    "gamma_k",
+    "gamma_k_derived",
+    "hp_closed_form",
+    "lambda_p",
+    "rs_closed_residue",
+    "rs_euler_factors",
+]
+
 
 def exponent_triples(m):
     """All 0 <= a1 <= a2 <= a3 with a1 + a2 + a3 = m, ascending."""
@@ -76,36 +88,6 @@ def _P_in_u(p, A, B, C, order):
 def _from_u(p, m):
     """1 / (c1 p^{9m}), taking u^m coefficients of _P_in_u to t^m ones of P."""
     return Fraction(1) / (constants(p).c1 * p ** (9 * m))
-
-
-def P_closed(p, A, B, C, order):
-    """Closed form of P(A,B,C,t) = sum over triples (m1, m1+m2, m1+m3) of
-    t^{3m1+m2+m3} A^{m1} B^{m2} C^{m3} / beta_p, expanded through t^order.
-
-    A, B, C may be scalars or (nested) Laurent polynomials.  The expansion
-    runs in u = t/p^9 (see _P_in_u) and is rescaled coefficientwise.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    ser = _P_in_u(p, A, B, C, order)
-    return LaurentPoly("t", {m: v * _from_u(p, m) for m, v in ser.c.items()})
-
-
-def P_direct(p, A, B, C, order):
-    """Triple-sum evaluation of P(A,B,C,t) for cross-checking the closed form."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out = {}
-    for w in range(order + 1):
-        acc = 0
-        for m1 in range(w // 3 + 1):
-            r = w - 3 * m1
-            for m2 in range(r // 2 + 1):
-                m3 = r - m2
-                coeff = Fraction(1) / beta_exps(p, (m1, m1 + m2, m1 + m3))
-                acc = acc + coeff * A ** m1 * B ** m2 * C ** m3
-        out[w] = acc
-    return LaurentPoly("t", out)
 
 
 def _t_factor(coeff, tpow=1, xpow=0):

@@ -30,6 +30,12 @@ from fractions import Fraction
 
 from .cayley import IntegerRing, ModRing, Octonion, ZZ
 
+__all__ = [
+    "JordanElement",
+    "apply_word",
+    "word_multiplier",
+]
+
 
 def _half(ring, v):
     if isinstance(ring, ModRing):

@@ -18,6 +18,17 @@ from functools import lru_cache
 from .padic import genus_invariants, is_prime
 from .siegel import f_poly, symmetric_coefficients, tilde_f
 
+__all__ = [
+    "EigenData",
+    "eigen_delta",
+    "eigen_from_csv",
+    "eigen_from_rows",
+    "fourier_coeff",
+    "local_factor",
+    "sym2_coeffs",
+    "tau_table",
+]
+
 
 # ---------------------------------------------------------------------------
 # Coefficients of the weight-12 elliptic generator

@@ -97,6 +97,7 @@ from .genfun import gamma_k
 from .lift import sym2_coeffs
 
 __all__ = [
+    "CRITICAL_POINTS",
     "gamma_infinity",
     "period",
     "period_report",

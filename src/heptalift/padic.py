@@ -23,6 +23,21 @@ from dataclasses import dataclass
 from .cayley import Octonion, Zmod, ZZ
 from .jordan import JordanElement, apply_token
 
+__all__ = [
+    "ElemDivisors",
+    "Reduction",
+    "elementary_divisors",
+    "factorize",
+    "genus_invariants",
+    "is_prime",
+    "reduce_at",
+]
+
+
+# Zmod names its ring by the modulus in decimal, and Python's default limit
+# on int-to-str conversion is 4300 digits
+_MODULUS_BOUND = 10 ** 4300
+
 
 def _vp(v, p, cap):
     """Exponent of p in the integer v, or cap when v == 0."""
@@ -185,6 +200,9 @@ def reduce_at(X: JordanElement, p: int, precision=None) -> Reduction:
     N = orddet + 1 if precision is None else int(precision)
     if N <= orddet:
         raise ValueError("precision must exceed ord_p(det)")
+    # the first test spares building p^N when N is far too large
+    if N * (p.bit_length() - 1) >= _MODULUS_BOUND.bit_length() or p ** N >= _MODULUS_BOUND:
+        raise ValueError("precision must keep p^precision below 10^4300, got %d" % N)
     red = _Reducer(X, p, N)
     a1, a2 = red.run()
     Y = red.Y

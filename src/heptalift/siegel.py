@@ -30,6 +30,14 @@ from functools import lru_cache
 from .exactnum import LaurentPoly
 from .padic import is_prime
 
+__all__ = [
+    "SiegelPoly",
+    "f_poly",
+    "f_poly_oracle",
+    "symmetric_coefficients",
+    "tilde_f",
+]
+
 
 @dataclass(frozen=True)
 class SiegelPoly:

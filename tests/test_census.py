@@ -1,7 +1,6 @@
 """Exhaustive F_2 census: table kernels, counts, and the density bridge."""
 
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,10 +15,7 @@ from heptalift.census import (
     _tables,
     beta_from_census,
     census_f2,
-    pack_f2,
-    rank_f2,
     sample_rank_fractions,
-    unpack_f2,
 )
 from heptalift.density import beta_exps
 from heptalift.jordan import JordanElement
@@ -57,30 +53,6 @@ def test_import_and_census_leave_numpy_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert '"rank3": 64884736' in proc.stdout
-
-
-def test_pack_unpack_roundtrip():
-    rng = random.Random(11)
-    assert unpack_f2(0).is_zero()
-    assert pack_f2(unpack_f2(0)) == 0
-    for _ in range(300):
-        idx = rng.randrange(1 << 27)
-        X = unpack_f2(idx)
-        assert pack_f2(X) == idx
-    # reduction mod 2 on integer input
-    X = JordanElement.diag(3, 2, 5)
-    assert pack_f2(X) == 0b101
-    with pytest.raises(ValueError):
-        unpack_f2(1 << 27)
-    with pytest.raises(ValueError):
-        unpack_f2(-1)
-
-
-def test_rank_f2_spot_check_vs_generic():
-    rng = random.Random(2024)
-    for _ in range(10 ** 5):
-        idx = rng.randrange(1 << 27)
-        assert rank_f2(idx) == unpack_f2(idx).rank_mod_p()
 
 
 def test_census_counts(counts):

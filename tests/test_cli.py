@@ -1,7 +1,11 @@
 """CLI plumbing: JSON shapes, exit codes, determinism, error channels."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,30 @@ def test_gamma_k_payload(capsys):
     assert payload["derived"] == payload["gamma_k"]
     assert isinstance(payload["residue"], list) and payload["residue"]
     assert {"coeff", "pi_half_power", "symbols"} <= set(payload["residue"][0])
+
+
+def test_gamma_k_bound(capsys):
+    # MAX_GAMMA_K is the last k whose gamma_k fits in 4300 decimal digits
+    for k, fits in ((cli.MAX_GAMMA_K, True), (cli.MAX_GAMMA_K + 1, False)):
+        q = gamma_k(k)
+        assert (max(q.numerator, q.denominator) < 10 ** 4300) == fits
+    for extra in ((), ("--derived",)):
+        code, out, err = run_cli(capsys, "gamma-k", "--k", "343", *extra)
+        assert code == 0 and err == ""
+        assert json.loads(out)["gamma_k"] == frac_str(gamma_k(343))
+    for extra in ((), ("--derived",)):
+        code, out, err = run_cli(capsys, "gamma-k", "--k", "344", *extra)
+        assert code == 2 and out == ""
+        assert "--k must be <= 343" in json.loads(err)["error"]
+
+
+def test_gamma_k_rejects_huge_k_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "gamma-k", "--k", str(10 ** 6))
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == ""
+    assert "--k" in json.loads(err)["error"]
+    assert elapsed < 5.0
 
 
 def test_density_payload(capsys):
@@ -81,6 +109,32 @@ def test_reduce_malformed_input(tmp_path, capsys):
     code, out, err = run_cli(capsys, "reduce", "--prime", "2", "--input", str(bad))
     assert code == 2 and out == ""
     assert "malformed JSON" in json.loads(err)["error"]
+
+
+def test_reduce_precision_bound(tmp_path, capsys):
+    path = element_file(tmp_path, 1, 1, 1)
+    argv = ("reduce", "--prime", "3", "--input", path, "--precision")
+    code, out, _ = run_cli(capsys, *argv, "9012")
+    assert code == 0 and json.loads(out)["precision"] == 9012
+    code, out, err = run_cli(capsys, *argv, "9013")
+    assert code == 2 and out == ""
+    assert "precision must keep p^precision below 10^4300" in json.loads(err)["error"]
+
+
+def test_reduce_huge_precision_fails_fast_without_str_limit(tmp_path):
+    # with Python's int-to-str limit lifted, only the bound stops p^N
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    argv = ["reduce", "--prime", "3", "--precision", str(10 ** 7),
+            "--input", element_file(tmp_path, 1, 1, 1)]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "heptalift", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "precision" in json.loads(proc.stderr)["error"]
+    assert elapsed < 30.0
 
 
 ZERO8_TEXT = json.dumps(ZERO8)

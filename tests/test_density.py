@@ -11,7 +11,6 @@ from heptalift.density import (
     beta_exps,
     beta_p,
     constants,
-    group_orders,
     igusa_lhs_coeff,
     igusa_rhs_coeff,
     igusa_verify,
@@ -36,8 +35,12 @@ def test_constants_values_and_invariants():
         assert k.c3 == frac_prod(p, (2, 4, 4, 6))
         assert k.delta == frac_prod(p, (2, 5, 6, 8, 9, 12))
         assert k.delta / k.c1 == frac_prod(p, (5, 9))
-        # delta equals the F_p point-count density of the multiplier-1 group
-        assert k.delta == Fraction(group_orders(p)[1], p ** 78)
+        # delta equals the F_p point-count density of the multiplier-1 group,
+        # |M'(F_p)| = p^36 prod (p^e - 1) / (p - 1)
+        order = p ** 36
+        for e in (12, 9, 8, 6, 5, 2, 1):
+            order *= p ** e - 1
+        assert k.delta == Fraction(order // (p - 1), p ** 78)
 
 
 def test_beta_pinned_values():
@@ -106,20 +109,6 @@ def test_igusa_verify_deep():
     assert all(r["equal"] for r in rows)
     assert igusa_verify(3, 8)[0]
     assert igusa_verify(5, 6)[0]
-
-
-def test_group_orders():
-    m, m1 = group_orders(2)
-    expect = 2 ** 36
-    for k in (12, 9, 8, 6, 5, 2, 1):
-        expect *= 2 ** k - 1
-    assert m == expect
-    assert m1 == expect  # p - 1 = 1 at p = 2
-    for p in (3, 5):
-        m, m1 = group_orders(p)
-        assert m == (p - 1) * m1
-    assert group_orders(2, 2)[0] == 2 ** 79 * group_orders(2)[0]
-    assert group_orders(3, 3)[1] == 3 ** (78 * 2) * group_orders(3)[1]
 
 
 def test_mass_identity_element():

@@ -10,8 +10,6 @@ from heptalift.density import MASS_CONSTANT, beta_exps, constants
 from heptalift.exactnum import LaurentPoly, SpecialValue, zeta_special
 from heptalift.genfun import (
     H_verify,
-    P_closed,
-    P_direct,
     exponent_triples,
     gamma_RS,
     gamma_k,
@@ -59,6 +57,29 @@ def test_lambda_low_orders():
             w = Fraction(1) / beta_exps(p, exps)
             expect2 = expect2 + (tf * tf).map_coeffs(lambda v, w=w: v * w)
         assert lambda_p(p, 2) == expect2
+
+
+def P_closed(p, A, B, C, order):
+    """P(A,B,C,t) through t^order from the integer series in u = t/p^9 that
+    hp_table_route sums, rescaled coefficientwise."""
+    ser = genfun._P_in_u(p, A, B, C, order)
+    return LaurentPoly("t", {m: v * genfun._from_u(p, m) for m, v in ser.c.items()})
+
+
+def P_direct(p, A, B, C, order):
+    """P(A,B,C,t) through t^order as its defining sum over the triples
+    (m1, m1+m2, m1+m3) of t^{3m1+m2+m3} A^m1 B^m2 C^m3 / beta_p."""
+    out = {}
+    for w in range(order + 1):
+        acc = 0
+        for m1 in range(w // 3 + 1):
+            r = w - 3 * m1
+            for m2 in range(r // 2 + 1):
+                m3 = r - m2
+                coeff = Fraction(1) / beta_exps(p, (m1, m1 + m2, m1 + m3))
+                acc = acc + coeff * A ** m1 * B ** m2 * C ** m3
+        out[w] = acc
+    return LaurentPoly("t", out)
 
 
 def test_P_closed_vs_direct_symbolic():

@@ -1,0 +1,52 @@
+"""The package's public names: one list per module, each name exported once."""
+
+import importlib
+
+import heptalift
+
+PUBLIC = [
+    "BigFloat", "CRITICAL_POINTS", "EigenData", "ElemDivisors", "H_verify",
+    "JordanElement", "LaurentPoly", "MASS_CONSTANT", "Octonion", "QQ",
+    "Reduction", "SiegelPoly", "SpecialValue", "ZZ", "Zmod", "alpha_p",
+    "apply_word", "bernoulli", "beta_exps", "beta_from_census", "beta_p",
+    "census_f2", "constants", "eigen_delta", "eigen_from_csv",
+    "eigen_from_rows", "elementary_divisors", "exponent_triples", "f_poly",
+    "f_poly_oracle", "factorize", "fourier_coeff", "frac_str", "gamma_RS",
+    "gamma_infinity", "gamma_k", "gamma_k_derived", "genus_invariants",
+    "gram_det", "hp_closed_form", "igusa_verify", "is_prime", "lambda_p",
+    "local_factor", "mass", "period", "period_report",
+    "rational_reconstruct", "rationality_probe", "reconstruct_ratio",
+    "reduce_at", "rs_closed_residue", "rs_euler_factors",
+    "sample_rank_fractions", "structure_constants", "sym2_coeffs",
+    "sym2_dirichlet_coeffs", "sym2_dirichlet_sum", "sym2_lvalue",
+    "sym2_lvalues", "symmetric_coefficients", "tau_table", "tilde_f",
+    "trace_pairing_gram", "triple_divisor_count", "word_multiplier",
+    "zeta_special",
+]
+
+MODULES = ("cayley", "census", "density", "exactnum", "genfun", "jordan",
+           "lift", "lvalue", "padic", "siegel")
+
+
+def test_public_names_are_pinned():
+    assert sorted(heptalift.__all__) == PUBLIC
+
+
+def test_each_name_is_exported_by_exactly_one_module():
+    owners = {}
+    for name in MODULES:
+        module = importlib.import_module("heptalift." + name)
+        for public in module.__all__:
+            owners.setdefault(public, []).append(name)
+            assert getattr(heptalift, public) is getattr(module, public)
+    assert sorted(owners) == PUBLIC
+    assert {k: v for k, v in owners.items() if len(v) != 1} == {}
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from heptalift import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == PUBLIC
+    for name in PUBLIC:
+        assert namespace[name] is getattr(heptalift, name)
