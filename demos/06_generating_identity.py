@@ -31,9 +31,10 @@ print("\nEuler rewrite consistent:", r["consistent"])
 print("zeta denominators:", [repr(f) for f in r["zeta_denominators"]])
 print("one sym^2 denominator triple:", [repr(f) for f in r["sym2_denominators"][0]])
 
-# the residue of the self series is a finite symbolic combination
+# the residue of the self series is a single monomial in pi^(1/2), odd zeta
+# values and symmetric-square L-values
 res = rs_closed_residue(10)
-print("\nresidue terms:", len(res.terms))
+print("\nresidue:", res)
 
 # dividing out the completed-L prefactor must leave a pure rational: gamma_k
 for k in (10, 11, 12):

@@ -23,7 +23,7 @@ want = 2 ** 12 * (2 - 1) * (2 ** 5 - 1) * (2 ** 9 - 1)
 assert counts["rank3"] == want
 print("rank3 equals the closed form 2^12 (2-1)(2^5-1)(2^9-1) =", want)
 
-beta = beta_from_census(2, counts)
+beta = beta_from_census(counts)
 assert beta == beta_exps(2, (0, 0, 0))
 print("census-derived density:", beta, "= beta_2(0,0,0)")
 

@@ -163,7 +163,7 @@ def _c3_census():
     want = 2 ** 12 * (2 - 1) * (2 ** 5 - 1) * (2 ** 9 - 1)
     assert counts["rank3"] == want == 64884736
     assert sum(counts.values()) == 2 ** 27
-    got = beta_from_census(2, counts)
+    got = beta_from_census(counts)
     assert got == beta_exps(2, (0, 0, 0))
     return "rank3 = 64884736 over 2^27 elements; beta_2(0,0,0) bridged exactly"
 

@@ -175,42 +175,30 @@ _ALPHA_2E = (
 
 
 def _mat_inv_frac(m):
+    """Inverse and determinant of a square rational matrix, by one Gauss-Jordan
+    elimination; ArithmeticError when it is singular."""
     n = len(m)
     a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ArithmeticError("singular matrix")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
         for r in range(n):
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def _det_frac(m):
-    n = len(m)
-    a = [[Fraction(v) for v in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    return [row[n:] for row in a], det
 
 
 def _build_structure():
-    inv = _mat_inv_frac(_ALPHA_2E)
+    inv, _ = _mat_inv_frac(_ALPHA_2E)
 
     def to_alpha(w2):
         # coords c with c . ALPHA_2E = w2
@@ -312,10 +300,11 @@ def _check_tables():
         n2 = sum(v * v for v in _ALPHA_2E[i])
         if n2 != 4:  # N(a_i) = 1 on doubled coordinates
             raise ArithmeticError("basis vector %d has norm %s" % (i, Fraction(n2, 4)))
-    if _det_frac(_GRAM) != 1:
+    if _GRAM_DET != 1:
         raise ArithmeticError("trace pairing Gram determinant is not 1")
 
 
+_, _GRAM_DET = _mat_inv_frac(_GRAM)
 _check_tables()
 
 
@@ -329,8 +318,7 @@ def trace_pairing_gram():
 
 
 def gram_det() -> int:
-    d = _det_frac(_GRAM)
-    return d.numerator
+    return _GRAM_DET.numerator
 
 
 # ---------------------------------------------------------------------------

@@ -137,16 +137,13 @@ def census_f2():
     return {"rank0": 1, "rank1": n1 - 1, "rank2": _SIZE - n1 - n3, "rank3": n3}
 
 
-def beta_from_census(p=2, counts=None):
-    """Density of the unit class recovered from the census orbit count.
+def beta_from_census(counts):
+    """Density at 2 of the unit class, recovered from the census counts.
 
-    Computes delta_2 (1 - 1/2) 2^27 / rank3 and checks it against the
-    closed-form density of the unit class; a mismatch is a hard failure.
+    counts is a census_f2() result; only its rank3 entry is read.  Computes
+    delta_2 (1 - 1/2) 2^27 / rank3 and checks it against the closed-form
+    density of the unit class; a mismatch is a hard failure.
     """
-    if p != 2:
-        raise ValueError("full enumeration is only available mod 2")
-    if counts is None:
-        counts = census_f2()
     got = (
         constants(2).delta
         * Fraction(1, 2)

@@ -23,10 +23,9 @@ import mpmath
 
 from . import acceptance
 from .census import beta_from_census, census_f2
-from .density import beta_exps, igusa_verify, mass
+from .density import beta_exps, exponent_triples, igusa_verify, mass
 from .exactnum import frac_str
 from .genfun import (
-    exponent_triples,
     gamma_k,
     gamma_k_derived,
     H_verify,
@@ -363,7 +362,7 @@ def _cmd_census(args):
     counts = census_f2()
     elapsed = time.perf_counter() - t0
     try:
-        beta = beta_from_census(2, counts)
+        beta = beta_from_census(counts)
     except ArithmeticError as exc:
         raise ComputeError(str(exc), {"prime": 2, "counts": counts})
     return {

@@ -23,10 +23,10 @@ from .padic import ElemDivisors, genus_invariants, is_prime
 
 __all__ = [
     "MASS_CONSTANT",
-    "alpha_p",
     "beta_exps",
     "beta_p",
     "constants",
+    "exponent_triples",
     "igusa_verify",
     "mass",
 ]
@@ -68,6 +68,15 @@ def constants(p: int) -> DensityConstants:
     )
 
 
+def exponent_triples(m):
+    """All 0 <= a1 <= a2 <= a3 with a1 + a2 + a3 = m, ascending."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    for a1 in range(m // 3 + 1):
+        for a2 in range(a1, (m - a1) // 2 + 1):
+            yield a1, a2, m - a1 - a2
+
+
 def beta_exps(p: int, exps) -> Fraction:
     """Closed-form local density for the ascending exponent triple."""
     a1, a2, a3 = exps
@@ -87,23 +96,13 @@ def beta_p(d: ElemDivisors) -> Fraction:
     return beta_exps(d.p, d.exps)
 
 
-def alpha_p(d: ElemDivisors) -> Fraction:
-    """p^{9(a1+a2+a3)} delta_p / beta_p."""
-    return Fraction(d.p) ** (9 * d.total) * constants(d.p).delta / beta_p(d)
-
-
 # ---------------------------------------------------------------------------
 # Igusa series consistency:
 #   sum over a1<=a2<=a3 of u^{a1+a2+a3} / beta_p  ==  1 / (c1 (1-u/p)(1-u/p^5)(1-u/p^9))
 
 
 def igusa_lhs_coeff(p: int, m: int) -> Fraction:
-    out = Fraction(0)
-    for a1 in range(m // 3 + 1):
-        for a2 in range(a1, (m - a1) // 2 + 1):
-            a3 = m - a1 - a2
-            out += 1 / beta_exps(p, (a1, a2, a3))
-    return out
+    return sum((1 / beta_exps(p, exps) for exps in exponent_triples(m)), Fraction(0))
 
 
 def igusa_rhs_coeff(p: int, m: int) -> Fraction:

@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: Laurent polynomials and their truncated series
-expansion, Bernoulli/zeta values, and a small symbolic ring for products of
-pi-powers, odd zeta values and symmetric-square L-values.
+expansion, Bernoulli/zeta values, and exact monomials in pi^(1/2), odd zeta
+values and symmetric-square L-values.
 
 Everything here is over Q (fractions.Fraction), except exact polynomial
 division, which is over Z; nothing floats except the BigFloat carrier at the
@@ -106,13 +106,6 @@ class LaurentPoly:
                 return True
             return self.var == other.var and self.c == other.c
         return NotImplemented
-
-    def __hash__(self):
-        if not self.c:
-            return hash(0)
-        if set(self.c) == {0} and _is_scalar(self.c[0]):
-            return hash(self.c[0])
-        return hash((self.var, tuple(sorted((e, str(v)) for e, v in self.c.items()))))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -337,153 +330,84 @@ def zeta_even_pi_coeff(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# SpecialValue: exact ring Q[pi^{1/2}, pi^{-1/2}, zeta(odd), L(odd, Sym^2)]
-
-
-def _symkey(symbols: dict) -> tuple:
-    return tuple(sorted((s, e) for s, e in symbols.items() if e))
+# SpecialValue: exact monomials c * pi^{h/2} * prod(symbol^e)
 
 
 class SpecialValue:
-    """Finite Q-linear combination of monomials pi^(h/2) * prod(symbol^e).
+    """One monomial coeff * pi^(pi_half/2) * prod(symbol^e).
 
-    Symbols are opaque strings ("zeta5", "symsq9", ...).  Even zeta values are
-    expanded into pi-powers at construction; odd ones stay symbolic.
+    Symbols are opaque strings ("zeta5", "symsq9", ...), kept as a sorted
+    tuple of (name, exponent) pairs with zero exponents dropped; zero is the
+    monomial with coeff 0, no pi power and no symbols.  Even zeta values are
+    expanded into pi-powers at construction; odd ones stay symbolic.  The
+    residue algebra only multiplies and divides, so the values stay monomials.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeff", "pi_half", "symbols")
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for (h, sk), c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[(h, sk)] = self.terms.get((h, sk), Fraction(0)) + c
-            self.terms = {k: v for k, v in self.terms.items() if v}
-
-    @classmethod
-    def rational(cls, q):
-        return cls({(0, ()): Fraction(q)})
-
-    @classmethod
-    def pi_half_power(cls, h, coeff=1):
-        return cls({(h, ()): Fraction(coeff)})
-
-    @classmethod
-    def symbol(cls, name, coeff=1, pi_half=0):
-        return cls({(pi_half, ((name, 1),)): Fraction(coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_single_term(self):
-        return len(self.terms) == 1
+    def __init__(self, coeff, pi_half=0, symbols=()):
+        self.coeff = Fraction(coeff)
+        self.pi_half = pi_half if self.coeff else 0
+        self.symbols = tuple(sorted((s, e) for s, e in symbols if e)) if self.coeff else ()
 
     def __eq__(self, other):
-        if isinstance(other, SpecialValue):
-            return self.terms == other.terms
-        return self.terms == SpecialValue.rational(other).terms
-
-    def __add__(self, other):
+        if _is_scalar(other):
+            other = SpecialValue(other)
         if not isinstance(other, SpecialValue):
-            other = SpecialValue.rational(other)
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            w = t.get(k, Fraction(0)) + v
-            if w:
-                t[k] = w
-            else:
-                t.pop(k, None)
-        return SpecialValue(t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SpecialValue({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SpecialValue):
-            other = SpecialValue.rational(other)
-        return self + (-other)
+            return NotImplemented
+        return (self.coeff, self.pi_half, self.symbols) == (
+            other.coeff, other.pi_half, other.symbols)
 
     def __mul__(self, other):
         if not isinstance(other, SpecialValue):
-            other = SpecialValue.rational(other)
-        t = {}
-        for (h1, s1), c1 in self.terms.items():
-            for (h2, s2), c2 in other.terms.items():
-                syms = dict(s1)
-                for name, e in s2:
-                    syms[name] = syms.get(name, 0) + e
-                k = (h1 + h2, _symkey(syms))
-                w = t.get(k, Fraction(0)) + c1 * c2
-                if w:
-                    t[k] = w
-                else:
-                    t.pop(k, None)
-        return SpecialValue(t)
+            other = SpecialValue(other)
+        syms = dict(self.symbols)
+        for name, e in other.symbols:
+            syms[name] = syms.get(name, 0) + e
+        return SpecialValue(self.coeff * other.coeff, self.pi_half + other.pi_half, syms.items())
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, SpecialValue):
-            other = SpecialValue.rational(other)
-        if not other.is_single_term():
-            raise ArithmeticError("can only divide by a single-term value")
-        ((h, sk), c), = other.terms.items()
-        inv = SpecialValue({(-h, tuple((s, -e) for s, e in sk)): 1 / c})
+            other = SpecialValue(other)
+        inv = SpecialValue(1 / other.coeff, -other.pi_half, ((s, -e) for s, e in other.symbols))
         return self * inv
 
     def as_rational_pi_power(self):
         """If the value is c * pi^(h/2) with no symbols, return (c, h)."""
-        if not self.terms:
-            return Fraction(0), 0
-        if not self.is_single_term():
-            raise ValueError("not a monomial")
-        ((h, sk), c), = self.terms.items()
-        if sk:
-            raise ValueError("symbols remain: %r" % (sk,))
-        return c, h
+        if self.symbols:
+            raise ValueError("symbols remain: %r" % (self.symbols,))
+        return self.coeff, self.pi_half
 
     def serialize(self):
-        out = []
-        for (h, sk) in sorted(self.terms, key=lambda k: (k[0], k[1])):
-            out.append(
-                {
-                    "coeff": frac_str(self.terms[(h, sk)]),
-                    "pi_half_power": h,
-                    "symbols": {name: e for name, e in sk},
-                }
-            )
-        return out
+        """The value as a list of its monomials: one element, or [] for zero."""
+        if not self.coeff:
+            return []
+        return [{"coeff": frac_str(self.coeff), "pi_half_power": self.pi_half,
+                 "symbols": dict(self.symbols)}]
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (h, sk), c in sorted(self.terms.items()):
-            s = str(c)
-            if h:
-                s += f" * pi^({h}/2)"
-            for name, e in sk:
-                s += f" * {name}" + (f"^{e}" if e != 1 else "")
-            bits.append(s)
-        return " + ".join(bits)
+        s = str(self.coeff)
+        if self.pi_half:
+            s += f" * pi^({self.pi_half}/2)"
+        for name, e in self.symbols:
+            s += f" * {name}" + (f"^{e}" if e != 1 else "")
+        return s
 
 
 def zeta_special(n: int) -> SpecialValue:
     """zeta(n) as a SpecialValue: pi-monomial for even n, symbol for odd n >= 3."""
     if n % 2 == 0:
-        return SpecialValue.pi_half_power(2 * n, zeta_even_pi_coeff(n))
+        return SpecialValue(zeta_even_pi_coeff(n), 2 * n)
     if n < 3:
         raise ValueError("odd zeta needs n >= 3")
-    return SpecialValue.symbol(f"zeta{n}")
+    return SpecialValue(1, 0, ((f"zeta{n}", 1),))
 
 
 def symsq_special(r: int) -> SpecialValue:
     """Symbolic symmetric-square L-value L(r, Sym^2 pi_f)."""
-    return SpecialValue.symbol(f"symsq{r}")
+    return SpecialValue(1, 0, ((f"symsq{r}", 1),))
 
 
 def gamma_half_special(j: int) -> SpecialValue:
@@ -491,18 +415,17 @@ def gamma_half_special(j: int) -> SpecialValue:
     if j <= 0:
         raise ValueError("Gamma at a non-positive argument")
     if j % 2 == 0:
-        m = j // 2
         f = 1
-        for i in range(2, m):
+        for i in range(2, j // 2):
             f *= i
-        return SpecialValue.rational(f if m > 1 else 1)
+        return SpecialValue(f)
     # Gamma(1/2) = sqrt(pi); Gamma(j/2) = (j-2)!! / 2^((j-1)/2) * sqrt(pi)
     dd = 1
     k = j - 2
     while k > 1:
         dd *= k
         k -= 2
-    return SpecialValue.pi_half_power(1, Fraction(dd, 2 ** ((j - 1) // 2)))
+    return SpecialValue(Fraction(dd, 2 ** ((j - 1) // 2)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -610,14 +533,6 @@ class BigFloat:
         gap = mpmath.fsub(abs(o.value), o.err, rounding="d")
         num = _up(self.err, mpmath.fmul(_up(abs(v), r), o.err, rounding="u"))
         return BigFloat(v, _up(mpmath.fdiv(num, gap, rounding="u"), r))
-
-    def digits(self):
-        """Correct decimal digits implied by the tracked bound."""
-        if self.err == 0:
-            return mpmath.mp.dps
-        if self.value == 0:
-            return float(-mpmath.log10(self.err))
-        return float(mpmath.log10(abs(self.value) / self.err))
 
     def __repr__(self):
         return f"BigFloat({mpmath.nstr(self.value, 20)}, err={mpmath.nstr(self.err, 3)})"

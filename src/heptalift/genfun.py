@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .density import MASS_CONSTANT, beta_exps, constants
+from .density import MASS_CONSTANT, beta_exps, constants, exponent_triples
 from .exactnum import (
     LaurentPoly,
     SpecialValue,
@@ -32,7 +32,6 @@ from .siegel import f_poly, tilde_f
 
 __all__ = [
     "H_verify",
-    "exponent_triples",
     "gamma_RS",
     "gamma_k",
     "gamma_k_derived",
@@ -41,15 +40,6 @@ __all__ = [
     "rs_closed_residue",
     "rs_euler_factors",
 ]
-
-
-def exponent_triples(m):
-    """All 0 <= a1 <= a2 <= a3 with a1 + a2 + a3 = m, ascending."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    for a1 in range(m // 3 + 1):
-        for a2 in range(a1, (m - a1) // 2 + 1):
-            yield a1, a2, m - a1 - a2
 
 
 def _q(p, e):
@@ -302,7 +292,7 @@ def _check_half_weight(k):
 def mass_archimedean_constant():
     """The archimedean constant of the mass formula: 5! 7! 11! / (2 pi)^28."""
     r = Fraction(math.factorial(5) * math.factorial(7) * math.factorial(11), 2 ** 28)
-    return SpecialValue.pi_half_power(-56, r)
+    return SpecialValue(r, -56)
 
 
 def rs_closed_residue(k):
@@ -336,7 +326,7 @@ def gamma_k(k):
 
 def _xi_completed(n):
     """Completed zeta xi(n) = pi^{-n/2} Gamma(n/2) zeta(n)."""
-    return SpecialValue.pi_half_power(-n) * gamma_half_special(n) * zeta_special(n)
+    return SpecialValue(1, -n) * gamma_half_special(n) * zeta_special(n)
 
 
 def gamma_RS(s):
@@ -347,7 +337,7 @@ def gamma_RS(s):
         raise ValueError("s must be an integer or a half-integer")
     if s <= 8:
         raise ValueError("Gamma at a non-positive argument")
-    out = SpecialValue.pi_half_power(int(24 - 6 * s), Fraction(1, 2 ** int(6 * s)))
+    out = SpecialValue(Fraction(1, 2 ** int(6 * s)), int(24 - 6 * s))
     for n in range(3):
         out = out * gamma_half_special(int(2 * (s - 4 * n)))
     return out
@@ -363,12 +353,12 @@ def gamma_k_derived(k):
     reproduce gamma_k; all odd zeta symbols have to cancel on the way.
     """
     _check_half_weight(k)
-    pre = SpecialValue.rational(Fraction(1, 4)) / gamma_RS(2 * k)
+    pre = SpecialValue(Fraction(1, 4)) / gamma_RS(2 * k)
     pre = pre * _xi_completed(5) * _xi_completed(9)
     for n in (10, 14, 18):
         pre = pre / _xi_completed(n)
     inner = rs_closed_residue(k) / pre
-    target = SpecialValue.pi_half_power(-12 * k - 6)
+    target = SpecialValue(1, -12 * k - 6)
     for r in (1, 5, 9):
         target = target * symsq_special(r)
     ratio = inner / target

@@ -142,7 +142,11 @@ def eigen_from_csv(path, k):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["p", "a_p"]:
             raise ValueError("eigenvalue CSV needs the header 'p,a_p'")
-        rows = [(row["p"], Fraction(row["a_p"])) for row in reader]
+        rows = []
+        for row in reader:
+            if row["p"] is None or row["a_p"] is None:
+                raise ValueError("row %d needs both p and a_p" % reader.line_num)
+            rows.append((row["p"], Fraction(row["a_p"])))
     return eigen_from_rows(k, rows)
 
 
@@ -182,8 +186,6 @@ def local_factor(p, exps, eigen):
     w = 2 * eigen.k - 9
     total = 0
     for c, j in zip(cs, range(m, -1, -2)):
-        if (m - j) % 2:
-            raise ArithmeticError("parity violation in symmetrized coefficients")
         scale = p ** (((m - j) // 2) * w)
         total += c * scale * (ts[j] if j > 0 else 1)
     return total

@@ -99,7 +99,6 @@ from .lift import sym2_coeffs
 __all__ = [
     "CRITICAL_POINTS",
     "gamma_infinity",
-    "period",
     "period_report",
     "rationality_probe",
     "reconstruct_ratio",
@@ -368,10 +367,6 @@ class _Kernel:
         moment = mpmath.fsum(j * size for j, size in enumerate(sizes))
         self.round_err = mpmath.ldexp(moment, 1 - frac) + mpmath.ldexp(len(nodes), 1 - scale)
 
-    def __call__(self, n):
-        """J(z, n) as a BigFloat."""
-        return self.finish(n, mpmath.log(n), _step_sums([self], n)[0])
-
     def finish(self, n, lnn, acc):
         """J(z, n) from acc = Re(G_0/2 + sum_j G_j r^j), a raw mpf."""
         factor = self.weight * mpmath.exp(self.decay * lnn)
@@ -534,11 +529,6 @@ def period_report(k, eigen, digits=20):
         "pi_power": -(6 * k + 3),
         "lvalues": lvals,
     }
-
-
-def period(k, eigen, digits=20):
-    """Petersson norm of the lift: gamma_k(k) pi^{-6k-3} L(1) L(5) L(9)."""
-    return period_report(k, eigen, digits)["value"]
 
 
 def _mpf_fraction(x):

@@ -19,7 +19,7 @@ from heptalift.cayley import (
 def from_e_coords(e_coords):
     """Octonion from ordinary e-basis coordinates (must land in the order)."""
     w2 = [2 * Fraction(v) for v in e_coords]
-    inv = _mat_inv_frac(_ALPHA_2E)
+    inv, _ = _mat_inv_frac(_ALPHA_2E)
     return Octonion(ZZ, [sum(w2[i] * inv[i][k] for i in range(8)) for k in range(8)])
 
 
@@ -70,6 +70,19 @@ def test_order_closure_integral():
             assert all(isinstance(v, int) for v in S[i][j])
     a4 = Octonion.basis(4)
     assert (a4 * a4).to_list() == [-1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_mat_inv_frac_inverse_and_determinant():
+    assert _mat_inv_frac([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], -1)
+    assert _mat_inv_frac([[2, 1], [4, 3]]) == (
+        [[Fraction(3, 2), Fraction(-1, 2)], [-2, 1]], 2)
+    with pytest.raises(ArithmeticError):
+        _mat_inv_frac([[1, 2], [2, 4]])
+    G = trace_pairing_gram()
+    inv, det = _mat_inv_frac(G)
+    assert det == gram_det() == 1
+    assert all(sum(G[i][k] * inv[k][j] for k in range(8)) == (i == j)
+               for i in range(8) for j in range(8))
 
 
 def test_gram_unimodular():

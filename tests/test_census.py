@@ -86,18 +86,16 @@ def test_rank3_counts_per_z_match_generic_rank(rank3_by_z, z, abc):
 
 
 def test_beta_from_census(counts):
-    got = beta_from_census(counts=counts)
+    got = beta_from_census(counts)
     assert got == beta_exps(2, (0, 0, 0))
     want = Fraction(1)
     for e in (2, 6, 8, 12):
         want *= 1 - Fraction(1, 2 ** e)
     assert got == want
-    with pytest.raises(ValueError):
-        beta_from_census(p=3)
     bad = dict(counts)
     bad["rank3"] -= 1
     with pytest.raises(ArithmeticError):
-        beta_from_census(counts=bad)
+        beta_from_census(bad)
 
 
 def test_sampler_p3():

@@ -121,16 +121,21 @@ def test_reduce_precision_bound(tmp_path, capsys):
     assert "precision must keep p^precision below 10^4300" in json.loads(err)["error"]
 
 
+def run_module(argv, **env_extra):
+    """`python -m heptalift *argv` in a subprocess, on this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **env_extra)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run([sys.executable, "-m", "heptalift", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_reduce_huge_precision_fails_fast_without_str_limit(tmp_path):
     # with Python's int-to-str limit lifted, only the bound stops p^N
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     argv = ["reduce", "--prime", "3", "--precision", str(10 ** 7),
             "--input", element_file(tmp_path, 1, 1, 1)]
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "heptalift", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_module(argv, PYTHONINTMAXSTRDIGITS="0")
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 2 and proc.stdout == ""
     assert "precision" in json.loads(proc.stderr)["error"]
@@ -238,6 +243,19 @@ def test_lift_coeff_missing_eigen_prime(tmp_path, capsys):
         capsys, "lift-coeff", "--k", "10", "--eigen", str(csv), "--input", path
     )
     assert code == 2 and "missing a_p" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", ["period", "lift-coeff"])
+def test_short_eigen_csv_row_is_a_usage_error(tmp_path, command):
+    csv = tmp_path / "short.csv"
+    csv.write_text("p,a_p\n2\n")
+    argv = [command, "--k", "10", "--eigen", str(csv)]
+    if command == "lift-coeff":
+        argv += ["--input", element_file(tmp_path, 1, 1, 2)]
+    proc = run_module(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "row 2 needs both p and a_p" in json.loads(proc.stderr)["error"]
 
 
 def test_lift_table_rows(capsys):

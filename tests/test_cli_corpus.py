@@ -54,6 +54,10 @@ CORPUS = [
      "fbb7e68c1caecd156236ab8bfeebf23d91de2cf39d2336a63d3501b8da08611b"),
     (("probe", "--k", "10", "--digits", "20,30"),
      "49c16e1b27b30c266b7e278fb401f70d9e19d6e6dfe1e6c02cf174faae04cf58"),
+    (("gamma-k", "--k", "13", "--derived"),
+     "1b0fb70415a039de1d663e34474060436aee6fb1e3bc0ddf51e0cf27c4731d59"),
+    (("igusa-verify", "--prime", "5", "--order", "10"),
+     "24750d6a877c511f829a988932a4d4128451f8d60d07c111b3a9cd66bf377b8a"),
 ]
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from heptalift.density import (
     MASS_CONSTANT,
-    alpha_p,
     beta_exps,
     beta_p,
     constants,
@@ -17,7 +16,6 @@ from heptalift.density import (
     mass,
 )
 from heptalift.jordan import JordanElement, apply_word
-from heptalift.padic import ElemDivisors
 
 
 def frac_prod(p, ks):
@@ -83,14 +81,6 @@ def test_beta_rank3_orbit_interpretation():
         k = constants(p)
         nonsingular = p ** 12 * (p - 1) * (p ** 5 - 1) * (p ** 9 - 1)
         assert k.delta * (1 - Fraction(1, p)) * p ** 27 / nonsingular == k.c1
-
-
-def test_alpha_values():
-    for p in (2, 3):
-        k = constants(p)
-        assert alpha_p(ElemDivisors(p, (0, 0, 0))) == frac_prod(p, (5, 9))
-        assert alpha_p(ElemDivisors(p, (1, 1, 1))) == frac_prod(p, (5, 9))
-        assert alpha_p(ElemDivisors(p, (0, 0, 1))) == p ** 9 * k.delta / (p * k.c2)
 
 
 def test_igusa_low_coefficients():

@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from heptalift import genfun
-from heptalift.density import MASS_CONSTANT, beta_exps, constants
+from heptalift.density import MASS_CONSTANT, beta_exps, constants, exponent_triples
 from heptalift.exactnum import LaurentPoly, SpecialValue, zeta_special
 from heptalift.genfun import (
     H_verify,
-    exponent_triples,
     gamma_RS,
     gamma_k,
     gamma_k_derived,
@@ -180,16 +179,14 @@ def test_mass_constant_against_even_zetas():
     v = mass_archimedean_constant()
     for n in (2, 6, 8, 12):
         v = v * zeta_special(n)
-    assert v == SpecialValue.rational(MASS_CONSTANT)
+    assert v == SpecialValue(MASS_CONSTANT)
 
 
 def test_rs_closed_residue_structure():
     v = rs_closed_residue(10)
-    assert v.is_single_term()
-    ((pi_half, symbols), coeff), = v.terms.items()
-    assert pi_half == -84
-    assert dict(symbols) == {"zeta5": 1, "zeta9": 1, "symsq1": 1, "symsq5": 1, "symsq9": 1}
-    assert coeff > 0
+    assert v.pi_half == -84
+    assert dict(v.symbols) == {"zeta5": 1, "zeta9": 1, "symsq1": 1, "symsq5": 1, "symsq9": 1}
+    assert v.coeff > 0
     assert rs_closed_residue(12) == v
 
 

@@ -1,20 +1,25 @@
-"""The package's public names: one list per module, each name exported once."""
+"""The package's public names: one list per module, each name exported once,
+and each one used by the package or a demo."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import heptalift
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     "BigFloat", "CRITICAL_POINTS", "EigenData", "ElemDivisors", "H_verify",
     "JordanElement", "LaurentPoly", "MASS_CONSTANT", "Octonion", "QQ",
-    "Reduction", "SiegelPoly", "SpecialValue", "ZZ", "Zmod", "alpha_p",
+    "Reduction", "SiegelPoly", "SpecialValue", "ZZ", "Zmod",
     "apply_word", "bernoulli", "beta_exps", "beta_from_census", "beta_p",
     "census_f2", "constants", "eigen_delta", "eigen_from_csv",
     "eigen_from_rows", "elementary_divisors", "exponent_triples", "f_poly",
     "f_poly_oracle", "factorize", "fourier_coeff", "frac_str", "gamma_RS",
     "gamma_infinity", "gamma_k", "gamma_k_derived", "genus_invariants",
     "gram_det", "hp_closed_form", "igusa_verify", "is_prime", "lambda_p",
-    "local_factor", "mass", "period", "period_report",
+    "local_factor", "mass", "period_report",
     "rational_reconstruct", "rationality_probe", "reconstruct_ratio",
     "reduce_at", "rs_closed_residue", "rs_euler_factors",
     "sample_rank_fractions", "structure_constants", "sym2_coeffs",
@@ -50,3 +55,20 @@ def test_star_import_binds_exactly_the_public_names():
     assert sorted(namespace) == PUBLIC
     for name in PUBLIC:
         assert namespace[name] is getattr(heptalift, name)
+
+
+def test_every_public_name_has_a_caller():
+    # a name counts as used when a module other than __init__ or a demo
+    # mentions it as a name, an attribute or an import
+    sources = [p for p in sorted((ROOT / "src" / "heptalift").glob("*.py"))
+               if p.name != "__init__.py"] + sorted((ROOT / "demos").glob("*.py"))
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(set(heptalift.__all__) - used) == []

@@ -4,7 +4,8 @@ import pytest
 
 from heptalift import siegel
 from heptalift.exactnum import LaurentPoly
-from heptalift.genfun import exponent_triples, lambda_p
+from heptalift.density import exponent_triples
+from heptalift.genfun import lambda_p
 from heptalift.lift import eigen_delta, local_factor
 from heptalift.siegel import (
     SiegelPoly,
