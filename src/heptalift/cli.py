@@ -13,6 +13,7 @@ write a one-object JSON diagnostic to stderr.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -47,6 +48,11 @@ MAX_DIGITS = 50  # the CLI's --digits limit; the library accepts more
 # digits on int-to-str conversion; the factorials of a larger k would run
 # for seconds to minutes before that limit rejected them
 MAX_GAMMA_K = 343
+# the largest hp-verify --tmax (with --table-route) and igusa-verify --order
+# that finish within 10 s at p = 2 and p = 97 on a 2-CPU box; the cost grows
+# steeply past them, so a larger value is refused before any work
+MAX_TMAX = 40
+MAX_ORDER = 94
 
 
 class UsageError(Exception):
@@ -197,6 +203,8 @@ def _cmd_igusa_verify(args):
     p = _check_prime(args.prime)
     if args.order < 0:
         raise UsageError("--order must be >= 0")
+    if args.order > MAX_ORDER:
+        raise UsageError("--order must be <= %d" % MAX_ORDER)
     ok, rows = igusa_verify(p, args.order)
     payload = {
         "prime": p,
@@ -221,6 +229,8 @@ def _cmd_hp_verify(args):
     p = _check_prime(args.prime)
     if args.tmax < 1:
         raise UsageError("--tmax must be >= 1")
+    if args.tmax > MAX_TMAX:
+        raise UsageError("--tmax must be <= %d" % MAX_TMAX)
     ok, report = H_verify(p, args.tmax, table_route=args.table_route)
     payload = {"prime": p, "tmax": args.tmax, "ok": ok}
     if not ok:
@@ -402,7 +412,10 @@ def _cmd_selftest(args):
 # parser assembly and dispatch
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; each parse_args call
+    returns a fresh Namespace, so requests share no state through it."""
     parser = _Parser(prog="heptalift", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 

@@ -6,9 +6,12 @@ local series H_p(X,t) with its product form and an exact replication of its
 verification, the rewrite of H_p into zeta / symmetric-square local factors,
 and the residue algebra that yields the rational period constant gamma_k.
 
-The 64-term table route runs on integers: the factor 1 - p^-4 X^{+-2} is
-cleared to p^4 - X^{+-2}, P is expanded in u = t/p^9, and the division by the
-primitive common denominator is exact over Z (Gauss's lemma).
+The table route runs on integers: the factor 1 - p^-4 X^{+-2} is cleared to
+p^4 - X^{+-2}, P is expanded in u = t/p^9, and the division by the primitive
+common denominator is exact over Z (Gauss's lemma).  The pair sum is
+symmetric, so it walks the 36 unordered pairs of the eight table terms.  The
+Euler-factor rewrite is certified over Z as well: each factor 1 - c X^x t^n
+is cleared by the denominator of c before the two sides are multiplied out.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def hp_closed_form(p):
 
 
 # ---------------------------------------------------------------------------
-# The eight-term Laurent-series table and the 64-term route
+# The eight-term Laurent-series table and the pair-sum route
 
 
 def _lin2(coeff, e):
@@ -198,10 +201,12 @@ def tilde_from_table(p, m1, m2, m3):
 
 
 def hp_table_route(p, tmax):
-    """H_p t-coefficients via the 64-term sum of A_i A_j P(X_iX_j, Y_iY_j, Z_iZ_j, t).
+    """H_p t-coefficients via the pair sum of A_i A_j P(X_iX_j, Y_iY_j, Z_iZ_j, t).
 
     Every pair contributes its integer series c1 P in u = t/p^9 (_P_in_u),
-    weighted by the cleared numerators.  Each u^m coefficient of the sum is
+    weighted by the cleared numerators.  A pair's term is symmetric in
+    (i, j), so the 64 ordered pairs are summed as 36 unordered ones, each
+    pair with i != j counted twice.  Each u^m coefficient of the sum is
     c1 p^{9m} Dhalf^2 H_m with integer coefficients; Dhalf^2 is primitive,
     so its exact division over Z certifies that the sum collapses to
     Laurent polynomials in X, and 1/(c1 p^{9m}) rescales the quotient.
@@ -209,10 +214,10 @@ def hp_table_route(p, tmax):
     cleared, dhalf = _cleared_table(p)
     dh2 = dhalf * dhalf
     coeffs = [LaurentPoly.zero("X") for _ in range(tmax + 1)]
-    for wi, xi, yi, zi in cleared:
-        for wj, xj, yj, zj in cleared:
+    for i, (wi, xi, yi, zi) in enumerate(cleared):
+        for j, (wj, xj, yj, zj) in enumerate(cleared[: i + 1]):
             ser = _P_in_u(p, xi * xj, yi * yj, zi * zj, tmax)
-            wij = wi * wj
+            wij = wi * wj if i == j else 2 * (wi * wj)
             for m, cm in ser.c.items():
                 coeffs[m] = coeffs[m] + wij * cm
     return [c.divide_exact(dh2) * _from_u(p, m) for m, c in enumerate(coeffs)]
@@ -222,7 +227,7 @@ def H_verify(p, tmax, table_route=False):
     """Compare the product form of H_p with the lambda sum, coefficientwise.
 
     Expands the closed form through t^tmax and checks each coefficient
-    against lambda_p(p, m); with table_route=True the 64-term pair sum is
+    against lambda_p(p, m); with table_route=True the table pair sum is
     checked as a third path.  Returns (ok, report); report is None on
     success and a first-discrepancy dict otherwise.
     """
@@ -245,6 +250,35 @@ def H_verify(p, tmax, table_route=False):
     return True, None
 
 
+def _cleared(f):
+    """(d, d f) for a polynomial f in t over Q or over Laurent polynomials in
+    X, with d the least common denominator of its coefficients, so that d f
+    has int coefficients."""
+    nested = lambda v: isinstance(v, LaurentPoly)
+    d = math.lcm(*(
+        Fraction(w).denominator
+        for v in f.c.values()
+        for w in (v.c.values() if nested(v) else (v,))
+    ))
+    scale = lambda w: int(w * d)
+    return d, LaurentPoly(f.var, {e: v.map_coeffs(scale) if nested(v) else scale(v) for e, v in f.c.items()})
+
+
+def _same_product(lhs, rhs):
+    """Whether prod(lhs) == prod(rhs), decided over Z.
+
+    Each factor f is cleared to d f (_cleared); with S the product of a
+    side's d, prod(lhs) = L/S_lhs and prod(rhs) = R/S_rhs for integer
+    products L and R, so the two agree exactly when L S_rhs == R S_lhs.
+    """
+    sides = []
+    for factors in (lhs, rhs):
+        dens, polys = zip(*map(_cleared, factors))
+        sides.append((math.prod(dens), reduce(mul, polys)))
+    (s_lhs, z_lhs), (s_rhs, z_rhs) = sides
+    return z_lhs * s_rhs == z_rhs * s_lhs
+
+
 def rs_euler_factors(p):
     """H_p rewritten into zeta / symmetric-square local-factor shape.
 
@@ -254,7 +288,11 @@ def rs_euler_factors(p):
               / prod_{i=1..3} (1 - p^{-4i+3} X^2 t)(1 - p^{-4i+3} t)(1 - p^{-4i+3} X^{-2} t),
     the three lines being the zeta^{-1} numerators, the zeta factors and the
     symmetric-square factors of the global series.  The rewrite is certified
-    against the product form by exact cross-multiplication.
+    against the product form by exact cross-multiplication over Z: every
+    factor 1 - c X^x t^n, c = +-p^-e, is cleared to p^e - (p^e c) X^x t^n,
+    and the integer products of the two sides are compared after each is
+    scaled by the other side's product of the p^e (_same_product).
+    "consistent" is the outcome; the factor lists keep their rational form.
     """
     h = hp_closed_form(p)
     t2_numerators = [_t_factor(_q(p, 4 * i + 6), 2) for i in (1, 2, 3)]
@@ -267,16 +305,15 @@ def rs_euler_factors(p):
         ]
         for i in (1, 2, 3)
     ]
-    prod = lambda fs: reduce(mul, fs)
-    lhs = prod(list(h.numerator_factors) + zeta_denominators + [f for tri in sym2_denominators for f in tri])
-    rhs = prod(t2_numerators + list(h.denominator_factors))
+    lhs = list(h.numerator_factors) + zeta_denominators + [f for tri in sym2_denominators for f in tri]
+    rhs = t2_numerators + list(h.denominator_factors)
     return {
         "p": p,
         "prefactor": h.prefactor,
         "t2_numerators": t2_numerators,
         "zeta_denominators": zeta_denominators,
         "sym2_denominators": sym2_denominators,
-        "consistent": lhs == rhs,
+        "consistent": _same_product(lhs, rhs),
     }
 
 

@@ -142,6 +142,9 @@ def eigen_from_csv(path, k):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["p", "a_p"]:
             raise ValueError("eigenvalue CSV needs the header 'p,a_p'")
+        # rows are keyed by the header as written; a header such as 'p, a_p'
+        # passes the check above, so key them by the stripped names
+        reader.fieldnames = ["p", "a_p"]
         rows = []
         for row in reader:
             if row["p"] is None or row["a_p"] is None:

@@ -65,6 +65,65 @@ def test_gamma_k_rejects_huge_k_fast(capsys):
     assert elapsed < 5.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("hp-verify", "--prime", "2", "--tmax", "41", "--table-route"),
+    ("hp-verify", "--prime", "97", "--tmax", "200"),
+    ("igusa-verify", "--prime", "2", "--order", "95"),
+    ("igusa-verify", "--prime", "97", "--order", "400"),
+], ids=lambda a: " ".join(a))
+def test_series_order_caps(argv):
+    # above its cap a verify command exits 2 before computing anything
+    assert (cli.MAX_TMAX, cli.MAX_ORDER) == (40, 94)
+    t0 = time.perf_counter()
+    proc = run_module(list(argv))
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "must be <=" in json.loads(proc.stderr)["error"]
+    assert elapsed < 10.0
+
+
+_SEQUENCE_SCRIPT = """
+import contextlib, io, json, sys
+from heptalift import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_requests_in_one_process_match_fresh_processes(tmp_path):
+    # one process serves several requests through one parser; each must give
+    # the exit code and bytes of a process of its own
+    def requests(out_path):
+        return [
+            ["siegel", "--prime", "2"],
+            ["siegel", "--prime", "3", "--m", "2,1,3", "--eval", "X=-2"],
+            ["hp-verify", "--prime", "3", "--tmax", "5", "--table-route"],
+            ["hp-verify", "--prime", "4", "--tmax", "5"],
+            ["gamma-k", "--k", "12", "--derived", "--out", str(out_path)],
+            ["rs-euler", "--prime", "5"],
+        ]
+
+    shared, fresh = tmp_path / "shared.json", tmp_path / "fresh.json"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEQUENCE_SCRIPT, json.dumps(requests(shared))],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    in_one = json.loads(proc.stdout)
+    alone = [run_module(argv) for argv in requests(fresh)]
+    assert [r[0] for r in in_one] == [a.returncode for a in alone] == [2, 0, 0, 2, 0, 0]
+    for (_, out, err), a in zip(in_one, alone):
+        assert (out, err) == (a.stdout, a.stderr)
+    assert shared.read_bytes() == fresh.read_bytes()
+    assert json.loads(shared.read_text())["k"] == 12
+
+
 def test_density_payload(capsys):
     code, out, _ = run_cli(capsys, "density", "--prime", "2", "--divisors", "0,0,1")
     assert code == 0
@@ -256,6 +315,21 @@ def test_short_eigen_csv_row_is_a_usage_error(tmp_path, command):
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "row 2 needs both p and a_p" in json.loads(proc.stderr)["error"]
+
+
+def test_eigen_csv_header_with_spaces(tmp_path, capsys):
+    # the header names are stripped when checked; rows must be read by them too
+    eigen = eigen_delta(256)
+    rows = "".join("%d,%d\n" % (p, a) for p, a in sorted(eigen.table.items()))
+    outs = []
+    for name, header in (("plain.csv", "p,a_p"), ("spaced.csv", "p, a_p")):
+        path = tmp_path / name
+        path.write_text(header + "\n" + rows)
+        code, out, err = run_cli(capsys, "period", "--k", "10", "--digits", "10",
+                                 "--eigen", str(path))
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_lift_table_rows(capsys):

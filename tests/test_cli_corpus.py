@@ -58,6 +58,10 @@ CORPUS = [
      "1b0fb70415a039de1d663e34474060436aee6fb1e3bc0ddf51e0cf27c4731d59"),
     (("igusa-verify", "--prime", "5", "--order", "10"),
      "24750d6a877c511f829a988932a4d4128451f8d60d07c111b3a9cd66bf377b8a"),
+    (("rs-euler", "--prime", "31"),
+     "33ea25044f8b4e332109e9ed0e1502a60172b567952d6f91a9142763b1acb4f7"),
+    (("hp-verify", "--prime", "13", "--tmax", "8", "--table-route"),
+     "281a2a88564728a43389a69b25999f3ae3590978366635b26542c36c6361ee25"),
 ]
 
 

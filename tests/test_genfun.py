@@ -2,6 +2,8 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -160,6 +162,25 @@ def test_wrong_cleared_factor_raises_in_table_routes(monkeypatch):
         genfun._cleared_table.cache_clear()
 
 
+def ordered_table_route(p, tmax):
+    """Oracle: the table route as the plain sum over all 64 ordered pairs."""
+    cleared, dhalf = genfun._cleared_table(p)
+    coeffs = [LaurentPoly.zero("X") for _ in range(tmax + 1)]
+    for wi, xi, yi, zi in cleared:
+        for wj, xj, yj, zj in cleared:
+            ser = genfun._P_in_u(p, xi * xj, yi * yj, zi * zj, tmax)
+            for m, cm in ser.c.items():
+                coeffs[m] = coeffs[m] + wi * wj * cm
+    return [c.divide_exact(dhalf * dhalf) * genfun._from_u(p, m) for m, c in enumerate(coeffs)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_table_route_matches_ordered_pair_sum(p):
+    got, want = hp_table_route(p, 6), ordered_table_route(p, 6)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
 def test_hp_verify_rejects_bad_order():
     with pytest.raises(ValueError):
         H_verify(2, 0)
@@ -173,6 +194,58 @@ def test_rs_euler_rewrite():
         assert len(fac["zeta_denominators"]) == 3
         assert [len(tri) for tri in fac["sym2_denominators"]] == [3, 3, 3]
         assert fac["prefactor"] == Fraction(1) / constants(p).c1
+
+
+def _spy_certificate(monkeypatch, mutate=None):
+    """Record the factor lists handed to the rs-euler certificate, after
+    mutate(lhs, rhs) has had a chance to change them."""
+    seen = []
+    certify = genfun._same_product
+
+    def spy(lhs, rhs):
+        lhs, rhs = list(lhs), list(rhs)
+        if mutate:
+            mutate(lhs, rhs)
+        seen.append((lhs, rhs))
+        return certify(lhs, rhs)
+
+    monkeypatch.setattr(genfun, "_same_product", spy)
+    return seen
+
+
+def _bump_exponent(f, p):
+    """1 - c X^x t^n  ->  1 - (c/p) X^x t^n: an off-by-one in p's exponent."""
+    scale = lambda v: v / p if not isinstance(v, LaurentPoly) else v.map_coeffs(lambda w: w / p)
+    return LaurentPoly(f.var, {e: scale(v) if e else v for e, v in f.c.items()})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_rs_euler_certificate_agrees_with_rational_products(monkeypatch, p):
+    seen = _spy_certificate(monkeypatch)
+    assert rs_euler_factors(p)["consistent"] is True
+    ((lhs, rhs),) = seen
+    assert len(lhs) == 15 and len(rhs) == 13
+    for f in lhs + rhs:
+        d, z = genfun._cleared(f)
+        assert all(type(v) is int for w in z.c.values()
+                   for v in (w.c.values() if isinstance(w, LaurentPoly) else (w,)))
+        assert z == f * d
+    assert reduce(mul, lhs) == reduce(mul, rhs)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("side", [0, 1])
+def test_rs_euler_certificate_catches_one_wrong_factor(monkeypatch, p, side):
+    for i in range((15, 13)[side]):
+        def mutate(lhs, rhs, i=i):
+            fs = (lhs, rhs)[side]
+            fs[i] = _bump_exponent(fs[i], p)
+
+        seen = _spy_certificate(monkeypatch, mutate)
+        assert rs_euler_factors(p)["consistent"] is False
+        ((lhs, rhs),) = seen
+        assert reduce(mul, lhs) != reduce(mul, rhs)
+        monkeypatch.undo()
 
 
 def test_mass_constant_against_even_zetas():
