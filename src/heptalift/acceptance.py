@@ -329,6 +329,3 @@ def run(criterion: Criterion) -> CriterionResult:
         )
     return CriterionResult(criterion.number, criterion.slug, ok, elapsed, detail)
 
-
-def run_all():
-    return [run(c) for c in CRITERIA]

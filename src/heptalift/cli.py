@@ -39,7 +39,6 @@ from .lvalue import CRITICAL_POINTS, period_report, rationality_probe
 from .padic import factorize, genus_invariants, is_prime, reduce_at
 from .siegel import f_poly
 
-_EIGEN_PRIME_CAP = 10 ** 6
 # primes of the builtin table for period and probe: the L-value pass reads
 # b(n) for n <= 64 up to 40 digits and n <= 128 at 45-50 digits
 _SERIES_PRIMES = 256
@@ -48,11 +47,16 @@ MAX_DIGITS = 50  # the CLI's --digits limit; the library accepts more
 # digits on int-to-str conversion; the factorials of a larger k would run
 # for seconds to minutes before that limit rejected them
 MAX_GAMMA_K = 343
-# the largest hp-verify --tmax (with --table-route) and igusa-verify --order
-# that finish within 10 s at p = 2 and p = 97 on a 2-CPU box; the cost grows
-# steeply past them, so a larger value is refused before any work
+# the largest hp-verify --tmax (with --table-route) that finishes within 10 s
+# at p = 2 and p = 97 on a 2-CPU box, and the igusa-verify --order cap set the
+# same way (order 94 now takes 0.48-0.60 s at p = 2, 1.39-1.56 s at p = 97); a
+# larger value is refused before any work
 MAX_TMAX = 40
 MAX_ORDER = 94
+# the largest lift-table --max-det N, and prime of the builtin eigen table,
+# at which lift-table --k 10 --max-det N and lift-coeff --k 10 on
+# diag(1, 1, q), q the largest prime <= N, finish within 10 s on a 2-CPU box
+MAX_DET = 29000
 
 
 class UsageError(Exception):
@@ -124,10 +128,8 @@ def _load_eigen(source, k, max_prime):
     if source == "tau":
         if k != 10:
             raise UsageError("builtin eigen table has weight parameter 10")
-        if max_prime > _EIGEN_PRIME_CAP:
-            raise UsageError(
-                "builtin eigen table caps at primes <= %d" % _EIGEN_PRIME_CAP
-            )
+        if max_prime > MAX_DET:
+            raise UsageError("builtin eigen table caps at primes <= %d" % MAX_DET)
         return eigen_delta(max(100, max_prime))
     try:
         return eigen_from_csv(source, k)
@@ -273,6 +275,8 @@ def _cmd_lift_coeff(args):
 def _cmd_lift_table(args):
     if args.max_det < 1:
         raise UsageError("--max-det must be >= 1")
+    if args.max_det > MAX_DET:
+        raise UsageError("--max-det must be <= %d" % MAX_DET)
     eigen = _load_eigen(args.eigen, args.k, args.max_det)
     rows = []
     for n in range(1, args.max_det + 1):

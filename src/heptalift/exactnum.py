@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import factorial, prod
 
 import mpmath
 
@@ -322,11 +323,7 @@ def zeta_even_pi_coeff(n: int) -> Fraction:
         raise ValueError("need an even integer >= 2")
     # zeta(2m) = (-1)^{m+1} B_{2m} (2 pi)^{2m} / (2 (2m)!)
     m = n // 2
-    num = (-1) ** (m + 1) * bernoulli(n) * Fraction(2 ** n, 2)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return num / fact
+    return (-1) ** (m + 1) * bernoulli(n) * Fraction(2 ** n, 2) / factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +412,9 @@ def gamma_half_special(j: int) -> SpecialValue:
     if j <= 0:
         raise ValueError("Gamma at a non-positive argument")
     if j % 2 == 0:
-        f = 1
-        for i in range(2, j // 2):
-            f *= i
-        return SpecialValue(f)
+        return SpecialValue(factorial(j // 2 - 1))
     # Gamma(1/2) = sqrt(pi); Gamma(j/2) = (j-2)!! / 2^((j-1)/2) * sqrt(pi)
-    dd = 1
-    k = j - 2
-    while k > 1:
-        dd *= k
-        k -= 2
-    return SpecialValue(Fraction(dd, 2 ** ((j - 1) // 2)), 1)
+    return SpecialValue(Fraction(prod(range(j - 2, 1, -2)), 2 ** ((j - 1) // 2)), 1)
 
 
 # ---------------------------------------------------------------------------

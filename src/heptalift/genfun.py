@@ -189,17 +189,6 @@ def _cleared_table(p):
     return tuple(cleared), dhalf
 
 
-def tilde_from_table(p, m1, m2, m3):
-    """tilde_f via the eight-term Laurent-series table; cross-check route."""
-    if m1 < 0 or m2 < 0 or m3 < m2:
-        raise ValueError("need m1 >= 0 and 0 <= m2 <= m3")
-    cleared, dhalf = _cleared_table(p)
-    acc = LaurentPoly.zero("X")
-    for w, xi, yi, zi in cleared:
-        acc = acc + w * xi ** m1 * yi ** m2 * zi ** m3
-    return acc.divide_exact(dhalf)
-
-
 def hp_table_route(p, tmax):
     """H_p t-coefficients via the pair sum of A_i A_j P(X_iX_j, Y_iY_j, Z_iZ_j, t).
 

@@ -14,6 +14,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .padic import genus_invariants, is_prime
 from .siegel import f_poly, symmetric_coefficients, tilde_f
@@ -202,10 +203,7 @@ def fourier_coeff(T, eigen):
     """
     if not T.is_positive():
         raise ValueError("T must be positive definite")
-    total = 1
-    for p, div in genus_invariants(T).items():
-        total *= local_factor(p, div.exps, eigen)
-    return total
+    return prod(local_factor(p, div.exps, eigen) for p, div in genus_invariants(T).items())
 
 
 # ---------------------------------------------------------------------------

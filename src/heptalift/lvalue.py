@@ -84,17 +84,19 @@ intervals.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from operator import mul
 
 import mpmath
 from mpmath.libmp import (
     from_int, from_man_exp, mpf_cos_sin, mpf_log, mpf_mul, mpf_shift, to_int,
+    to_rational,
 )
 
-from .exactnum import BigFloat, rational_reconstruct
+from .exactnum import BigFloat, ratfun_expand, rational_reconstruct
 from .genfun import gamma_k
 from .lift import sym2_coeffs
+from .padic import factorize
 
 __all__ = [
     "CRITICAL_POINTS",
@@ -117,36 +119,13 @@ NODE_GUARD_BITS = 16
 
 def triple_divisor_count(n):
     """Number of ordered factorizations n = d1*d2*d3 (the d_3 bound)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    out = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out *= (e + 1) * (e + 2) // 2
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out *= 3
-    return out
+    return prod((e + 1) * (e + 2) // 2 for e in factorize(n).values())
 
 
 def _local_series(eigen, p, emax):
     """b(p^0), ..., b(p^emax): inverse of the local symmetric-square factor."""
-    _, c1, c2, c3 = sym2_coeffs(eigen.a(p), p, eigen.k)
-    out = [Fraction(1)]
-    for e in range(1, emax + 1):
-        v = -c1 * out[e - 1]
-        if e >= 2:
-            v -= c2 * out[e - 2]
-        if e >= 3:
-            v -= c3 * out[e - 3]
-        out.append(v)
-    return out
+    ser = ratfun_expand(1, [sym2_coeffs(eigen.a(p), p, eigen.k)], emax)
+    return [ser.coeff(e) for e in range(emax + 1)]
 
 
 def sym2_dirichlet_coeffs(eigen, N):
@@ -536,12 +515,7 @@ def _mpf_fraction(x):
     x = mpmath.mpf(x)
     if not mpmath.isfinite(x):
         raise ValueError("value is not finite")
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    # the mantissa may be a gmpy2 integer when mpmath runs on that backend
-    q = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -q if sign else q
+    return Fraction(*to_rational(x._mpf_))
 
 
 def reconstruct_ratio(value, digits, max_denominator=10 ** 12):

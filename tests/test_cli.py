@@ -83,6 +83,39 @@ def test_series_order_caps(argv):
     assert elapsed < 10.0
 
 
+def test_igusa_rows_past_the_print_limit_exit_2_fast():
+    # at p = 1000003 a right-hand denominator through u^94 has 5,027 digits
+    t0 = time.perf_counter()
+    proc = run_module(["igusa-verify", "--prime", "1000003", "--order", "94"])
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "4300 digits" in json.loads(proc.stderr)["error"]
+    assert elapsed < 2.0
+    proc = run_module(["igusa-verify", "--prime", "1000003", "--order", "40"])
+    assert proc.returncode == 0 and json.loads(proc.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("lift-table", "--k", "10", "--max-det", "29001"),
+    ("lift-table", "--k", "10", "--max-det", "29001", "--eigen", "CSV"),
+    ("lift-coeff", "--k", "10", "--input", "ELEM"),
+], ids=["lift-table", "lift-table-csv", "lift-coeff"])
+def test_eigen_table_cap(argv, tmp_path):
+    # just above the cap: 29009 is the first prime past 29000
+    assert cli.MAX_DET == 29000
+    csv = tmp_path / "eigen.csv"
+    csv.write_text("p,a_p\n2,-24\n3,252\n")
+    swap = {"CSV": str(csv), "ELEM": element_file(tmp_path, 1, 1, 29009)}
+    t0 = time.perf_counter()
+    proc = run_module([swap.get(a, a) for a in argv])
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "29000" in json.loads(proc.stderr)["error"]
+    assert elapsed < 2.0
+
+
 _SEQUENCE_SCRIPT = """
 import contextlib, io, json, sys
 from heptalift import cli

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from heptalift import density
 from heptalift.density import (
     MASS_CONSTANT,
     beta_exps,
     beta_p,
     constants,
     igusa_lhs_coeff,
-    igusa_rhs_coeff,
     igusa_verify,
     mass,
 )
@@ -83,14 +83,43 @@ def test_beta_rank3_orbit_interpretation():
         assert k.delta * (1 - Fraction(1, p)) * p ** 27 / nonsingular == k.c1
 
 
+def igusa_rhs_reference(p, m):
+    """Oracle: the u^m coefficient of 1/(c1 (1-u/p)(1-u/p^5)(1-u/p^9)) as
+    the plain double sum over i + j + k = m of p^-(i + 5j + 9k)."""
+    out = Fraction(0)
+    for i in range(m + 1):
+        for j in range(m - i + 1):
+            k = m - i - j
+            out += Fraction(1, p ** (i + 5 * j + 9 * k))
+    return out / constants(p).c1
+
+
 def test_igusa_low_coefficients():
     for p in (2, 3, 5):
         k = constants(p)
-        assert igusa_lhs_coeff(p, 0) == 1 / k.c1 == igusa_rhs_coeff(p, 0)
+        _, rows = igusa_verify(p, 1)
+        assert igusa_lhs_coeff(p, 0) == 1 / k.c1 == rows[0]["rhs"]
         u1 = Fraction(1, p) + Fraction(1, p ** 5) + Fraction(1, p ** 9)
-        assert igusa_rhs_coeff(p, 1) == u1 / k.c1
+        assert rows[1]["rhs"] == u1 / k.c1
         assert igusa_lhs_coeff(p, 1) == 1 / (p * k.c2)
-        assert igusa_lhs_coeff(p, 1) == igusa_rhs_coeff(p, 1)
+        assert rows[1]["lhs"] == igusa_lhs_coeff(p, 1) == rows[1]["rhs"]
+
+
+@pytest.mark.parametrize("p, order", [(2, 40), (3, 40), (5, 40), (97, 40), (1000003, 20)])
+def test_igusa_rhs_matches_double_sum(p, order):
+    ok, rows = igusa_verify(p, order)
+    assert ok and [r["m"] for r in rows] == list(range(order + 1))
+    assert [r["rhs"] for r in rows] == [igusa_rhs_reference(p, m) for m in range(order + 1)]
+
+
+def test_igusa_refuses_unprintable_rows_before_the_left_side(monkeypatch):
+    # at (1000003, 94) a right-hand denominator has 5,027 digits
+    def lhs_must_not_run(p, m):
+        raise AssertionError("left-hand side computed")
+
+    monkeypatch.setattr(density, "igusa_lhs_coeff", lhs_must_not_run)
+    with pytest.raises(ValueError, match="4300 digits"):
+        igusa_verify(1000003, 94)
 
 
 def test_igusa_verify_deep():

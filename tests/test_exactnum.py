@@ -225,6 +225,15 @@ def test_gamma_half_values():
     assert gamma_half_special(9) == SpecialValue(Fraction(105, 16), 1)
 
 
+def test_gamma_half_matches_mpmath():
+    with mpmath.workdps(40):
+        for j in range(1, 41):
+            c, h = gamma_half_special(j).as_rational_pi_power()
+            assert h == j % 2
+            got = mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(mpmath.pi) ** h
+            assert abs(got / mpmath.gamma(mpmath.mpf(j) / 2) - 1) < mpmath.mpf(10) ** -35
+
+
 def test_rational_reconstruct():
     assert rational_reconstruct("0.333333333333", Fraction(1, 10 ** 10)) == Fraction(1, 3)
     assert rational_reconstruct("0.141592653589", Fraction(1, 10 ** 10), 10 ** 3) is None

@@ -21,7 +21,6 @@ from heptalift.genfun import (
     mass_archimedean_constant,
     rs_closed_residue,
     rs_euler_factors,
-    tilde_from_table,
 )
 from heptalift.siegel import f_poly, tilde_f
 
@@ -109,6 +108,18 @@ def test_hp_closed_low_coefficients():
         w = Fraction(1, p) + Fraction(1, p ** 5) + Fraction(1, p ** 9)
         assert ser.coeff(1) == sq.map_coeffs(lambda v: v * w / cs.c1)
         assert ser.coeff(1) == lambda_p(p, 1)
+
+
+def tilde_from_table(p, m1, m2, m3):
+    """Oracle: tilde_f via the eight-term Laurent-series table of the
+    cleared numerators, divided exactly by the common half-denominator."""
+    if m1 < 0 or m2 < 0 or m3 < m2:
+        raise ValueError("need m1 >= 0 and 0 <= m2 <= m3")
+    cleared, dhalf = genfun._cleared_table(p)
+    acc = LaurentPoly.zero("X")
+    for w, xi, yi, zi in cleared:
+        acc = acc + w * xi ** m1 * yi ** m2 * zi ** m3
+    return acc.divide_exact(dhalf)
 
 
 def test_table_reproduces_tilde():

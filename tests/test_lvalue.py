@@ -13,13 +13,14 @@ import pytest
 
 from heptalift.exactnum import BigFloat
 from heptalift.genfun import gamma_k
-from heptalift.lift import eigen_delta
+from heptalift.lift import eigen_delta, eigen_from_rows, sym2_coeffs
 from heptalift.lvalue import (
     CRITICAL_POINTS,
     GUARD_BITS,
     _contour,
     _Kernel,
     _joint_series,
+    _local_series,
     _step_sums,
     gamma_infinity,
     period_report,
@@ -42,16 +43,42 @@ PETERSSON_DELTA = "1.0353620568043209223e-6"
 def test_triple_divisor_count():
     assert triple_divisor_count(1) == 1
     assert [triple_divisor_count(p) for p in (2, 3, 5)] == [3, 3, 3]
-    for n in range(1, 61):
-        brute = sum(
-            1
-            for d1 in range(1, n + 1)
-            for d2 in range(1, n + 1)
-            if n % d1 == 0 and (n // d1) % d2 == 0
-        )
+    # brute force: d_3(n) = sum over d | n of d_2(n/d), divisors by a sieve
+    N = 3000
+    divisors = [[] for _ in range(N)]
+    for d in range(1, N):
+        for n in range(d, N, d):
+            divisors[n].append(d)
+    for n in range(1, N):
+        brute = sum(len(divisors[n // d]) for d in divisors[n])
         assert triple_divisor_count(n) == brute
     with pytest.raises(ValueError):
         triple_divisor_count(0)
+
+
+def local_series_reference(eigen, p, emax):
+    """Oracle: b(p^e) by the three-term recurrence of the inverse local
+    factor 1 - s1 u + s1 u^2 - u^3, s1 = a_p^2 / p^(2k-9) - 1."""
+    _, c1, c2, c3 = sym2_coeffs(eigen.a(p), p, eigen.k)
+    out = [Fraction(1)]
+    for e in range(1, emax + 1):
+        v = -c1 * out[e - 1]
+        if e >= 2:
+            v -= c2 * out[e - 2]
+        if e >= 3:
+            v -= c3 * out[e - 3]
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("eigen, p", [
+    (EIGEN, 2), (EIGEN, 3), (EIGEN, 5), (EIGEN, 101),
+    (eigen_from_rows(12, [(7, Fraction(-3, 2) * 7 ** 7)]), 7),
+], ids=["k10-2", "k10-3", "k10-5", "k10-101", "k12-7-rational"])
+def test_local_series_matches_recurrence(eigen, p):
+    got = _local_series(eigen, p, 12)
+    assert got == local_series_reference(eigen, p, 12)
+    assert all(isinstance(v, Fraction) for v in got[1:])
 
 
 def test_coeffs_first_values():

@@ -57,18 +57,43 @@ def test_star_import_binds_exactly_the_public_names():
         assert namespace[name] is getattr(heptalift, name)
 
 
+def _mentions(tree):
+    """Every name a tree mentions as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _package_sources():
+    """The package modules other than __init__, then the demos."""
+    return [p for p in sorted((ROOT / "src" / "heptalift").glob("*.py"))
+            if p.name != "__init__.py"] + sorted((ROOT / "demos").glob("*.py"))
+
+
 def test_every_public_name_has_a_caller():
     # a name counts as used when a module other than __init__ or a demo
     # mentions it as a name, an attribute or an import
-    sources = [p for p in sorted((ROOT / "src" / "heptalift").glob("*.py"))
-               if p.name != "__init__.py"] + sorted((ROOT / "demos").glob("*.py"))
     used = set()
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+    for path in _package_sources():
+        used.update(_mentions(ast.parse(path.read_text(), str(path))))
     assert sorted(set(heptalift.__all__) - used) == []
+
+
+def test_every_module_function_has_a_caller():
+    # every module-level function and class of the package is mentioned in
+    # the package or a demo outside its own definition, so code that only
+    # the tests call lives in the tests
+    defined, used = [], set()
+    for path in _package_sources():
+        for top in ast.parse(path.read_text(), str(path)).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if path.parent.name == "heptalift":
+                    defined.append("%s.%s" % (path.stem, own))
+            used.update(name for name in _mentions(top) if name != own)
+    assert [d for d in defined if d.split(".", 1)[1] not in used] == []
