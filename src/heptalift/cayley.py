@@ -54,6 +54,11 @@ class IntegerRing:
             raise ZeroDivisionError("non-unit in Z: %s" % v)
         return v
 
+    def half(self, v):
+        if v % 2:
+            raise ArithmeticError("result is not integral")
+        return v // 2
+
     def __repr__(self):
         return "Z"
 
@@ -69,6 +74,9 @@ class RationalRing:
 
     def inv(self, v):
         return 1 / Fraction(v)
+
+    def half(self, v):
+        return Fraction(v) / 2
 
     def __repr__(self):
         return "Q"
@@ -95,6 +103,11 @@ class ModRing:
 
     def inv(self, v):
         return pow(int(v), -1, self.m)
+
+    def half(self, v):
+        if self.m % 2 == 0:
+            raise ZeroDivisionError("2 is not invertible mod %d" % self.m)
+        return v * pow(2, -1, self.m) % self.m
 
     def __eq__(self, other):
         return isinstance(other, ModRing) and other.m == self.m
@@ -393,6 +406,9 @@ class Octonion:
 
     def conj(self):
         return Octonion._raw(self.ring, _CONJ_RAW(*self.co))
+
+    def half(self):
+        return Octonion._raw(self.ring, map(self.ring.half, self.co))
 
     # plain ints are already canonical in Z, so the forms skip ring.el there
 

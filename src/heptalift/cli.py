@@ -53,9 +53,16 @@ MAX_GAMMA_K = 343
 # larger value is refused before any work
 MAX_TMAX = 40
 MAX_ORDER = 94
+# the largest hp-verify --tmax times the bit length of --prime: the cost grows
+# with both (tmax 40 with --table-route took 5.8 s at p = 2, 8.7-12 s at
+# p = 97, 26.6 s at p = 1000003 and 49 s at p = 10^9 + 7; fresh processes on
+# a 2-CPU box), and 280 = 40 * 7 lets every prime below 128 reach tmax 40
+MAX_HP_SIZE = 280
 # the largest lift-table --max-det N, and prime of the builtin eigen table,
 # at which lift-table --k 10 --max-det N and lift-coeff --k 10 on
-# diag(1, 1, q), q the largest prime <= N, finish within 10 s on a 2-CPU box
+# diag(1, 1, q), q the largest prime <= N, finish within 10 s on a 2-CPU box;
+# at 29000 lift-table takes 6.7-7.8 s (199 MB peak) and lift-coeff 1.5 s, so
+# lift-table's own time and memory bound it
 MAX_DET = 29000
 
 
@@ -194,11 +201,7 @@ def _cmd_density(args):
 
 def _cmd_mass(args):
     T = _load_element(args.input)
-    try:
-        m = mass(T)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return {"det": str(T.det()), "mass": frac_str(m)}
+    return {"det": str(T.det()), "mass": frac_str(mass(T))}
 
 
 def _cmd_igusa_verify(args):
@@ -228,11 +231,13 @@ def _cmd_igusa_verify(args):
 
 
 def _cmd_hp_verify(args):
-    p = _check_prime(args.prime)
     if args.tmax < 1:
         raise UsageError("--tmax must be >= 1")
     if args.tmax > MAX_TMAX:
         raise UsageError("--tmax must be <= %d" % MAX_TMAX)
+    if args.tmax * args.prime.bit_length() > MAX_HP_SIZE:
+        raise UsageError("--tmax times the bit length of --prime must be <= %d" % MAX_HP_SIZE)
+    p = _check_prime(args.prime)
     ok, report = H_verify(p, args.tmax, table_route=args.table_route)
     payload = {"prime": p, "tmax": args.tmax, "ok": ok}
     if not ok:

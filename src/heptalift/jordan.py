@@ -26,31 +26,13 @@ X o Y = (XY + YX)/2 has the slots
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cayley import IntegerRing, ModRing, Octonion, ZZ
+from .cayley import ModRing, Octonion, ZZ
 
 __all__ = [
     "JordanElement",
     "apply_word",
     "word_multiplier",
 ]
-
-
-def _half(ring, v):
-    if isinstance(ring, ModRing):
-        if ring.m % 2 == 0:
-            raise ZeroDivisionError("2 is not invertible mod %d" % ring.m)
-        return v * pow(2, -1, ring.m) % ring.m
-    if isinstance(ring, IntegerRing):
-        if v % 2:
-            raise ArithmeticError("result is not integral")
-        return v // 2
-    return Fraction(v) / 2
-
-
-def _half_oct(o: Octonion) -> Octonion:
-    return Octonion(o.ring, [_half(o.ring, v) for v in o.co])
 
 
 class JordanElement:
@@ -155,12 +137,12 @@ class JordanElement:
         pxu, pyv, pzw = x.norm_polar(U), y.norm_polar(V), z.norm_polar(W)
         return JordanElement(
             R,
-            a * A + _half(R, pxu + pyv),
-            b * B + _half(R, pxu + pzw),
-            c * C + _half(R, pyv + pzw),
-            _half_oct((A + B) * x + (a + b) * U + y * W.conj() + V * z.conj()),
-            _half_oct((A + C) * y + (a + c) * V + x * W + U * z),
-            _half_oct((B + C) * z + (b + c) * W + x.conj() * V + U.conj() * y),
+            a * A + R.half(pxu + pyv),
+            b * B + R.half(pxu + pzw),
+            c * C + R.half(pyv + pzw),
+            ((A + B) * x + (a + b) * U + y * W.conj() + V * z.conj()).half(),
+            ((A + C) * y + (a + c) * V + x * W + U * z).half(),
+            ((B + C) * z + (b + c) * W + x.conj() * V + U.conj() * y).half(),
         )
 
     def inner(self, other):
@@ -175,11 +157,8 @@ class JordanElement:
     def cross(self, other):
         """Symmetric bilinear cross product X # Y (polarized adjoint)."""
         d = (self + other).adj() - self.adj() - other.adj()
-        return JordanElement(
-            self.ring,
-            _half(self.ring, d.a), _half(self.ring, d.b), _half(self.ring, d.c),
-            _half_oct(d.x), _half_oct(d.y), _half_oct(d.z),
-        )
+        h = self.ring.half
+        return JordanElement(self.ring, h(d.a), h(d.b), h(d.c), d.x.half(), d.y.half(), d.z.half())
 
     def det_expansion(self, other):
         """Coefficients [d0, d1, d2, d3] of det(X + t Y)."""

@@ -36,35 +36,26 @@ __all__ = [
 
 
 def _trunc_sqr(coeffs, order):
-    """Truncated square of an integer coefficient list, via packed integers.
+    """Truncated square of an integer coefficient list, by one big squaring.
 
-    Coefficients are packed into one big integer, little end first, with a
-    slot width large enough that product slots cannot overflow; one big
-    multiplication then performs the whole convolution.  Signed inputs are
-    split as c = pos - neg so each packed integer has nonnegative slots.
+    Kronecker substitution: the signed list is packed little end first into
+    one integer (the pack of its positive parts minus the pack of its
+    negative parts), and one squaring performs the whole convolution.  The
+    slot width bounds every |coefficient| of the square below half a slot, so
+    a half-slot bias added to each slot read back makes it a nonnegative
+    field that decodes with no carries.
     """
-    c = list(coeffs[: order + 1])
-    pos = [v if v > 0 else 0 for v in c]
-    neg = [-v if v < 0 else 0 for v in c]
-    maxbits = max(v.bit_length() for v in pos + neg)
-    width = 2 * maxbits + (order + 1).bit_length() + 2
+    c = coeffs[: order + 1]
+    width = 2 * max(abs(v).bit_length() for v in c) + (order + 1).bit_length() + 2
     wb = (width + 7) // 8
+    half = 1 << (8 * wb - 1)
 
     def pack(a):
-        buf = bytearray()
-        for v in a:
-            buf += v.to_bytes(wb, "little")
-        return int.from_bytes(buf, "little")
+        return int.from_bytes(b"".join(v.to_bytes(wb, "little") for v in a), "little")
 
-    def unpack(x):
-        nbytes = max((order + 1) * wb, (x.bit_length() + 7) // 8) + wb
-        b = x.to_bytes(nbytes, "little")
-        return [int.from_bytes(b[i * wb : (i + 1) * wb], "little") for i in range(order + 1)]
-
-    pp = unpack(pack(pos) ** 2)
-    pn = unpack(pack(pos) * pack(neg))
-    nn = unpack(pack(neg) ** 2)
-    return [pp[i] - 2 * pn[i] + nn[i] for i in range(order + 1)]
+    x = pack(max(v, 0) for v in c) - pack(max(-v, 0) for v in c)
+    b = (x * x + pack([half] * (order + 1))).to_bytes(2 * wb * (order + 1), "little")
+    return [int.from_bytes(b[i * wb : (i + 1) * wb], "little") - half for i in range(order + 1)]
 
 
 @lru_cache(maxsize=8)

@@ -518,14 +518,14 @@ def _mpf_fraction(x):
     return Fraction(*to_rational(x._mpf_))
 
 
-def reconstruct_ratio(value, digits, max_denominator=10 ** 12):
+def reconstruct_ratio(value, digits):
     """Rational candidate for an error-tracked ratio, or None if too fuzzy."""
     x = _mpf_fraction(value.value)
     eb = _mpf_fraction(value.err) if value.err else Fraction(0)
     eb = max(2 * eb, Fraction(1, 10 ** (digits + 2)))
     if eb > Fraction(1, 10 ** 6):
         return None
-    return rational_reconstruct(x, eb, max_denominator)
+    return rational_reconstruct(x, eb)
 
 
 def rationality_probe(eigen, k, digits=(20, 30)):

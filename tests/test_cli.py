@@ -68,19 +68,27 @@ def test_gamma_k_rejects_huge_k_fast(capsys):
 @pytest.mark.parametrize("argv", [
     ("hp-verify", "--prime", "2", "--tmax", "41", "--table-route"),
     ("hp-verify", "--prime", "97", "--tmax", "200"),
+    ("hp-verify", "--prime", "1000003", "--tmax", "40"),
+    ("hp-verify", "--prime", "1000000007", "--tmax", "40", "--table-route"),
     ("igusa-verify", "--prime", "2", "--order", "95"),
     ("igusa-verify", "--prime", "97", "--order", "400"),
 ], ids=lambda a: " ".join(a))
 def test_series_order_caps(argv):
-    # above its cap a verify command exits 2 before computing anything
-    assert (cli.MAX_TMAX, cli.MAX_ORDER) == (40, 94)
+    # above its cap a verify command exits 2 before computing anything; the
+    # hp-verify size cap refuses large primes at a --tmax small primes reach
+    assert (cli.MAX_TMAX, cli.MAX_ORDER, cli.MAX_HP_SIZE) == (40, 94, 280)
     t0 = time.perf_counter()
     proc = run_module(list(argv))
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "must be <=" in json.loads(proc.stderr)["error"]
-    assert elapsed < 10.0
+    assert elapsed < 2.0
+
+
+def test_hp_verify_size_cap_keeps_small_sizes():
+    proc = run_module(["hp-verify", "--prime", "1000003", "--tmax", "10"])
+    assert proc.returncode == 0 and json.loads(proc.stdout)["ok"] is True
 
 
 def test_igusa_rows_past_the_print_limit_exit_2_fast():

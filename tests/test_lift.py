@@ -78,6 +78,13 @@ def test_eigen_delta_table_is_pinned():
     assert digest == "c3f6521ade11e06471e9172ebe750508d5603a099c1961281d1f718b58524c57"
 
 
+def test_tau_table_is_pinned():
+    # sha256 of repr(tau_table(10 ** 4)), recorded from the three-product
+    # packed squaring that the single signed squaring replaced
+    digest = hashlib.sha256(repr(tau_table(10 ** 4)).encode()).hexdigest()
+    assert digest == "fb297e4fc060f4ae64b6ec80eb5f94a6f25d7f485d8a844448c79cfc76942580"
+
+
 def test_eigen_csv_roundtrip(tmp_path):
     path = tmp_path / "eigen.csv"
     path.write_text("p,a_p\n2,-24\n3,252\n5,4830\n")
@@ -167,9 +174,18 @@ def test_sym2_factor():
 def test_trunc_sqr_against_naive():
     rng = random.Random(23)
     cases = [[0], [0, 0, 0], [-1], [2 ** 64, -(2 ** 64) - 1, 3]]
+    # order 0 with a negative entry, and one nonzero coefficient in the last place
+    cases += [[-(2 ** 40)], [-5, 3], [0, 0, 0, -5], [0, 0, 7]]
     for _ in range(60):
         n = rng.randint(1, 40)
         cases.append([rng.randint(-10 ** 30, 10 ** 30) for _ in range(n)])
+        cases.append([-rng.randint(1, 10 ** 30) for _ in range(n)])
+    # +-(2^k - 1) fill the slots tightly: without the two spare bits of the
+    # slot width the middle coefficient 3 * 7^2 = 147 already overflows
+    for n in (3, 15, 40):
+        for k in range(1, 12):
+            v = 2 ** k - 1
+            cases += [[v] * n, [-v] * n, [(-1) ** i * v for i in range(n)]]
     for c in cases:
         square = [0] * (2 * len(c) - 1)
         for i, x in enumerate(c):
