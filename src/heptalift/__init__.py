@@ -9,7 +9,9 @@ The stack, bottom to top:
 - cayley: the integral octonion order on E8; exact composition algebra.
 - jordan: 3x3 Hermitian octonion matrices, determinant, adjoint, the
   generator actions of the structure group.
-- padic: local diagonalization and elementary divisors at a prime.
+- padic: local diagonalization and elementary divisors at a prime; it
+  owns primes and factorizations: one sieve for ranges of integers, and
+  Miller-Rabin with Brent's rho for single integers.
 - density: local representation densities, the series identity checks,
   the exact mass formula.
 - siegel: local series polynomials, closed form against a recursion

@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import prod
 
 import mpmath
 
@@ -36,7 +37,7 @@ from .genfun import (
 from .jordan import JordanElement
 from .lift import eigen_delta, eigen_from_csv, fourier_coeff, local_factor
 from .lvalue import CRITICAL_POINTS, period_report, rationality_probe
-from .padic import factorize, genus_invariants, is_prime, reduce_at
+from .padic import factor_table, genus_invariants, is_prime, reduce_at
 from .siegel import f_poly
 
 # primes of the builtin table for period and probe: the L-value pass reads
@@ -61,9 +62,13 @@ MAX_HP_SIZE = 280
 # the largest lift-table --max-det N, and prime of the builtin eigen table,
 # at which lift-table --k 10 --max-det N and lift-coeff --k 10 on
 # diag(1, 1, q), q the largest prime <= N, finish within 10 s on a 2-CPU box;
-# at 29000 lift-table takes 6.7-7.8 s (199 MB peak) and lift-coeff 1.5 s, so
-# lift-table's own time and memory bound it
+# at 29000 lift-table takes 3.8-4.4 s (200 MB peak, growing with its output)
+# and lift-coeff 1.0-1.3 s, so lift-table's memory bounds it
 MAX_DET = 29000
+# the largest bit length of --prime; every command refuses a longer one before
+# its primality test, which took 0.057 s on a 1024-bit prime, 0.13 s at 1536
+# bits, 0.3 s at 2048 bits and 0.86 s at 2800 bits on a 2-CPU box
+MAX_PRIME_BITS = 1024
 
 
 class UsageError(Exception):
@@ -98,6 +103,8 @@ def _emit(payload, out_path):
 
 
 def _check_prime(p):
+    if p.bit_length() > MAX_PRIME_BITS:
+        raise UsageError("--prime must have at most %d bits" % MAX_PRIME_BITS)
     if not is_prime(p):
         raise UsageError("--prime must be a prime number, got %r" % (p,))
     return p
@@ -283,27 +290,22 @@ def _cmd_lift_table(args):
     if args.max_det > MAX_DET:
         raise UsageError("--max-det must be <= %d" % MAX_DET)
     eigen = _load_eigen(args.eigen, args.k, args.max_det)
+    blocks = {}
     rows = []
-    for n in range(1, args.max_det + 1):
-        fac = factorize(n)
-        primes = sorted(fac)
-        per_prime = [list(exponent_triples(fac[p])) for p in primes]
-        for combo in itertools.product(*per_prime):
-            coeff = 1
-            for p, exps in zip(primes, combo):
+    for n, fac in enumerate(factor_table(args.max_det)[1:], 1):
+        for p, e in fac:
+            if (p, e) not in blocks:
                 try:
-                    coeff *= local_factor(p, exps, eigen)
+                    blocks[p, e] = [(exps, local_factor(p, exps, eigen))
+                                    for exps in exponent_triples(e)]
                 except KeyError as exc:
                     raise UsageError("eigen table is missing a_p for p = %s" % (exc,))
-            rows.append(
-                {
-                    "det": str(n),
-                    "divisors": {
-                        str(p): list(exps) for p, exps in zip(primes, combo)
-                    },
-                    "coefficient": frac_str(coeff),
-                }
-            )
+        for combo in itertools.product(*(blocks[pe] for pe in fac)):
+            rows.append({
+                "det": str(n),
+                "divisors": {str(p): list(exps) for (p, _), (exps, _) in zip(fac, combo)},
+                "coefficient": frac_str(prod(value for _, value in combo)),
+            })
     return {"k": args.k, "max_det": args.max_det, "rows": rows}
 
 

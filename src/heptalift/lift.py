@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .padic import genus_invariants, is_prime
+from .padic import factor_table, genus_invariants
 from .siegel import f_poly, symmetric_coefficients, tilde_f
 
 __all__ = [
@@ -112,7 +112,7 @@ class EigenData:
 def eigen_delta(max_prime=100):
     """Built-in EigenData for the weight-12 generator (k = 10)."""
     taus = tau_table(max_prime)
-    table = {p: taus[p - 1] for p in range(2, max_prime + 1) if is_prime(p)}
+    table = {n: taus[n - 1] for n, fac in enumerate(factor_table(max_prime)) if fac == [(n, 1)]}
     return EigenData(10, table)
 
 

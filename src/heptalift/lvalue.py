@@ -84,7 +84,7 @@ intervals.
 """
 
 from fractions import Fraction
-from math import isqrt, prod
+from math import prod
 from operator import mul
 
 import mpmath
@@ -96,7 +96,7 @@ from mpmath.libmp import (
 from .exactnum import BigFloat, ratfun_expand, rational_reconstruct
 from .genfun import gamma_k
 from .lift import sym2_coeffs
-from .padic import factorize
+from .padic import factor_table, factorize
 
 __all__ = [
     "CRITICAL_POINTS",
@@ -137,25 +137,15 @@ def sym2_dirichlet_coeffs(eigen, N):
     """
     if N < 1:
         raise ValueError("N must be positive")
-    spf = list(range(N + 1))
-    for q in range(2, isqrt(N) + 1):
-        if spf[q] == q:
-            for m in range(q * q, N + 1, q):
-                if spf[m] == m:
-                    spf[m] = q
     b = [Fraction(1)] * (N + 1)
     local = {}
-    for n in range(2, N + 1):
-        p = spf[n]
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
+    for n, fac in enumerate(factor_table(N)[2:], 2):
+        p, e = fac[0]
         loc = local.get(p)
         if loc is None or len(loc) <= e:
             loc = _local_series(eigen, p, max(e, 4))
             local[p] = loc
-        b[n] = b[m] * loc[e]
+        b[n] = b[n // p ** e] * loc[e]
     return b[1:]
 
 

@@ -12,6 +12,10 @@ Working mod p^N with N > ord_p(det) loses no information: the clearing
 vector w = -pivot^{-1} (offdiag / p^mu) is known mod p^{N-mu} only, but
 every place it enters is multiplied by an entry of valuation >= mu, so
 all 27 coordinates stay correct mod p^N throughout.
+
+The module also owns primes and factorizations: one sieve for every range
+of integers (factor_table), and Miller-Rabin with Brent's rho for single
+integers (is_prime, factorize).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "ElemDivisors",
     "Reduction",
     "elementary_divisors",
+    "factor_table",
     "factorize",
     "genus_invariants",
     "is_prime",
@@ -37,6 +42,13 @@ __all__ = [
 # Zmod names its ring by the modulus in decimal, and Python's default limit
 # on int-to-str conversion is 4300 digits
 _MODULUS_BOUND = 10 ** 4300
+
+# factorize refuses an integer whose part free of prime factors below 2^10
+# has more bits than this, before any primality test or rho step:
+# factorize took 0.003-0.090 s on 20 random balanced semiprimes of 64 bits,
+# up to 0.16 s at 72 bits and 0.22-0.74 s at 80 bits (rho grows like
+# 2^(bits/4)), and one is_prime on a 2048-bit prime took 0.3 s (2-CPU box)
+MAX_FACTOR_BITS = 64
 
 
 def _vp(v, p, cap):
@@ -286,16 +298,27 @@ def _brent_rho(n: int, rng) -> int:
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization {p: e} of n >= 1."""
+    """Prime factorization {p: e} of n >= 1.
+
+    Raises ValueError when the part of n free of prime factors below 2^10
+    has more than MAX_FACTOR_BITS bits.
+    """
     if n < 1:
         raise ValueError(n)
     out = {}
-    for q in (2, 3, 5, 7, 11, 13):
+    # a composite q divides nothing once its prime factors are divided out,
+    # and what is left once q * q > n is 1 or a prime
+    for q in range(2, 1 << 10):
+        if q * q > n:
+            break
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
     if n == 1:
         return out
+    if n.bit_length() > MAX_FACTOR_BITS:
+        raise ValueError("%d bits are left after trial division by the primes below 2^10; "
+                         "at most %d bits are factored" % (n.bit_length(), MAX_FACTOR_BITS))
     rng = random.Random(0xFAC)
     stack = [n]
     while stack:
@@ -311,3 +334,22 @@ def factorize(n: int) -> dict:
         stack.append(d)
         stack.append(m // d)
     return out
+
+
+def factor_table(N: int) -> list:
+    """Factorizations of 0..N from one sieve: entry n lists the ascending
+    (p, e) pairs of n, and entries 0 and 1 are empty."""
+    table = [[] for _ in range(N + 1)]
+    for p in range(2, N + 1):
+        if table[p]:
+            continue
+        pair = (p, 1)
+        for m in range(p, N + 1, p):
+            table[m].append(pair)
+        q, e = p * p, 2
+        while q <= N:
+            pair = (p, e)
+            for m in range(q, N + 1, q):
+                table[m][-1] = pair
+            q, e = q * p, e + 1
+    return table

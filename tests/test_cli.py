@@ -1,5 +1,7 @@
 """CLI plumbing: JSON shapes, exit codes, determinism, error channels."""
 
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,11 +12,12 @@ from pathlib import Path
 import pytest
 
 from heptalift import acceptance, cli
-from heptalift.density import MASS_CONSTANT, beta_exps
+from heptalift.density import MASS_CONSTANT, beta_exps, exponent_triples
 from heptalift.exactnum import frac_str
 from heptalift.genfun import gamma_k
 from heptalift.jordan import JordanElement
 from heptalift.lift import eigen_delta, local_factor
+from heptalift.padic import factorize
 
 ZERO8 = [0] * 8
 
@@ -383,6 +386,106 @@ def test_lift_table_rows(capsys):
     four = {json.dumps(r["divisors"]): r["coefficient"] for r in rows if r["det"] == "4"}
     assert four['{"2": [0, 0, 2]}'] == str(local_factor(2, (0, 0, 2), eigen))
     assert four['{"2": [0, 1, 1]}'] == str(local_factor(2, (0, 1, 1), eigen))
+
+
+def _lift_table_reference(max_det, eigen):
+    """lift-table's rows from factorize and one local_factor per prime of
+    each row, the loop that the per-prime-power blocks replaced."""
+    rows = []
+    for n in range(1, max_det + 1):
+        fac = factorize(n)
+        primes = sorted(fac)
+        for combo in itertools.product(*(exponent_triples(fac[p]) for p in primes)):
+            coeff = 1
+            for p, exps in zip(primes, combo):
+                coeff *= local_factor(p, exps, eigen)
+            rows.append({
+                "det": str(n),
+                "divisors": {str(p): list(exps) for p, exps in zip(primes, combo)},
+                "coefficient": frac_str(coeff),
+            })
+    return rows
+
+
+def test_lift_table_matches_the_per_row_reference(capsys):
+    reference = _lift_table_reference(120, eigen_delta(120))
+    for max_det in range(1, 121):
+        code, out, err = run_cli(capsys, "lift-table", "--k", "10", "--max-det", str(max_det))
+        assert code == 0 and err == ""
+        rows = [r for r in reference if int(r["det"]) <= max_det]
+        assert out == json.dumps({"k": 10, "max_det": max_det, "rows": rows}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rows,missing", [
+    ("2,-24\n3,252\n7,-16744\n", 5),
+    ("2,-24\n3,252\n5,4830\n7,-16744\n", 11),
+], ids=["5", "11"])
+def test_lift_table_names_the_smallest_missing_prime(tmp_path, capsys, rows, missing):
+    csv = tmp_path / "eigen.csv"
+    csv.write_text("p,a_p\n" + rows)
+    argv = ("lift-table", "--k", "10", "--max-det", "30", "--eigen", str(csv))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "eigen table is missing a_p for p = 'no eigenvalue ingested for prime %d'"
+        % missing
+    }
+
+
+@pytest.mark.parametrize("command", [("mass",), ("lift-coeff", "--k", "10")],
+                         ids=["mass", "lift-coeff"])
+@pytest.mark.parametrize("diag", [
+    (10 ** 300 + 7, 10 ** 300 + 9, 1),
+    (int("7" * 4000), 1, 1),
+], ids=["two-301-digit-entries", "4000-sevens"])
+def test_determinant_too_large_to_factor_exits_2_fast(tmp_path, command, diag):
+    # refused before any primality test or rho step, which ran for minutes
+    t0 = time.perf_counter()
+    proc = run_module([*command, "--input", element_file(tmp_path, *diag)])
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "at most 64 bits are factored" in json.loads(proc.stderr)["error"]
+    assert elapsed < 2.0
+
+
+def test_small_prime_powers_still_factor(tmp_path, capsys):
+    # nothing is left after trial division; digests recorded before the bound
+    path = element_file(tmp_path, 2 ** 200, 3 ** 50, 1)
+    for argv, digest in (
+        (("mass",), "ccb6a0e5aa7c0d63d8b6e6210c96e111cfdc7e2db6039c4724ba934ad6794631"),
+        (("lift-coeff", "--k", "10"),
+         "8192f35e7bb99634c0c10d9a150c23d544d1e1fd8489154c0ecc396b7bc8c669"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--input", path)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "--input", "ELEM"),
+    ("siegel", "--m", "0,0,1"),
+    ("density", "--divisors", "0,0,1"),
+    ("igusa-verify", "--order", "2"),
+    ("rs-euler",),
+], ids=lambda a: a[0])
+def test_prime_bit_length_cap(argv, tmp_path, capsys):
+    # refused before the primality test, which grows faster than bits^2
+    assert cli.MAX_PRIME_BITS == 1024
+    swap = {"ELEM": element_file(tmp_path, 1, 1, 1)}
+    rest = [swap.get(a, a) for a in argv[1:]]
+    for p in (2 ** 4999 + 1, 2 ** 1024 + 1):
+        t0 = time.perf_counter()
+        proc = run_module([argv[0], "--prime", str(p), *rest])
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr) == {"error": "--prime must have at most 1024 bits"}
+        assert elapsed < 2.0
+    # a Mersenne prime of 607 bits is still tested and accepted
+    if argv[0] in ("siegel", "density"):
+        code, out, err = run_cli(capsys, argv[0], "--prime", str(2 ** 607 - 1), *rest)
+        assert code == 0 and err == ""
 
 
 def test_rs_euler_payload(capsys):

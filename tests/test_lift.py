@@ -19,6 +19,7 @@ from heptalift.lift import (
     tau_table,
 )
 from heptalift.lift import _trunc_sqr
+from heptalift.padic import is_prime
 
 from test_padic import unit_word
 
@@ -76,6 +77,10 @@ def test_eigen_delta_table_is_pinned():
     assert t[1999] == -1159913672832202000
     digest = hashlib.sha256(repr(sorted(t.items())).encode()).hexdigest()
     assert digest == "c3f6521ade11e06471e9172ebe750508d5603a099c1961281d1f718b58524c57"
+
+
+def test_eigen_delta_primes_are_the_is_prime_filter():
+    assert list(eigen_delta(29000).table) == [p for p in range(29001) if is_prime(p)]
 
 
 def test_tau_table_is_pinned():

@@ -16,7 +16,8 @@ PUBLIC = [
     "apply_word", "bernoulli", "beta_exps", "beta_from_census", "beta_p",
     "census_f2", "constants", "eigen_delta", "eigen_from_csv",
     "eigen_from_rows", "elementary_divisors", "exponent_triples", "f_poly",
-    "f_poly_oracle", "factorize", "fourier_coeff", "frac_str", "gamma_RS",
+    "f_poly_oracle", "factor_table", "factorize", "fourier_coeff",
+    "frac_str", "gamma_RS",
     "gamma_infinity", "gamma_k", "gamma_k_derived", "genus_invariants",
     "gram_det", "hp_closed_form", "igusa_verify", "is_prime", "lambda_p",
     "local_factor", "mass", "period_report",

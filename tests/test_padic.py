@@ -8,7 +8,9 @@ from heptalift.cayley import Octonion, ZZ, Zmod
 from heptalift.jordan import JordanElement, apply_word, word_multiplier
 from heptalift.padic import (
     ElemDivisors,
+    MAX_FACTOR_BITS,
     elementary_divisors,
+    factor_table,
     factorize,
     genus_invariants,
     is_prime,
@@ -146,3 +148,34 @@ def test_factorize_and_primality():
     assert not is_prime(2 ** 32 - 1)
     n = 1000003 * 999983
     assert factorize(n) == {999983: 1, 1000003: 1}
+
+
+def test_factor_table_matches_factorize():
+    assert factor_table(0) == [[]]
+    assert factor_table(1) == [[], []]
+    assert factor_table(2) == [[], [], [(2, 1)]]
+    table = factor_table(10 ** 4)
+    assert len(table) == 10 ** 4 + 1 and table[:2] == [[], []]
+    for n in range(1, 10 ** 4 + 1):
+        assert table[n] == sorted(factorize(n).items()), n
+    # a table ending at a prime power holds the same entries
+    for N in range(3, 300):
+        assert factor_table(N) == table[: N + 1], N
+
+
+def test_factorize_bounds_the_part_left_after_trial_division():
+    # the part free of primes below 2^10 may have MAX_FACTOR_BITS bits, at
+    # any power of the small primes; one bit more is refused
+    assert MAX_FACTOR_BITS == 64
+    p64, p65 = 2 ** 64 - 59, 2 ** 64 + 13
+    assert is_prime(p64) and is_prime(p65)
+    assert factorize(2 ** 200 * 1021 ** 9 * p64) == {2: 200, 1021: 9, p64: 1}
+    inv = genus_invariants(JordanElement.diag(2 ** 200, 1021 ** 9, p64))
+    assert {p: d.exps for p, d in inv.items()} == {
+        2: (0, 0, 200), 1021: (0, 0, 9), p64: (0, 0, 1),
+    }
+    for n in (p65, 3 * p64 * 1031):
+        with pytest.raises(ValueError, match="at most 64 bits are factored"):
+            factorize(n)
+        with pytest.raises(ValueError, match="at most 64 bits are factored"):
+            genus_invariants(JordanElement.diag(1, 1, n))
