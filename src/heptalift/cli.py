@@ -48,10 +48,14 @@ MAX_DIGITS = 50  # the CLI's --digits limit; the library accepts more
 # digits on int-to-str conversion; the factorials of a larger k would run
 # for seconds to minutes before that limit rejected them
 MAX_GAMMA_K = 343
-# the largest hp-verify --tmax (with --table-route) that finishes within 10 s
-# at p = 2 and p = 97 on a 2-CPU box, and the igusa-verify --order cap set the
-# same way (order 94 now takes 0.48-0.60 s at p = 2, 1.39-1.56 s at p = 97); a
-# larger value is refused before any work
+# the largest hp-verify --tmax (with --table-route) that finished within 10 s
+# at p = 2 and p = 97 on a 2-CPU box when it was set (tmax 41 took 9.9-10.3 s
+# at p = 97); tmax 40 has since taken 8.7-12 s at p = 97 in fresh processes,
+# so the 10 s basis holds with no margin there, and the 2x margin is to come
+# from running the Q routes over Z (the hp-verify item of ROADMAP.md), not
+# from a lower cap.  The igusa-verify --order cap was set the same way (order
+# 94 now takes 0.48-0.60 s at p = 2, 1.39-1.56 s at p = 97).  A larger value
+# is refused before any work
 MAX_TMAX = 40
 MAX_ORDER = 94
 # the largest hp-verify --tmax times the bit length of --prime: the cost grows
@@ -69,6 +73,11 @@ MAX_DET = 29000
 # its primality test, which took 0.057 s on a 1024-bit prime, 0.13 s at 1536
 # bits, 0.3 s at 2048 bits and 0.86 s at 2800 bits on a 2-CPU box
 MAX_PRIME_BITS = 1024
+# the largest bit length of an rs-euler --prime whose prefactor prints: its
+# numerator p^28 has at most 4300 digits, Python's default limit on int-to-str
+# conversion, for every p below 2^510 (the largest 510-bit prime gives 4,299
+# digits), and more for the largest 511-bit primes
+MAX_RS_EULER_BITS = 510
 
 
 class UsageError(Exception):
@@ -311,6 +320,9 @@ def _cmd_lift_table(args):
 
 def _cmd_rs_euler(args):
     p = _check_prime(args.prime)
+    if p.bit_length() > MAX_RS_EULER_BITS:
+        raise UsageError("rs-euler --prime must have at most %d bits, so that its prefactor "
+                         "prints within 4300 digits" % MAX_RS_EULER_BITS)
     r = rs_euler_factors(p)
     payload = {
         "prime": p,

@@ -77,6 +77,17 @@ is rounded once.  A node depends only on (z, c0, k, digits), so a
 one-point pass and the joint pass produce the same bits.  Each point
 keeps its own stopping rule and stops at the same n as it would alone.
 
+The six kernels of one (k, digits) are built together and kept in a
+per-process memo, `_kernels`, keyed on (k, digits, working precision) and
+bounded to the eight most recent keys, so `period` and `probe` at the same
+digits share one build.  It holds only the kernels: integer node tables,
+their scales and the error terms that depend on nothing but the key.  No
+eigen table, n-sum or result is kept; the series, its stopping rules and
+its error propagation run on every call.  A build reads nothing outside its
+key (the precision is set from the key while it runs), and the kernels are
+never changed after it (the node tables are tuples), so a hit returns the
+bits a fresh build would.
+
 Summation is serial in ascending n, so results are bit-identical across
 runs.  Error bounds are conservative but heuristic at the
 Gamma-kernel level; they are propagated through BigFloat, not proof-grade
@@ -84,8 +95,10 @@ intervals.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from operator import mul
+from types import MappingProxyType
 
 import mpmath
 from mpmath.libmp import (
@@ -285,8 +298,8 @@ class _Kernel:
     j >= 1 at 2^-S.
 
     The node values and the step come from `source`, a _NodeSource on the
-    pair line of the kernel's base line and its strip; a joint pass hands
-    the kernels of one such line and strip one source.
+    pair line of the kernel's base line and its strip; `_kernels` hands the
+    kernels of one such line and strip one source.
     """
 
     def __init__(self, z, k, digits, c0=None, source=None):
@@ -331,8 +344,8 @@ class _Kernel:
         top = max(mpmath.mag(c) for g in nodes for c in (g.real, g.imag) if c)
         scale = self.scale = frac - top
         self.head = to_int(mpf_shift(nodes[0].real._mpf_, scale + frac - 1), "n")
-        self.re = [to_int(mpf_shift(g.real._mpf_, scale), "n") for g in nodes[1:]]
-        self.im = [to_int(mpf_shift(g.imag._mpf_, scale), "n") for g in nodes[1:]]
+        self.re = tuple(to_int(mpf_shift(g.real._mpf_, scale), "n") for g in nodes[1:])
+        self.im = tuple(to_int(mpf_shift(g.imag._mpf_, scale), "n") for g in nodes[1:])
         moment = mpmath.fsum(j * size for j, size in enumerate(sizes))
         self.round_err = mpmath.ldexp(moment, 1 - frac) + mpmath.ldexp(len(nodes), 1 - scale)
 
@@ -395,21 +408,32 @@ class _Series:
         return lam / BigFloat(self.gamma, ulp)
 
 
-def _joint_series(points, k, digits):
-    """One _Series per point, its kernels J(s, .) and J(1 - s, .) built source
-    by source: kernels whose nodes come from the Gamma pairs of one line and
-    step share them (line 7 with strip 5.5 serves the J(s) kernels of s = 1, 5,
-    9 and J(0) on line 6; line 7 with strip 6.5 the J(1 - s) kernels of s = 5
-    and s = 9 on line 6), and a source is dropped once its kernels exist."""
+@lru_cache(maxsize=8)
+def _kernels(k, digits, prec):
+    """The kernels J(z, .) of z = 1, 0, 5, -4, 9, -8 at working precision
+    prec, by z, built source by source: kernels whose nodes come from the
+    Gamma pairs of one line and step share them (line 7 with strip 5.5 serves
+    the J(s) kernels of s = 1, 5, 9 and J(0) on line 6; line 7 with strip 6.5
+    the J(1 - s) kernels of s = 5 and s = 9 on line 6), and a source is
+    dropped once its kernels exist.  Memoized; see the module docstring."""
     groups = {}
-    for z in dict.fromkeys(z for s in points for z in (s, 1 - s)):
-        _, strip, base, _ = _contour(z)
-        groups.setdefault((_pair_line(base), strip), []).append(z)
+    for s in CRITICAL_POINTS:
+        for z in (s, 1 - s):
+            _, strip, base, _ = _contour(z)
+            groups.setdefault((_pair_line(base), strip), []).append(z)
     kernels = {}
-    for key, zs in groups.items():
-        source = _NodeSource(*key, k, digits)
-        for z in zs:
-            kernels[z] = _Kernel(z, k, digits, source=source)
+    with mpmath.workprec(prec):
+        for key, zs in groups.items():
+            source = _NodeSource(*key, k, digits)
+            for z in zs:
+                kernels[z] = _Kernel(z, k, digits, source=source)
+    return MappingProxyType(kernels)
+
+
+def _joint_series(points, k, digits):
+    """One _Series per point, its kernels J(s, .) and J(1 - s, .) from
+    `_kernels` at the current working precision."""
+    kernels = _kernels(k, digits, mpmath.mp.prec)
     return [_Series(s, k, digits, kernels[s], kernels[1 - s]) for s in points]
 
 

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from heptalift import acceptance
+from heptalift import acceptance, lvalue
 
 
 @pytest.mark.parametrize(
@@ -43,3 +43,28 @@ def test_draws_match_randint_stream(bound):
     got = acceptance._draws(fast, bound, 40000)
     assert got == [slow.randint(-bound, bound) for _ in range(40000)]
     assert fast.getstate() == slow.getstate()
+
+
+def test_period_rerun_check_compares_two_builds(monkeypatch):
+    # the second build of the s = 1 kernel moves one node by one unit of the
+    # working precision (2^GUARD_BITS at the node scale; a change below it is
+    # rounded away by design); criterion 12's rerun must rebuild its kernels
+    # and so see the change, not compare one memoized build with itself
+    fix = lvalue._Kernel._fix
+    builds = []
+
+    def perturbed(ker, nodes, sizes):
+        fix(ker, nodes, sizes)
+        if ker.z == 1:
+            builds.append(ker)
+            if len(builds) == 2:
+                ker.re = (ker.re[0] + (1 << lvalue.GUARD_BITS),) + ker.re[1:]
+
+    monkeypatch.setattr(lvalue._Kernel, "_fix", perturbed)
+    lvalue._kernels.cache_clear()
+    try:
+        r = acceptance.run(acceptance.CRITERIA[11])
+    finally:
+        lvalue._kernels.cache_clear()
+    assert len(builds) == 2
+    assert not r.ok and r.detail.startswith("assertion failed")

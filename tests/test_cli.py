@@ -17,7 +17,7 @@ from heptalift.exactnum import frac_str
 from heptalift.genfun import gamma_k
 from heptalift.jordan import JordanElement
 from heptalift.lift import eigen_delta, local_factor
-from heptalift.padic import factorize
+from heptalift.padic import factorize, is_prime
 
 ZERO8 = [0] * 8
 
@@ -496,6 +496,30 @@ def test_rs_euler_payload(capsys):
     assert len(payload["t2_numerators"]) == 3
     assert len(payload["sym2_denominators"]) == 3
     assert all(len(tri) == 3 for tri in payload["sym2_denominators"])
+
+
+def test_rs_euler_prime_bit_bound(capsys):
+    # the prefactor's numerator is p^28: it prints within 4300 digits for
+    # every p below 2^510 and passes that limit for the largest 511-bit primes
+    assert cli.MAX_RS_EULER_BITS == 510
+    assert (2 ** 510) ** 28 < 10 ** 4300 < (2 ** 511 - 187) ** 28
+    p = 2 ** 510 - 75  # the largest 510-bit prime
+    assert is_prime(p) and not any(is_prime(q) for q in range(p + 2, 2 ** 510, 2))
+    code, out, err = run_cli(capsys, "rs-euler", "--prime", str(p))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["consistent"] is True
+    assert len(payload["prefactor"].split("/")[0]) == 4299
+    # the smallest and the largest 511-bit primes, and Mersenne primes above
+    for q in (2 ** 510 + 15, 2 ** 511 - 187, 2 ** 521 - 1, 2 ** 607 - 1):
+        assert is_prime(q)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "rs-euler", "--prime", str(q))
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "rs-euler --prime must have at most 510 bits, "
+                                            "so that its prefactor prints within 4300 digits"}
+        assert elapsed < 0.5
 
 
 def test_period_deterministic_bytes(capsys):

@@ -20,6 +20,7 @@ from heptalift.lvalue import (
     _contour,
     _Kernel,
     _joint_series,
+    _kernels,
     _local_series,
     _step_sums,
     gamma_infinity,
@@ -38,6 +39,15 @@ EIGEN = eigen_delta(12000)
 RHO5 = Fraction(2, 12285)
 RHO9 = Fraction(256, 14582602125)
 PETERSSON_DELTA = "1.0353620568043209223e-6"
+
+
+@pytest.fixture(autouse=True)
+def fresh_kernels():
+    # tests that spy on kernel builds must see them built, not read from the
+    # memo another test filled
+    _kernels.cache_clear()
+    yield
+    _kernels.cache_clear()
 
 
 def test_triple_divisor_count():
@@ -302,9 +312,10 @@ def test_kernel_node_counts(monkeypatch, k, digits, counts):
 
 @pytest.mark.parametrize("digits", [12, 20, 50])
 def test_joint_pass_matches_one_point(digits):
-    # the joint pass shares rotation powers between kernels of one step and
-    # gamma_infinity values between kernels of one argument; a wrong grouping
-    # changes bits that the one-point pass, with nothing to share, keeps
+    # the joint pass shares rotation powers between kernels of one step; a
+    # wrong grouping changes bits that the one-point pass, whose two kernels
+    # have different steps, keeps (both read the same memoized kernels, which
+    # test_memoized_kernels_match_kernels_built_alone checks)
     joint = period_report(10, EIGEN, digits)["lvalues"]
     for s, lv in zip((1, 5, 9), joint):
         alone = sym2_lvalue(EIGEN, s, digits)
@@ -312,6 +323,48 @@ def test_joint_pass_matches_one_point(digits):
         assert lv.err == alone.err
     reordered = sym2_lvalues(EIGEN, (9, 1), digits)
     assert [lv.value for lv in reordered] == [joint[2].value, joint[0].value]
+
+
+KERNEL_FIELDS = ("head", "re", "im", "scale", "frac", "base_err", "round_err", "h")
+
+
+@pytest.mark.parametrize("k, digits", [(10, 12), (10, 30), (10, 50), (12, 20)])
+def test_memoized_kernels_match_kernels_built_alone(k, digits):
+    # the memo's kernels, built source by source, equal field by field a
+    # kernel built on its own source with the memo cleared
+    with mpmath.workdps(digits + 18):
+        memo = _kernels(k, digits, mpmath.mp.prec)
+        assert sorted(memo) == [-8, -4, 0, 1, 5, 9]
+        assert all(type(memo[z].re) is tuple and type(memo[z].im) is tuple for z in memo)
+        _kernels.cache_clear()
+        for z, ker in memo.items():
+            alone = _Kernel(z, k, digits)
+            for field in KERNEL_FIELDS:
+                assert getattr(ker, field) == getattr(alone, field), (z, field)
+    assert _kernels.cache_info().currsize == 0
+
+
+def test_kernel_memo_is_keyed_on_the_working_precision():
+    # the same (k, digits) one bit finer is a miss, with kernels of that precision
+    with mpmath.workdps(38):
+        first = _joint_series((9,), 10, 20)[0].ker_s
+        assert _joint_series((9,), 10, 20)[0].ker_s is first
+        with mpmath.workprec(mpmath.mp.prec + 1):
+            other = _joint_series((9,), 10, 20)[0].ker_s
+    info = _kernels.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+    assert other is not first and other.frac != first.frac
+
+
+def test_lvalues_bit_identical_on_memo_hit_and_miss():
+    miss = sym2_lvalues(EIGEN, (1, 5, 9), 20)
+    assert _kernels.cache_info().misses == 1
+    hit = sym2_lvalues(EIGEN, (1, 5, 9), 20)
+    alone = sym2_lvalue(EIGEN, 9, 20)
+    assert _kernels.cache_info().hits == 2
+    for a, b in zip(miss, hit):
+        assert (a.value, a.err) == (b.value, b.err)
+    assert (alone.value, alone.err) == (miss[2].value, miss[2].err)
 
 
 @pytest.mark.parametrize("digits", [10, 20, 30, 50])

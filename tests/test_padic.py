@@ -179,3 +179,34 @@ def test_factorize_bounds_the_part_left_after_trial_division():
             factorize(n)
         with pytest.raises(ValueError, match="at most 64 bits are factored"):
             genus_invariants(JordanElement.diag(1, 1, n))
+
+
+def _vp(x, p):
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def test_reduction_round_trips_at_every_prime_to_101():
+    # diag(p^e1, p^e2, p^e3), e_i <= 12, scrambled by a unit word: the
+    # divisors come back, the reduction word has multiplier 1 and replays
+    # onto the reduced form, which is diagonal with valuations e1 <= e2 <= e3
+    rng = random.Random(20261019)
+    primes = [p for p in range(2, 102) if is_prime(p)]
+    for p in primes:
+        for _ in range(6):
+            exps = tuple(sorted(rng.randint(0, 12) for _ in range(3)))
+            X = apply_word(JordanElement.diag(*(p ** e for e in exps)),
+                           unit_word(rng, rng.randint(1, 6)))
+            assert elementary_divisors(X, p).exps == exps
+            red = reduce_at(X, p)
+            assert red.divisors.exps == exps
+            assert red.divisors.total == sum(exps) == _vp(X.det(), p)
+            assert word_multiplier(red.word) == 1
+            assert apply_word(X.map_ring(Zmod(p ** red.precision)), red.word) == red.reduced
+            Y = red.reduced
+            assert not any(Y.x.co) and not any(Y.y.co) and not any(Y.z.co)
+            assert tuple(_vp(v, p) for v in (Y.a, Y.b, Y.c)) == exps
