@@ -37,7 +37,7 @@ from .genfun import (
 from .jordan import JordanElement
 from .lift import eigen_delta, eigen_from_csv, fourier_coeff, local_factor
 from .lvalue import CRITICAL_POINTS, period_report, rationality_probe
-from .padic import factor_table, genus_invariants, is_prime, reduce_at
+from .padic import _MODULUS_BOUND, factor_table, genus_invariants, is_prime, reduce_at
 from .siegel import f_poly
 
 # primes of the builtin table for period and probe: the L-value pass reads
@@ -140,6 +140,8 @@ def _load_element(path):
         raise UsageError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise UsageError("malformed JSON in %s: %s" % (path, exc))
+    except ValueError as exc:  # a bad encoding, or an integer past 4300 digits
+        raise UsageError("cannot read %s: %s" % (path, exc))
     try:
         return JordanElement.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -279,15 +281,29 @@ def _cmd_lift_coeff(args):
     if not T.is_positive():
         raise UsageError("element must be positive definite")
     genus = genus_invariants(T)
+    # the coefficient is det(T)^((2k-9)/2) times one polynomial in the Satake
+    # parameter per prime, and at k = 10 it lay between 10^-2.8 and 10^207
+    # times det(T)^((2k-9)/2) for every exponent triple of sum <= 40 at p = 2,
+    # 3, 5, 7, 11 and 97; so an element with det(T)^((2k-9)/2) above 10^4300
+    # is refused before the coefficient is computed (diag(1, 1, 2^2597) prints
+    # 4,300 digits, 2^2598 is refused), and a longer coefficient after it
+    det = T.det()
+    if (det.bit_length() - 1) * (2 * args.k - 9) >= 2 * _MODULUS_BOUND.bit_length():
+        raise UsageError("the element in %s has det(T) >= 2^%d, so its coefficient, about "
+                         "det(T)^(%d/2), exceeds the 4300-digit print limit"
+                         % (args.input, det.bit_length() - 1, 2 * args.k - 9))
     max_prime = max(genus, default=2)
     eigen = _load_eigen(args.eigen, args.k, max_prime)
     try:
         a = fourier_coeff(T, eigen)
     except KeyError as exc:
         raise UsageError("eigen table is missing a_p for p = %s" % (exc,))
+    if max(abs(a.numerator), a.denominator) >= _MODULUS_BOUND:
+        raise UsageError("the coefficient at the element in %s exceeds the 4300-digit "
+                         "print limit" % (args.input,))
     return {
         "k": args.k,
-        "det": str(T.det()),
+        "det": str(det),
         "divisors": {str(p): list(d.exps) for p, d in genus.items()},
         "coefficient": frac_str(a),
     }

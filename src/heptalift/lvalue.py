@@ -28,9 +28,16 @@ exp(-3 pi |t| / 4), so the rule converges geometrically and one table of
 Gamma values G_j serves every n: n enters only through r^j, r = n^{-ih}.
 
 `sym2_lvalues` evaluates several points s in one pass over n, and
-`sym2_lvalue` is its one-point case.  Kernels with the same step h share
-the powers r^j: the J(s) kernels of s = 1, 5, 9 and J(0) have strip 5.5,
-and the J(1 - s) kernels of s = 5 and s = 9 have strip 6.5.
+`sym2_lvalue` is its one-point case.  The six kernels of one (k, digits)
+share one grid t = j h, sized from the narrowest pole-free strip of their
+contours (GRID_STRIP = 5.5, that of J(s) and J(0)), so one sequence of
+powers r^j per n serves them all.  A step finer than a kernel's own strip
+keeps its bound: the trapezoid error on a strip of half-width a goes as
+exp(-2 pi a / h) (Trefethen and Weideman, SIAM Review 56, 2014), which at
+h = 2 pi GRID_STRIP / ln(1/eps) is eps^(a / GRID_STRIP) <= eps for the
+strip a = 6.5 of J(-4) and J(-8).  Their bounds keep a in the growth
+n^(a - (z + c0)), and their nodes, which stop at the same t, number about
+a / GRID_STRIP times those of a grid of their own.
 
 The node sums run in fixed point, with F = working precision + GUARD_BITS.
 A kernel holds its nodes as integers at one scale 2^-S, S = F minus the
@@ -66,16 +73,18 @@ nodes lie on the line Re = x takes the base line x0 = x - 2 floor((x -
 6)/2) in [6, 8) (a line left of 6 is its own base) and moves up (x -
 x0)/2 steps, each step continuing the product of the one before.  A base
 line from 7 up computes its own pairs; one below 7 takes those of the
-line one to its right.  So the J(s) kernels of s = 1, 5, 9 (lines 7, 11,
-15) and J(0) (line 6) all come from line 7's pairs at strip 5.5, and the
-J(1 - s) kernels of s = 5 and 9 (line 6) from line 7's pairs at strip
-6.5; a joint pass computes each pair once and drops a line's pairs once
-its kernels exist.  The polynomial factors are exact Gaussian-integer
+line one to its right.  So all six kernels come from line 7's pairs: the
+J(s) kernels of s = 1, 5, 9 on lines 7, 11 and 15, and J(0), J(-4) and
+J(-8) on line 6, whose one row of values they share (they differ only in
+the factor 1/(c0 + it)).  A build computes each pair once per grid point,
+so it makes as many pairs as the longest kernel has nodes, and drops them
+once its kernels exist.  The polynomial factors are exact Gaussian-integer
 products, the rest runs NODE_GUARD_BITS above the working precision
 (t ulp(beta) would otherwise cost several units at large t), and each node
 is rounded once.  A node depends only on (z, c0, k, digits), so a
-one-point pass and the joint pass produce the same bits.  Each point
-keeps its own stopping rule and stops at the same n as it would alone.
+kernel built alone and the one in a build produce the same bits.  Each
+point keeps its own stopping rule and stops at the same n as it would
+alone.
 
 The six kernels of one (k, digits) are built together and kept in a
 per-process memo, `_kernels`, keyed on (k, digits, working precision) and
@@ -170,13 +179,8 @@ def gamma_infinity(s, k):
     """
     w = 2 * k - 9
     s = mpmath.mpmathify(s)
-    return (
-        mpmath.pi ** (-(s + 1) / 2)
-        * mpmath.gamma((s + 1) / 2)
-        * 2
-        * (2 * mpmath.pi) ** (-(s + w))
-        * mpmath.gamma(s + w)
-    )
+    return (mpmath.pi ** (-(s + 1) / 2) * mpmath.gamma((s + 1) / 2)
+            * 2 * (2 * mpmath.pi) ** (-(s + w)) * mpmath.gamma(s + w))
 
 
 def _contour(z, c0=None):
@@ -189,6 +193,11 @@ def _contour(z, c0=None):
     x = z + c0
     m = max(0, int(mpmath.floor((x - 6) / 2)))
     return c0, min(float(c0), float(x + 1)) - 0.5, x - 2 * m, m
+
+
+# the narrowest pole-free strip of the six default contours; it sizes the one
+# grid step of a build
+GRID_STRIP = min(_contour(z)[1] for s in CRITICAL_POINTS for z in (s, 1 - s))
 
 
 def _rising(x, t, offsets, acc=(1, 0, 0)):
@@ -220,10 +229,13 @@ class _NodeSource:
         gamma_infinity(s - 1) = M' e^(-i (beta + ln 2) t) B^2 / (A (s - 1 + w) prod_{m<w} (s + m)),
 
     with M = 2 pi^(-(x0+1)/2) (2 pi)^(-(x0+w)), M' = 2^(2-x0) pi^((1-x0)/2)
-    (2 pi)^(1-x0-w) and beta = ln(pi)/2 + ln(2 pi).  The step h = 2 pi
-    strip / ln(1/eps), eps = 10^-(digits + 12), comes from the half-width of
-    the pole-free strip.  `pairs` holds (A, B) per t, `rows` per line and t
-    the value and the exact shift products.
+    (2 pi)^(1-x0-w) and beta = ln(pi)/2 + ln(2 pi).  The grid step h = 2 pi
+    strip / ln(1/eps), eps = 10^-(digits + 12), comes from `strip`, no wider
+    than the pole-free strip of any kernel served (GRID_STRIP in a build; a
+    finer step keeps a kernel's bound, see the module docstring).  `pairs`
+    holds one (A, B) per grid point for all its kernels, as many as the
+    longest has nodes; `rows` per line and t the value and the exact shift
+    products, shared by the kernels on that line.
     """
 
     def __init__(self, x0, strip, k, digits):
@@ -280,26 +292,21 @@ class _NodeSource:
             return [mag * mpmath.expj(-beta * t) * core, t, [(1, 0, 0)]]
 
 
-def _pair_line(base):
-    """The line whose Gamma pairs give the nodes of a base line: the base line
-    itself from 7 up, else the line one to its right."""
-    return base if base >= 7 else base + 1
-
-
 class _Kernel:
     """Trapezoid data for J(z, n) on the vertical line Re w = c0.
 
     The abscissa keeps Re(z + w) >= 6 (absolute convergence with room) and
-    the pole of 1/w at distance >= 6.  The step is sized from the width of
-    the pole-free strip; one table of node values G_j serves every n because
-    n enters only through the rotation n^{-i j h} = r^j.  The nodes are kept
-    as integers at the scale 2^-S (`scale` = S, `frac` = F; see the module
-    docstring): `head` = Re(G_0 / 2) at 2^-(S + F), and `re`, `im` for
-    j >= 1 at 2^-S.
+    the pole of 1/w at distance >= 6.  One table of node values G_j serves
+    every n because n enters only through the rotation n^{-i j h} = r^j.
+    The nodes are kept as integers at the scale 2^-S (`scale` = S, `frac` =
+    F; see the module docstring): `head` = Re(G_0 / 2) at 2^-(S + F), and
+    `re`, `im` for j >= 1 at 2^-S.
 
-    The node values and the step come from `source`, a _NodeSource on the
-    pair line of the kernel's base line and its strip; `_kernels` hands the
-    kernels of one such line and strip one source.
+    The node values and the step come from `source`; `_kernels` hands all
+    six kernels of a build one.  Built alone, a kernel runs on the grid of
+    GRID_STRIP, or of its own strip if that is narrower, so on its default
+    contour it has the bits of the one in a build.  Its bound keeps its own
+    strip: the grid step sets only the node count.
     """
 
     def __init__(self, z, k, digits, c0=None, source=None):
@@ -308,14 +315,13 @@ class _Kernel:
         if strip <= 0:
             raise ValueError("contour abscissa too close to a pole")
         if source is None:
-            source = _NodeSource(_pair_line(base), strip, k, digits)
+            # a base line from 7 up computes its own pairs, one below 7 those of the next
+            line = base if base >= 7 else base + 1
+            source = _NodeSource(line, min(strip, GRID_STRIP), k, digits)
         eps, self.h = source.eps, source.h
-        nodes = []
-        sizes = []
-        gmax = mpmath.mpf(0)
-        gsum = mpmath.mpf(0)
-        j = 0
-        low = 0
+        nodes, sizes = [], []
+        gmax = gsum = mpmath.mpf(0)
+        j = low = 0
         while True:
             g = source.node(j, base, shifts, self.c0)
             nodes.append(g)
@@ -358,7 +364,7 @@ class _Kernel:
 
 
 def _step_sums(kernels, n):
-    """Re(G_0/2 + sum_j G_j r^j) for kernels that share the step h, as raw mpfs.
+    """Re(G_0/2 + sum_j G_j r^j) for kernels on one grid step h, as raw mpfs.
 
     r = n^{-ih} is rounded to F fractional bits and each power r^j is formed
     once, rounded to nearest; each kernel's sum is exact in integers at the
@@ -411,23 +417,14 @@ class _Series:
 @lru_cache(maxsize=8)
 def _kernels(k, digits, prec):
     """The kernels J(z, .) of z = 1, 0, 5, -4, 9, -8 at working precision
-    prec, by z, built source by source: kernels whose nodes come from the
-    Gamma pairs of one line and step share them (line 7 with strip 5.5 serves
-    the J(s) kernels of s = 1, 5, 9 and J(0) on line 6; line 7 with strip 6.5
-    the J(1 - s) kernels of s = 5 and s = 9 on line 6), and a source is
-    dropped once its kernels exist.  Memoized; see the module docstring."""
-    groups = {}
-    for s in CRITICAL_POINTS:
-        for z in (s, 1 - s):
-            _, strip, base, _ = _contour(z)
-            groups.setdefault((_pair_line(base), strip), []).append(z)
-    kernels = {}
+    prec, by z, on the grid of GRID_STRIP: every default base line is 6 or 7,
+    so one source on line 7 computes each Gamma pair once per grid point, as
+    many as the longest kernel (J(9)) has nodes, and is dropped once the
+    kernels exist.  Memoized; see the module docstring."""
     with mpmath.workprec(prec):
-        for key, zs in groups.items():
-            source = _NodeSource(*key, k, digits)
-            for z in zs:
-                kernels[z] = _Kernel(z, k, digits, source=source)
-    return MappingProxyType(kernels)
+        source = _NodeSource(mpmath.mpf(7), GRID_STRIP, k, digits)
+        return MappingProxyType({z: _Kernel(z, k, digits, source=source)
+                                 for s in CRITICAL_POINTS for z in (s, 1 - s)})
 
 
 def _joint_series(points, k, digits):
@@ -457,16 +454,10 @@ def sym2_lvalues(eigen, points, digits=20):
                     bs = sym2_dirichlet_coeffs(eigen, max(2 * len(bs), 64))
                 except KeyError as exc:
                     raise ValueError(f"need more eigenvalues: {exc}") from None
-            # every live kernel at this n, one rotation sequence per step h
+            # every live kernel at this n from one rotation sequence
             lnn = mpmath.log(n)
-            steps = {}
-            for sr in live:
-                for ker in (sr.ker_s, sr.ker_r):
-                    steps.setdefault(ker.h._mpf_, []).append(ker)
-            jn = {}
-            for kernels in steps.values():
-                for ker, acc in zip(kernels, _step_sums(kernels, n)):
-                    jn[ker] = ker.finish(n, lnn, acc)
+            kernels = [ker for sr in live for ker in (sr.ker_s, sr.ker_r)]
+            jn = {ker: ker.finish(n, lnn, acc) for ker, acc in zip(kernels, _step_sums(kernels, n))}
             b = BigFloat.exact(bs[n - 1])
             d3 = triple_divisor_count(n)
             live = [sr for sr in live
@@ -495,13 +486,8 @@ def sym2_dirichlet_sum(eigen, s, N, digits=20):
         for n in range(1, N + 1):
             q = bs[n - 1]
             total += mpmath.mpf(q.numerator) / q.denominator / mpmath.mpf(n) ** s
-        tail = (
-            (mpmath.log(N) + 2) ** 2
-            * mpmath.mpf(N) ** (1 - s)
-            / (2 * (s - 1))
-        )
-        out = BigFloat(total, tail)
-    return out
+        tail = (mpmath.log(N) + 2) ** 2 * mpmath.mpf(N) ** (1 - s) / (2 * (s - 1))
+        return BigFloat(total, tail)
 
 
 def period_report(k, eigen, digits=20):
@@ -560,7 +546,5 @@ def rationality_probe(eigen, k, digits=(20, 30)):
                 pw = mpmath.pi ** h
                 den = l1 * BigFloat(pw, abs(pw) * mpmath.mpf(2) ** (-mpmath.mp.prec + 4))
                 cands[key].append(reconstruct_ratio(lv / den, d))
-    out = {}
-    for key, (q1, q2) in cands.items():
-        out[key] = q1 if (q1 is not None and q1 == q2) else None
-    return out
+    return {key: q1 if q1 is not None and q1 == q2 else None
+            for key, (q1, q2) in cands.items()}

@@ -13,12 +13,14 @@ import pytest
 
 from heptalift.exactnum import BigFloat
 from heptalift.genfun import gamma_k
-from heptalift.lift import eigen_delta, eigen_from_rows, sym2_coeffs
+from heptalift.lift import eigen_delta, eigen_from_rows, sym2_coeffs, tau_table
 from heptalift.lvalue import (
     CRITICAL_POINTS,
+    GRID_STRIP,
     GUARD_BITS,
     _contour,
     _Kernel,
+    _NodeSource,
     _joint_series,
     _kernels,
     _local_series,
@@ -35,6 +37,21 @@ from heptalift.lvalue import (
 )
 
 EIGEN = eigen_delta(12000)
+
+
+def eigen_delta_e4(max_prime=256):
+    """EigenData (k = 12) of Delta E_4, the normalized cusp form of weight 16
+    (S_16 is one-dimensional, so it is the eigenform): its q-coefficients are
+    the exact convolution of tau(n) with E_4 = 1 + 240 sum sigma_3(n) q^n."""
+    taus = tau_table(max_prime)
+    e4 = [1] + [240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+                for m in range(1, max_prime)]
+    primes = [p for p in range(2, max_prime + 1) if all(p % q for q in range(2, p))]
+    return eigen_from_rows(12, [(p, sum(taus[p - m - 1] * e4[m] for m in range(p)))
+                                for p in primes])
+
+
+EIGEN16 = eigen_delta_e4()
 
 RHO5 = Fraction(2, 12285)
 RHO9 = Fraction(256, 14582602125)
@@ -221,24 +238,21 @@ def test_fixed_point_sums_match_mpc_oracle(monkeypatch, digits):
                 mpmath.ldexp(mpmath.fsum(j * abs(g) for j, g in enumerate(table)), 1 - frac)
                 + mpmath.ldexp(len(table), 1 - ker.scale))
             assert ker.round_err >= term[ker]
-        steps = {}
-        for ker in kernels:
-            steps.setdefault(ker.h, []).append(ker)
-        assert len(steps) == 2
+        # one grid: all six kernels share one step and one rotation sequence
+        assert len({ker.h for ker in kernels}) == 1
         for n in (1, 2, 17, 154):
             lnn = mpmath.log(n)
-            for group in steps.values():
-                for ker, acc in zip(group, _step_sums(group, n)):
-                    fixed = mpmath.mp.make_mpf(acc)
-                    exact = _mpc_oracle(nodes[ker], ker.h, n)
-                    ulp = mpmath.ldexp(abs(fixed), 1 - prec)
-                    assert abs(fixed - exact) <= term[ker] + ulp
-                    # the bound of J(z, n) carries the term, scaled like the sum
-                    # (up to the rounding of that sum)
-                    factor = ker.weight * mpmath.exp(ker.decay * lnn)
-                    err = ker.finish(n, lnn, acc).err
-                    extra = err - ker.base_err * mpmath.mpf(n) ** ker.n_pow
-                    assert extra >= factor * term[ker] - mpmath.ldexp(err, 1 - prec)
+            for ker, acc in zip(kernels, _step_sums(kernels, n)):
+                fixed = mpmath.mp.make_mpf(acc)
+                exact = _mpc_oracle(nodes[ker], ker.h, n)
+                ulp = mpmath.ldexp(abs(fixed), 1 - prec)
+                assert abs(fixed - exact) <= term[ker] + ulp
+                # the bound of J(z, n) carries the term, scaled like the sum
+                # (up to the rounding of that sum)
+                factor = ker.weight * mpmath.exp(ker.decay * lnn)
+                err = ker.finish(n, lnn, acc).err
+                extra = err - ker.base_err * mpmath.mpf(n) ** ker.n_pow
+                assert extra >= factor * term[ker] - mpmath.ldexp(err, 1 - prec)
 
 
 @pytest.mark.parametrize("k", [10, 12])
@@ -290,13 +304,14 @@ def test_kernel_nodes_match_gamma_oracle(monkeypatch, k, digits, c0):
 
 
 @pytest.mark.parametrize("k, digits, counts", [
-    (10, 50, [350, 344, 370, 292, 390, 293]),
-    (12, 20, [115, 113, 123, 96, 131, 97]),
-    (10, 100, [1024, 1012, 1070, 858, 1112, 859]),
+    (10, 50, [350, 344, 370, 345, 390, 346]),
+    (12, 20, [115, 113, 123, 113, 131, 114]),
+    (10, 100, [1024, 1012, 1070, 1014, 1112, 1015]),
 ])
 def test_kernel_node_counts(monkeypatch, k, digits, counts):
-    # J + 1 nodes of the kernels z = 1, 0, 5, -4, 9, -8: the truncation point
-    # sets base_err, so a moved count moves every error bound
+    # J + 1 nodes of the kernels z = 1, 0, 5, -4, 9, -8 on the one grid of
+    # GRID_STRIP: the truncation point sets base_err, so a moved count moves
+    # every error bound
     calls = []
     gamma = mpmath.gamma
     monkeypatch.setattr(mpmath, "gamma", lambda z: calls.append(z) or gamma(z))
@@ -304,17 +319,17 @@ def test_kernel_node_counts(monkeypatch, k, digits, counts):
         series = _joint_series(CRITICAL_POINTS, k, digits)
     kernels = {int(ker.z): ker for sr in series for ker in (sr.ker_s, sr.ker_r)}
     assert [len(kernels[z].re) + 1 for z in (1, 0, 5, -4, 9, -8)] == counts
-    # one Gamma pair per grid point: line 7's pairs at strip 5.5 serve lines
-    # 6, 7, 11 and 15, and at strip 6.5 both kernels on line 6
-    points = max(counts[0], counts[1], counts[2], counts[4]) + max(counts[3], counts[5])
-    assert sum(isinstance(z, mpmath.mpc) for z in calls) == 2 * points
+    # one Gamma pair per grid point: line 7's pairs serve lines 6, 7, 11 and
+    # 15, so a build makes as many pairs as its longest kernel has nodes
+    assert sum(isinstance(z, mpmath.mpc) for z in calls) == 2 * max(counts)
 
 
 @pytest.mark.parametrize("digits", [12, 20, 50])
 def test_joint_pass_matches_one_point(digits):
-    # the joint pass shares rotation powers between kernels of one step; a
-    # wrong grouping changes bits that the one-point pass, whose two kernels
-    # have different steps, keeps (both read the same memoized kernels, which
+    # the joint pass sums all six kernels over one rotation sequence, as long
+    # as its longest kernel; the one-point pass sums two kernels over a
+    # shorter one, so a wrong shared power changes bits that it keeps (both
+    # read the same memoized kernels, which
     # test_memoized_kernels_match_kernels_built_alone checks)
     joint = period_report(10, EIGEN, digits)["lvalues"]
     for s, lv in zip((1, 5, 9), joint):
@@ -367,6 +382,57 @@ def test_lvalues_bit_identical_on_memo_hit_and_miss():
     assert (alone.value, alone.err) == (miss[2].value, miss[2].err)
 
 
+@pytest.mark.parametrize("digits", [12, 30, 50])
+def test_kernels_agree_with_finer_and_own_strip_grids(digits):
+    # two routes for every kernel of a build: J(z, n) on the one grid agrees,
+    # within the sum of the two bounds, with the same kernel on a grid of half
+    # the step, and J(-4), J(-8) also with the grid of their own strip 6.5
+    with mpmath.workdps(digits + 18):
+        kernels = _kernels(10, digits, mpmath.mp.prec)
+        line = mpmath.mpf(7)
+        half = _NodeSource(line, GRID_STRIP / 2, 10, digits)
+        own = _NodeSource(line, 6.5, 10, digits)
+        assert all(ker.h == 2 * half.h for ker in kernels.values())
+        routes = [(ker, _Kernel(z, 10, digits, source=half)) for z, ker in kernels.items()]
+        routes += [(kernels[z], _Kernel(z, 10, digits, source=own)) for z in (-4, -8)]
+        assert _contour(-4)[1] == _contour(-8)[1] == 6.5
+        for n in (1, 2, 17, 154):
+            lnn = mpmath.log(n)
+            for ker, other in routes:
+                a, b = (k.finish(n, lnn, _step_sums([k], n)[0]) for k in (ker, other))
+                assert abs(a.value - b.value) <= a.err + b.err, (ker.z, other.h, n)
+
+
+def test_delta_e4_eigenvalues():
+    # the weight-16 eigenvalues of Delta E_4: a(2) = 216, a(3) = -3348, and
+    # the Hecke relation a(4) = a(2)^2 - 2^15 on the coefficients themselves
+    assert (EIGEN16.a(2), EIGEN16.a(3), EIGEN16.a(5)) == (216, -3348, 52110)
+    assert max(EIGEN16.table) == 251 and len(EIGEN16.table) == 54
+    taus = tau_table(4)
+    a4 = taus[3] + 240 * (taus[2] + 9 * taus[1] + 28 * taus[0])
+    assert a4 == 216 ** 2 - 2 ** 15
+
+
+@pytest.mark.parametrize("digits", [10, 20, 30])
+def test_error_bounds_enclose_finer_value_k12(digits):
+    # the shared grid at k = 12 on Delta E_4: a run 25 digits finer lands
+    # inside both intervals
+    coarse = sym2_lvalues(EIGEN16, (1, 5, 9), digits)
+    fine = sym2_lvalues(EIGEN16, (1, 5, 9), digits + 25)
+    with mpmath.workdps(80):
+        for c, f in zip(coarse, fine):
+            assert abs(c.value - f.value) <= c.err + f.err
+            assert f.err < c.err
+
+
+def test_two_method_agreement_s9_k12():
+    smoothed = sym2_lvalue(EIGEN16, 9, 20)
+    plain = sym2_dirichlet_sum(EIGEN16, 9, 256, 25)
+    diff = abs(smoothed.value - plain.value)
+    assert diff < mpmath.mpf(10) ** -15 * abs(plain.value)
+    assert diff <= smoothed.err + plain.err
+
+
 @pytest.mark.parametrize("digits", [10, 20, 30, 50])
 def test_error_bounds_enclose_finer_value(digits):
     # a run 25 digits finer lands inside both intervals
@@ -383,10 +449,10 @@ def test_error_bounds_enclose_finer_value(digits):
 # period_unrounded batch; the low digits move with any change to how the
 # kernels round
 UNROUNDED_SHA256 = {
-    10: "295dc37909cd5e73d9b0c60e7b829c8512b694eb318aa1a1ff1ab90d78567e73",
-    14: "060575182d0aba4127551bbc3d8d3d6894a21def7a7ba9c112aa3b210515c080",
-    18: "2d79293ee606695a37d9ca71f4979f5c0602081e80f0954346b0b071fca9f98a",
-    22: "e2924480434ffa3c098646551c1d8028eca28fd09bc001edcdb26c6ad25f7d71",
+    10: "b23d3aa145f88baa325658ca494d1da33fb4d456de38531dc2bbdb4e4e5b46d7",
+    14: "55c72ba4b423e03aedd927065e28659519fbed795eb24bf52e3841270186a61a",
+    18: "9709fe03559e8bcabb5b9319d938b8e6a171be9023a946d86bd640abfcf0b22c",
+    22: "eca54e4c54917f76f4d053f27e4714ef018d17ab7a206a5eda1e5298c71b4ef7",
 }
 
 
