@@ -281,12 +281,8 @@ def _cmd_lift_coeff(args):
     if not T.is_positive():
         raise UsageError("element must be positive definite")
     genus = genus_invariants(T)
-    # the coefficient is det(T)^((2k-9)/2) times one polynomial in the Satake
-    # parameter per prime, and at k = 10 it lay between 10^-2.8 and 10^207
-    # times det(T)^((2k-9)/2) for every exponent triple of sum <= 40 at p = 2,
-    # 3, 5, 7, 11 and 97; so an element with det(T)^((2k-9)/2) above 10^4300
-    # is refused before the coefficient is computed (diag(1, 1, 2^2597) prints
-    # 4,300 digits, 2^2598 is refused), and a longer coefficient after it
+    # the coefficient is about det(T)^((2k-9)/2) (measured bound in docs/cli.md):
+    # refuse it before it is computed where that passes the print limit
     det = T.det()
     if (det.bit_length() - 1) * (2 * args.k - 9) >= 2 * _MODULUS_BOUND.bit_length():
         raise UsageError("the element in %s has det(T) >= 2^%d, so its coefficient, about "

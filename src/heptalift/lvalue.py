@@ -28,16 +28,13 @@ exp(-3 pi |t| / 4), so the rule converges geometrically and one table of
 Gamma values G_j serves every n: n enters only through r^j, r = n^{-ih}.
 
 `sym2_lvalues` evaluates several points s in one pass over n, and
-`sym2_lvalue` is its one-point case.  The six kernels of one (k, digits)
-share one grid t = j h, sized from the narrowest pole-free strip of their
-contours (GRID_STRIP = 5.5, that of J(s) and J(0)), so one sequence of
-powers r^j per n serves them all.  A step finer than a kernel's own strip
-keeps its bound: the trapezoid error on a strip of half-width a goes as
-exp(-2 pi a / h) (Trefethen and Weideman, SIAM Review 56, 2014), which at
-h = 2 pi GRID_STRIP / ln(1/eps) is eps^(a / GRID_STRIP) <= eps for the
-strip a = 6.5 of J(-4) and J(-8).  Their bounds keep a in the growth
-n^(a - (z + c0)), and their nodes, which stop at the same t, number about
-a / GRID_STRIP times those of a grid of their own.
+`sym2_lvalue` is its one-point case.  The six kernels share one grid t = j h
+and so one sequence of powers r^j per n; h = 2 pi GRID_STRIP / ln(1/eps)
+comes from the narrowest pole-free strip (5.5, that of J(s) and J(0)).  A
+finer step than a kernel's own keeps its bound: the trapezoid error on a
+strip of half-width a goes as exp(-2 pi a / h) (Trefethen and Weideman, SIAM
+Review 56, 2014), here eps^(a / 5.5) <= eps for the a = 6.5 of J(-4) and
+J(-8), whose bounds keep a in their growth n^(a - (z + c0)).
 
 The node sums run in fixed point, with F = working precision + GUARD_BITS.
 A kernel holds its nodes as integers at one scale 2^-S, S = F minus the
@@ -73,18 +70,15 @@ nodes lie on the line Re = x takes the base line x0 = x - 2 floor((x -
 6)/2) in [6, 8) (a line left of 6 is its own base) and moves up (x -
 x0)/2 steps, each step continuing the product of the one before.  A base
 line from 7 up computes its own pairs; one below 7 takes those of the
-line one to its right.  So all six kernels come from line 7's pairs: the
-J(s) kernels of s = 1, 5, 9 on lines 7, 11 and 15, and J(0), J(-4) and
-J(-8) on line 6, whose one row of values they share (they differ only in
-the factor 1/(c0 + it)).  A build computes each pair once per grid point,
-so it makes as many pairs as the longest kernel has nodes, and drops them
-once its kernels exist.  The polynomial factors are exact Gaussian-integer
-products, the rest runs NODE_GUARD_BITS above the working precision
-(t ulp(beta) would otherwise cost several units at large t), and each node
-is rounded once.  A node depends only on (z, c0, k, digits), so a
-kernel built alone and the one in a build produce the same bits.  Each
-point keeps its own stopping rule and stops at the same n as it would
-alone.
+line one to its right.  So J(s) of s = 1, 5, 9 (lines 7, 11, 15) and
+J(0), J(-4), J(-8) (line 6, one row of values, each kernel its own factor
+1/(c0 + it)) all come from line 7's pairs: a build computes as many pairs
+as its longest kernel has nodes.  The polynomial factors are exact
+Gaussian-integer products, the rest runs NODE_GUARD_BITS above the working
+precision (t ulp(beta) would otherwise cost several units at large t), and
+each node is rounded once.  A node depends only on (z, c0, k, digits), so a kernel
+built alone and in a build has the same bits.  Each point keeps its own
+stopping rule and stops at the same n as it would alone.
 
 The six kernels of one (k, digits) are built together and kept in a
 per-process memo, `_kernels`, keyed on (k, digits, working precision) and
@@ -179,8 +173,13 @@ def gamma_infinity(s, k):
     """
     w = 2 * k - 9
     s = mpmath.mpmathify(s)
-    return (mpmath.pi ** (-(s + 1) / 2) * mpmath.gamma((s + 1) / 2)
-            * 2 * (2 * mpmath.pi) ** (-(s + w)) * mpmath.gamma(s + w))
+    return (
+        mpmath.pi ** (-(s + 1) / 2)
+        * mpmath.gamma((s + 1) / 2)
+        * 2
+        * (2 * mpmath.pi) ** (-(s + w))
+        * mpmath.gamma(s + w)
+    )
 
 
 def _contour(z, c0=None):
@@ -195,8 +194,7 @@ def _contour(z, c0=None):
     return c0, min(float(c0), float(x + 1)) - 0.5, x - 2 * m, m
 
 
-# the narrowest pole-free strip of the six default contours; it sizes the one
-# grid step of a build
+# the narrowest pole-free strip of the six default contours sets the grid step
 GRID_STRIP = min(_contour(z)[1] for s in CRITICAL_POINTS for z in (s, 1 - s))
 
 
@@ -229,13 +227,10 @@ class _NodeSource:
         gamma_infinity(s - 1) = M' e^(-i (beta + ln 2) t) B^2 / (A (s - 1 + w) prod_{m<w} (s + m)),
 
     with M = 2 pi^(-(x0+1)/2) (2 pi)^(-(x0+w)), M' = 2^(2-x0) pi^((1-x0)/2)
-    (2 pi)^(1-x0-w) and beta = ln(pi)/2 + ln(2 pi).  The grid step h = 2 pi
-    strip / ln(1/eps), eps = 10^-(digits + 12), comes from `strip`, no wider
-    than the pole-free strip of any kernel served (GRID_STRIP in a build; a
-    finer step keeps a kernel's bound, see the module docstring).  `pairs`
-    holds one (A, B) per grid point for all its kernels, as many as the
-    longest has nodes; `rows` per line and t the value and the exact shift
-    products, shared by the kernels on that line.
+    (2 pi)^(1-x0-w) and beta = ln(pi)/2 + ln(2 pi).  The step h = 2 pi strip
+    / ln(1/eps), eps = 10^-(digits + 12), needs `strip` no wider than any
+    served kernel's pole-free strip.  `pairs` holds (A, B) per grid point for
+    all kernels, `rows` per line and t the value and the exact shift products.
     """
 
     def __init__(self, x0, strip, k, digits):
@@ -302,11 +297,9 @@ class _Kernel:
     F; see the module docstring): `head` = Re(G_0 / 2) at 2^-(S + F), and
     `re`, `im` for j >= 1 at 2^-S.
 
-    The node values and the step come from `source`; `_kernels` hands all
-    six kernels of a build one.  Built alone, a kernel runs on the grid of
-    GRID_STRIP, or of its own strip if that is narrower, so on its default
-    contour it has the bits of the one in a build.  Its bound keeps its own
-    strip: the grid step sets only the node count.
+    The nodes and the step come from `source`, one for the six kernels of a
+    build; alone, a kernel runs on the grid of GRID_STRIP, or of its strip if
+    narrower.  Its bound keeps its own strip; the step sets the node count.
     """
 
     def __init__(self, z, k, digits, c0=None, source=None):
@@ -315,13 +308,15 @@ class _Kernel:
         if strip <= 0:
             raise ValueError("contour abscissa too close to a pole")
         if source is None:
-            # a base line from 7 up computes its own pairs, one below 7 those of the next
-            line = base if base >= 7 else base + 1
-            source = _NodeSource(line, min(strip, GRID_STRIP), k, digits)
+            # a base line from 7 up has its own pairs, one below 7 the next line's
+            source = _NodeSource(base if base >= 7 else base + 1, min(strip, GRID_STRIP), k, digits)
         eps, self.h = source.eps, source.h
-        nodes, sizes = [], []
-        gmax = gsum = mpmath.mpf(0)
-        j = low = 0
+        nodes = []
+        sizes = []
+        gmax = mpmath.mpf(0)
+        gsum = mpmath.mpf(0)
+        j = 0
+        low = 0
         while True:
             g = source.node(j, base, shifts, self.c0)
             nodes.append(g)
@@ -486,8 +481,13 @@ def sym2_dirichlet_sum(eigen, s, N, digits=20):
         for n in range(1, N + 1):
             q = bs[n - 1]
             total += mpmath.mpf(q.numerator) / q.denominator / mpmath.mpf(n) ** s
-        tail = (mpmath.log(N) + 2) ** 2 * mpmath.mpf(N) ** (1 - s) / (2 * (s - 1))
-        return BigFloat(total, tail)
+        tail = (
+            (mpmath.log(N) + 2) ** 2
+            * mpmath.mpf(N) ** (1 - s)
+            / (2 * (s - 1))
+        )
+        out = BigFloat(total, tail)
+    return out
 
 
 def period_report(k, eigen, digits=20):
@@ -546,5 +546,7 @@ def rationality_probe(eigen, k, digits=(20, 30)):
                 pw = mpmath.pi ** h
                 den = l1 * BigFloat(pw, abs(pw) * mpmath.mpf(2) ** (-mpmath.mp.prec + 4))
                 cands[key].append(reconstruct_ratio(lv / den, d))
-    return {key: q1 if q1 is not None and q1 == q2 else None
-            for key, (q1, q2) in cands.items()}
+    out = {}
+    for key, (q1, q2) in cands.items():
+        out[key] = q1 if (q1 is not None and q1 == q2) else None
+    return out

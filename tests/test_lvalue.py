@@ -345,8 +345,9 @@ KERNEL_FIELDS = ("head", "re", "im", "scale", "frac", "base_err", "round_err", "
 
 @pytest.mark.parametrize("k, digits", [(10, 12), (10, 30), (10, 50), (12, 20)])
 def test_memoized_kernels_match_kernels_built_alone(k, digits):
-    # the memo's kernels, built source by source, equal field by field a
-    # kernel built on its own source with the memo cleared
+    # the memo's kernels, built from one source, equal field by field a
+    # kernel built on its own source with the memo cleared: both run on the
+    # grid of GRID_STRIP
     with mpmath.workdps(digits + 18):
         memo = _kernels(k, digits, mpmath.mp.prec)
         assert sorted(memo) == [-8, -4, 0, 1, 5, 9]
