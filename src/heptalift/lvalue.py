@@ -28,13 +28,9 @@ exp(-3 pi |t| / 4), so the rule converges geometrically and one table of
 Gamma values G_j serves every n: n enters only through r^j, r = n^{-ih}.
 
 `sym2_lvalues` evaluates several points s in one pass over n, and
-`sym2_lvalue` is its one-point case.  The six kernels share one grid t = j h
-and so one sequence of powers r^j per n; h = 2 pi GRID_STRIP / ln(1/eps)
-comes from the narrowest pole-free strip (5.5, that of J(s) and J(0)).  A
-finer step than a kernel's own keeps its bound: the trapezoid error on a
-strip of half-width a goes as exp(-2 pi a / h) (Trefethen and Weideman, SIAM
-Review 56, 2014), here eps^(a / 5.5) <= eps for the a = 6.5 of J(-4) and
-J(-8), whose bounds keep a in their growth n^(a - (z + c0)).
+`sym2_lvalue` is its one-point case.  Kernels with the same step h share
+the powers r^j: the J(s) kernels of s = 1, 5, 9 and J(0) have strip 5.5,
+and the J(1 - s) kernels of s = 5 and s = 9 have strip 6.5.
 
 The node sums run in fixed point, with F = working precision + GUARD_BITS.
 A kernel holds its nodes as integers at one scale 2^-S, S = F minus the
@@ -56,29 +52,36 @@ eps = 10^-(digits + 12) and are covered by the factor 100 of the
 discretization bound.  A kernel's sum depends on its nodes and n alone, so
 sharing the powers changes no bit.
 
-The nodes come from one pair of Gamma values per grid point.  On a line
-Re s = x0, at s = x0 + it with t = j h, gamma_infinity(s) is M A B e^(-i
-beta t) with A = Gamma((s + 1)/2), B = Gamma(s + w), w = 2k - 9, a real
-magnitude M and beta = ln(pi)/2 + ln(2 pi): the complex powers of pi and
-2 pi are one rotation.  The line x0 - 1 on the same grid needs no further
-Gamma value: the duplication formula Gamma(s/2) Gamma((s + 1)/2) =
-2^(1-s) sqrt(pi) Gamma(s) with Gamma(s) = B / prod_{m<w} (s + m) and
-Gamma(s - 1 + w) = B / (s - 1 + w) give gamma_infinity(s - 1) from A and
-B.  Lines further right follow from the shift rule gamma_infinity(s + 2)
+The nodes come from one evaluation of Stirling's series per grid point.
+On a line Re s = x0, at s = x0 + it with t = j h and v = s/2, the
+duplication formula on GammaC gives gamma_infinity(s) = pi^-(3v + w + 1)
+Gamma(v + 1/2) Gamma(v + a + 1/2) Gamma(v + a + 1), w = 2k - 9 and a =
+(w - 1)/2, and the line x0 - 1 needs Gamma(v), Gamma(v + a) and Gamma(v +
+a + 1/2) at the same t.  The recurrence moves all six to Gamma(Z) or
+Gamma(Z + 1/2) with one Z = v + D, |Z| large, and the duplication formula
+gives ln Gamma(Z + 1/2) from ln Gamma(Z) and ln Gamma(2Z); so a grid
+point takes one complex log, Stirling's series at Z and 2Z, Gaussian
+products of v + c and v + 1/2 + c, and one exp per line (`_NodeSource`).
+Lines further right follow from the shift rule gamma_infinity(s + 2)
 = gamma_infinity(s) (s + 1)(s + w)(s + w + 1) / (8 pi^3): a kernel whose
 nodes lie on the line Re = x takes the base line x0 = x - 2 floor((x -
 6)/2) in [6, 8) (a line left of 6 is its own base) and moves up (x -
 x0)/2 steps, each step continuing the product of the one before.  A base
-line from 7 up computes its own pairs; one below 7 takes those of the
-line one to its right.  So J(s) of s = 1, 5, 9 (lines 7, 11, 15) and
-J(0), J(-4), J(-8) (line 6, one row of values, each kernel its own factor
-1/(c0 + it)) all come from line 7's pairs: a build computes as many pairs
-as its longest kernel has nodes.  The polynomial factors are exact
-Gaussian-integer products, the rest runs NODE_GUARD_BITS above the working
-precision (t ulp(beta) would otherwise cost several units at large t), and
-each node is rounded once.  A node depends only on (z, c0, k, digits), so a kernel
-built alone and in a build has the same bits.  Each point keeps its own
-stopping rule and stops at the same n as it would alone.
+line from 7 up has its own grid points; one below 7 takes those of the
+line one to its right.  So the J(s) kernels of s = 1, 5, 9 (lines 7, 11,
+15) and J(0) (line 6) all come from line 7's points at strip 5.5, and the
+J(1 - s) kernels of s = 5 and 9 (line 6) from line 7's points at strip
+6.5; a joint pass evaluates each point once and drops a line's points once
+its kernels exist.  The shift-rule factors are exact Gaussian-integer
+products, the series runs in fixed point 2 NODE_GUARD_BITS above the
+working precision and the rest NODE_GUARD_BITS above it (t ulp(beta)
+would otherwise cost several units at large t), and each node is rounded
+once.  Every row lies within one unit of 2^-(prec + NODE_GUARD_BITS) of
+gamma_infinity evaluated 60 bits finer, relative (measured for k = 10, 12
+at 100 digits, out past the last node), so the nodes round as those of
+mpmath's Gamma did.  A node depends only on (z, c0, k, digits), so a
+one-point pass and the joint pass produce the same bits.  Each point
+keeps its own stopping rule and stops at the same n as it would alone.
 
 The six kernels of one (k, digits) are built together and kept in a
 per-process memo, `_kernels`, keyed on (k, digits, working precision) and
@@ -99,14 +102,14 @@ intervals.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import ceil, hypot, log2, prod, sqrt
 from operator import mul
 from types import MappingProxyType
 
 import mpmath
 from mpmath.libmp import (
-    from_int, from_man_exp, mpf_cos_sin, mpf_log, mpf_mul, mpf_shift, to_int,
-    to_rational,
+    from_int, from_man_exp, mpc_div, mpc_exp, mpc_log, mpf_cos_sin, mpf_log, mpf_mul,
+    mpf_shift, to_fixed, to_int, to_rational,
 )
 
 from .exactnum import BigFloat, ratfun_expand, rational_reconstruct
@@ -131,6 +134,8 @@ CRITICAL_POINTS = (1, 5, 9)
 MAX_DIGITS = 100
 GUARD_BITS = 32
 NODE_GUARD_BITS = 16
+# Stirling's series is summed at |Z| >= STIRLING_ZMIN F, F its fixed-point scale
+STIRLING_ZMIN = 0.2
 
 
 def triple_divisor_count(n):
@@ -194,10 +199,6 @@ def _contour(z, c0=None):
     return c0, min(float(c0), float(x + 1)) - 0.5, x - 2 * m, m
 
 
-# the narrowest pole-free strip of the six default contours sets the grid step
-GRID_STRIP = min(_contour(z)[1] for s in CRITICAL_POINTS for z in (s, 1 - s))
-
-
 def _rising(x, t, offsets, acc=(1, 0, 0)):
     """acc times prod_c (x + c + it) over the integer offsets c, exactly in
     Gaussian integers: x and t are dyadic mpfs, and acc = (re, im, e) and the
@@ -218,19 +219,48 @@ def _mpc(acc, prec):
     return mpmath.mp.make_mpc((from_man_exp(re, e, prec, "n"), from_man_exp(im, e, prec, "n")))
 
 
+def _fixed_rising(acc, x, y, lo, hi, frac):
+    """acc times prod_{lo <= c < hi} (x + c + iy), all at the scale 2^-frac:
+    acc = (re, im) and x, y are integers, and each product is truncated."""
+    re, im = acc
+    for c in range(lo, hi):
+        a = x + (c << frac)
+        re, im = (re * a - im * y) >> frac, (re * y + im * a) >> frac
+    return re, im
+
+
+def _fixed_mul(p, q, frac):
+    """p q for Gaussian pairs at the scale 2^-frac, truncated."""
+    return (p[0] * q[0] - p[1] * q[1]) >> frac, (p[0] * q[1] + p[1] * q[0]) >> frac
+
+
+@lru_cache(maxsize=None)
+def _stirling_coeff(m):
+    """B_2m / (2m (2m - 1)) and the log2 of its size."""
+    p, q = mpmath.bernfrac(2 * m)
+    b = Fraction(p, q * 2 * m * (2 * m - 1))
+    return b, log2(abs(b.numerator)) - log2(b.denominator)
+
+
 class _NodeSource:
     """Node values gamma_infinity(x + 2m + it) / (c0 + it) at t = j h on the
-    lines x = x0 and x = x0 - 1 (see the module docstring).  At s = x0 + it,
-    from A = Gamma((s + 1)/2) and B = Gamma(s + w):
+    lines x = x0 and x = x0 - 1 (see the module docstring).  With v = (x0 +
+    it)/2 and a = (w - 1)/2,
 
-        gamma_infinity(s)     = M  e^(-i beta t) A B,
-        gamma_infinity(s - 1) = M' e^(-i (beta + ln 2) t) B^2 / (A (s - 1 + w) prod_{m<w} (s + m)),
+        gamma_infinity(x0 + it)     = pi^-(3v + w + 1)   Gamma(v + 1/2) Gamma(v + a + 1/2) Gamma(v + a + 1),
+        gamma_infinity(x0 - 1 + it) = pi^-(3v + w - 1/2) Gamma(v) Gamma(v + a) Gamma(v + a + 1/2).
 
-    with M = 2 pi^(-(x0+1)/2) (2 pi)^(-(x0+w)), M' = 2^(2-x0) pi^((1-x0)/2)
-    (2 pi)^(1-x0-w) and beta = ln(pi)/2 + ln(2 pi).  The step h = 2 pi strip
-    / ln(1/eps), eps = 10^-(digits + 12), needs `strip` no wider than any
-    served kernel's pole-free strip.  `pairs` holds (A, B) per grid point for
-    all kernels, `rows` per line and t the value and the exact shift products.
+    The recurrence moves each Gamma to Gamma(Z) or Gamma(Z + 1/2), Z = v + D
+    with |Z| >= STIRLING_ZMIN F and D > a, dividing by Gaussian products
+    of v + c and v + 1/2 + c; then ln Gamma(Z) = (Z - 1/2) ln Z - Z +
+    ln(2 pi)/2 + S(Z) and, by the duplication formula, ln Gamma(Z + 1/2) =
+    Z ln Z - Z + ln(2 pi)/2 + S(2Z) - S(Z), with Stirling's series S(y) =
+    sum_m B_2m y^(1-2m) / (2m (2m - 1)).  A grid point takes one log, S at Z
+    and 2Z and the products, all at the scale 2^-F with F = NODE_GUARD_BITS
+    above the guarded precision, and one exp per line.  The step h = 2 pi
+    strip / ln(1/eps), eps = 10^-(digits + 12), comes from the half-width of
+    the pole-free strip.  `points` holds the logs and products per t, `rows`
+    per line and t the value and the exact shift products.
     """
 
     def __init__(self, x0, strip, k, digits):
@@ -238,17 +268,16 @@ class _NodeSource:
         self.eps = mpmath.mpf(10) ** (-(digits + 12))
         self.h = 2 * mpmath.pi * strip / mpmath.log(1 / self.eps)
         self.wp = mpmath.mp.prec + NODE_GUARD_BITS
-        self.pairs = []
+        self.frac = self.wp + NODE_GUARD_BITS
+        self.coeffs = [0]
+        self.points = []
         self.rows = {x0: [], x0 - 1: []}
+        with mpmath.workprec(self.frac + 10):
+            ln_pi = mpmath.log(mpmath.pi)
+            self.ln_pi, self.ln_2pi = (int(mpmath.ldexp(c, self.frac))
+                                       for c in (ln_pi, ln_pi + mpmath.ln2))
         with mpmath.workprec(self.wp):
-            pi = mpmath.pi
-            beta = mpmath.log(pi) / 2 + mpmath.log(2 * pi)
-            self.lines = {
-                x0: (2 * pi ** (-(x0 + 1) / 2) * (2 * pi) ** (-(x0 + self.w)), beta),
-                x0 - 1: (2 ** (2 - x0) * pi ** ((1 - x0) / 2) * (2 * pi) ** (1 - x0 - self.w),
-                         beta + mpmath.ln2),
-            }
-            self.cube = 8 * pi ** 3
+            self.cube = 8 * mpmath.pi ** 3
             self.inv_cubes = [mpmath.mpf(1)]
 
     def node(self, j, x, m, c0):
@@ -272,34 +301,89 @@ class _NodeSource:
         """[gamma_infinity(x + it), t, [1]] at t = j h, in the guarded precision;
         the list collects the shift products."""
         t = j * self.h
-        w = self.w
-        with mpmath.workprec(self.wp):
-            # each line's rows are built in order of j, so a missing pair is the next one
-            if len(self.pairs) == j:
-                self.pairs.append((mpmath.gamma(mpmath.mpc((self.x0 + 1) / 2, t / 2)),
-                                   mpmath.gamma(mpmath.mpc(self.x0 + w, t))))
-            a, b = self.pairs[j]
-            if x == self.x0:
-                core = a * b
-            else:
-                core = b * b / (a * _mpc(_rising(self.x0, t, (w - 1, *range(w))), self.wp))
-            mag, beta = self.lines[x]
-            return [mag * mpmath.expj(-beta * t) * core, t, [(1, 0, 0)]]
+        # each line's rows are built in order of j, so a missing point is the next one
+        if len(self.points) == j:
+            self.points.append(self._logs(t))
+        (lr, li), (qr, qi) = self.points[j][x != self.x0]
+        f, wp = self.frac, self.wp
+        g = mpc_div(mpc_exp((from_man_exp(lr, -f), from_man_exp(li, -f)), wp + 10),
+                    (from_man_exp(qr, -f, wp + 10), from_man_exp(qi, -f, wp + 10)), wp, "n")
+        return [mpmath.mp.make_mpc(g), t, [(1, 0, 0)]]
+
+    def _logs(self, t):
+        """(ln, product) at 2^-F of the lines x0 and x0 - 1 at t: each line's
+        value is exp(ln) / product."""
+        f, w = self.frac, self.w
+        a, one = (w - 1) // 2, 1 << f
+        vr, vi = (to_fixed(mpf_shift(c._mpf_, -1), f) for c in (self.x0, t))
+        zmin = STIRLING_ZMIN * f
+        d = max(a + 1, ceil(sqrt(max(0.0, zmin * zmin - (vi / one) ** 2)) - vr / one))
+        half = vr + one // 2
+        # with Q = prod_{a<=c<d} (v + 1/2 + c) and R = prod_{a<c<d} (v + c),
+        # line x0 divides by Q^2 R prod_{c<a} (v + 1/2 + c) and line x0 - 1 by
+        # Q (R (v + a))^2 prod_{c<a} (v + c)
+        q = _fixed_rising((one, 0), half, vi, a, d, f)
+        r = _fixed_rising((one, 0), vr, vi, a + 1, d, f)
+        ra = _fixed_rising(r, vr, vi, a, a + 1, f)
+        prod7 = _fixed_rising(_fixed_mul(_fixed_mul(q, q, f), r, f), half, vi, 0, a, f)
+        prod6 = _fixed_rising(_fixed_mul(_fixed_mul(ra, ra, f), q, f), vr, vi, 0, a, f)
+        zr = vr + (d << f)
+        lam = mpc_log((from_man_exp(zr, -f), from_man_exp(vi, -f)), f + 10)
+        lr, li = (to_fixed(c, f) for c in lam)
+        s1r, s1i = self._stirling(zr, vi)
+        s2r, s2i = self._stirling(2 * zr, 2 * vi)
+        # 3 Z ln Z - 3Z + 3 ln(2 pi)/2 - 3v ln pi + S(2Z), shared by both lines
+        cr = ((3 * zr * lr - 3 * vi * li) >> f) - 3 * zr + (3 * self.ln_2pi >> 1) \
+            - (3 * vr * self.ln_pi >> f) + s2r
+        ci = ((3 * zr * li + 3 * vi * lr) >> f) - 3 * vi - (3 * vi * self.ln_pi >> f) + s2i
+        ln7 = (cr - (lr >> 1) + s2r - s1r - (w + 1) * self.ln_pi, ci - (li >> 1) + s2i - s1i)
+        ln6 = (cr - lr + s1r - ((2 * w - 1) * self.ln_pi >> 1), ci - li + s1i)
+        return (ln7, prod7), (ln6, prod6)
+
+    def _stirling(self, yr, yi):
+        """S(y) at 2^-F for y = (yr + i yi) 2^-F, summed until the bound on
+        the rest, |B_2m+2| / ((2m + 2)(2m + 1) |y|^(2m+1)) sec^(2m+2)(arg(y)/2),
+        falls below 2^-(F + 4)."""
+        f = self.frac
+        one = 1 << f
+        size = hypot(yr / one, yi / one)
+        ly, lsec = log2(size), log2(2 * size / (size + yr / one))
+        m = 1
+        while _stirling_coeff(m + 1)[1] - (2 * m + 1) * ly + (m + 1) * lsec > -f - 4:
+            m += 1
+            if m > f:
+                raise ArithmeticError("Stirling series failed to converge")
+        while len(self.coeffs) <= m:
+            self.coeffs.append(round(_stirling_coeff(len(self.coeffs))[0] * one))
+        n2 = (yr * yr + yi * yi) >> f
+        ir, ii = (yr << f) // n2, (-yi << f) // n2
+        ur, ui = (ir * ir - ii * ii) >> f, (ir * ii) >> (f - 1)
+        sr, si = self.coeffs[m], 0
+        for c in reversed(self.coeffs[1:m]):
+            sr, si = c + ((sr * ur - si * ui) >> f), (sr * ui + si * ur) >> f
+        return (sr * ir - si * ii) >> f, (sr * ii + si * ir) >> f
+
+
+def _pair_line(base):
+    """The line whose grid points give the nodes of a base line: the base line
+    itself from 7 up, else the line one to its right."""
+    return base if base >= 7 else base + 1
 
 
 class _Kernel:
     """Trapezoid data for J(z, n) on the vertical line Re w = c0.
 
     The abscissa keeps Re(z + w) >= 6 (absolute convergence with room) and
-    the pole of 1/w at distance >= 6.  One table of node values G_j serves
-    every n because n enters only through the rotation n^{-i j h} = r^j.
-    The nodes are kept as integers at the scale 2^-S (`scale` = S, `frac` =
-    F; see the module docstring): `head` = Re(G_0 / 2) at 2^-(S + F), and
-    `re`, `im` for j >= 1 at 2^-S.
+    the pole of 1/w at distance >= 6.  The step is sized from the width of
+    the pole-free strip; one table of node values G_j serves every n because
+    n enters only through the rotation n^{-i j h} = r^j.  The nodes are kept
+    as integers at the scale 2^-S (`scale` = S, `frac` = F; see the module
+    docstring): `head` = Re(G_0 / 2) at 2^-(S + F), and `re`, `im` for
+    j >= 1 at 2^-S.
 
-    The nodes and the step come from `source`, one for the six kernels of a
-    build; alone, a kernel runs on the grid of GRID_STRIP, or of its strip if
-    narrower.  Its bound keeps its own strip; the step sets the node count.
+    The node values and the step come from `source`, a _NodeSource on the
+    pair line of the kernel's base line and its strip; `_kernels` hands the
+    kernels of one such line and strip one source.
     """
 
     def __init__(self, z, k, digits, c0=None, source=None):
@@ -308,8 +392,7 @@ class _Kernel:
         if strip <= 0:
             raise ValueError("contour abscissa too close to a pole")
         if source is None:
-            # a base line from 7 up has its own pairs, one below 7 the next line's
-            source = _NodeSource(base if base >= 7 else base + 1, min(strip, GRID_STRIP), k, digits)
+            source = _NodeSource(_pair_line(base), strip, k, digits)
         eps, self.h = source.eps, source.h
         nodes = []
         sizes = []
@@ -359,7 +442,7 @@ class _Kernel:
 
 
 def _step_sums(kernels, n):
-    """Re(G_0/2 + sum_j G_j r^j) for kernels on one grid step h, as raw mpfs.
+    """Re(G_0/2 + sum_j G_j r^j) for kernels that share the step h, as raw mpfs.
 
     r = n^{-ih} is rounded to F fractional bits and each power r^j is formed
     once, rounded to nearest; each kernel's sum is exact in integers at the
@@ -412,14 +495,23 @@ class _Series:
 @lru_cache(maxsize=8)
 def _kernels(k, digits, prec):
     """The kernels J(z, .) of z = 1, 0, 5, -4, 9, -8 at working precision
-    prec, by z, on the grid of GRID_STRIP: every default base line is 6 or 7,
-    so one source on line 7 computes each Gamma pair once per grid point, as
-    many as the longest kernel (J(9)) has nodes, and is dropped once the
-    kernels exist.  Memoized; see the module docstring."""
+    prec, by z, built source by source: kernels whose nodes come from the
+    grid points of one line and step share them (line 7 with strip 5.5 serves
+    the J(s) kernels of s = 1, 5, 9 and J(0) on line 6; line 7 with strip 6.5
+    the J(1 - s) kernels of s = 5 and s = 9 on line 6), and a source is
+    dropped once its kernels exist.  Memoized; see the module docstring."""
+    groups = {}
+    for s in CRITICAL_POINTS:
+        for z in (s, 1 - s):
+            _, strip, base, _ = _contour(z)
+            groups.setdefault((_pair_line(base), strip), []).append(z)
+    kernels = {}
     with mpmath.workprec(prec):
-        source = _NodeSource(mpmath.mpf(7), GRID_STRIP, k, digits)
-        return MappingProxyType({z: _Kernel(z, k, digits, source=source)
-                                 for s in CRITICAL_POINTS for z in (s, 1 - s)})
+        for key, zs in groups.items():
+            source = _NodeSource(*key, k, digits)
+            for z in zs:
+                kernels[z] = _Kernel(z, k, digits, source=source)
+    return MappingProxyType(kernels)
 
 
 def _joint_series(points, k, digits):
@@ -449,10 +541,16 @@ def sym2_lvalues(eigen, points, digits=20):
                     bs = sym2_dirichlet_coeffs(eigen, max(2 * len(bs), 64))
                 except KeyError as exc:
                     raise ValueError(f"need more eigenvalues: {exc}") from None
-            # every live kernel at this n from one rotation sequence
+            # every live kernel at this n, one rotation sequence per step h
             lnn = mpmath.log(n)
-            kernels = [ker for sr in live for ker in (sr.ker_s, sr.ker_r)]
-            jn = {ker: ker.finish(n, lnn, acc) for ker, acc in zip(kernels, _step_sums(kernels, n))}
+            steps = {}
+            for sr in live:
+                for ker in (sr.ker_s, sr.ker_r):
+                    steps.setdefault(ker.h._mpf_, []).append(ker)
+            jn = {}
+            for kernels in steps.values():
+                for ker, acc in zip(kernels, _step_sums(kernels, n)):
+                    jn[ker] = ker.finish(n, lnn, acc)
             b = BigFloat.exact(bs[n - 1])
             d3 = triple_divisor_count(n)
             live = [sr for sr in live

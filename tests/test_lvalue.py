@@ -16,8 +16,8 @@ from heptalift.genfun import gamma_k
 from heptalift.lift import eigen_delta, eigen_from_rows, sym2_coeffs, tau_table
 from heptalift.lvalue import (
     CRITICAL_POINTS,
-    GRID_STRIP,
     GUARD_BITS,
+    MAX_DIGITS,
     _contour,
     _Kernel,
     _NodeSource,
@@ -238,21 +238,24 @@ def test_fixed_point_sums_match_mpc_oracle(monkeypatch, digits):
                 mpmath.ldexp(mpmath.fsum(j * abs(g) for j, g in enumerate(table)), 1 - frac)
                 + mpmath.ldexp(len(table), 1 - ker.scale))
             assert ker.round_err >= term[ker]
-        # one grid: all six kernels share one step and one rotation sequence
-        assert len({ker.h for ker in kernels}) == 1
+        steps = {}
+        for ker in kernels:
+            steps.setdefault(ker.h, []).append(ker)
+        assert len(steps) == 2
         for n in (1, 2, 17, 154):
             lnn = mpmath.log(n)
-            for ker, acc in zip(kernels, _step_sums(kernels, n)):
-                fixed = mpmath.mp.make_mpf(acc)
-                exact = _mpc_oracle(nodes[ker], ker.h, n)
-                ulp = mpmath.ldexp(abs(fixed), 1 - prec)
-                assert abs(fixed - exact) <= term[ker] + ulp
-                # the bound of J(z, n) carries the term, scaled like the sum
-                # (up to the rounding of that sum)
-                factor = ker.weight * mpmath.exp(ker.decay * lnn)
-                err = ker.finish(n, lnn, acc).err
-                extra = err - ker.base_err * mpmath.mpf(n) ** ker.n_pow
-                assert extra >= factor * term[ker] - mpmath.ldexp(err, 1 - prec)
+            for group in steps.values():
+                for ker, acc in zip(group, _step_sums(group, n)):
+                    fixed = mpmath.mp.make_mpf(acc)
+                    exact = _mpc_oracle(nodes[ker], ker.h, n)
+                    ulp = mpmath.ldexp(abs(fixed), 1 - prec)
+                    assert abs(fixed - exact) <= term[ker] + ulp
+                    # the bound of J(z, n) carries the term, scaled like the sum
+                    # (up to the rounding of that sum)
+                    factor = ker.weight * mpmath.exp(ker.decay * lnn)
+                    err = ker.finish(n, lnn, acc).err
+                    extra = err - ker.base_err * mpmath.mpf(n) ** ker.n_pow
+                    assert extra >= factor * term[ker] - mpmath.ldexp(err, 1 - prec)
 
 
 @pytest.mark.parametrize("k", [10, 12])
@@ -304,32 +307,36 @@ def test_kernel_nodes_match_gamma_oracle(monkeypatch, k, digits, c0):
 
 
 @pytest.mark.parametrize("k, digits, counts", [
-    (10, 50, [350, 344, 370, 345, 390, 346]),
-    (12, 20, [115, 113, 123, 113, 131, 114]),
-    (10, 100, [1024, 1012, 1070, 1014, 1112, 1015]),
+    (10, 50, [350, 344, 370, 292, 390, 293]),
+    (12, 20, [115, 113, 123, 96, 131, 97]),
+    (10, 100, [1024, 1012, 1070, 858, 1112, 859]),
 ])
 def test_kernel_node_counts(monkeypatch, k, digits, counts):
-    # J + 1 nodes of the kernels z = 1, 0, 5, -4, 9, -8 on the one grid of
-    # GRID_STRIP: the truncation point sets base_err, so a moved count moves
-    # every error bound
-    calls = []
+    # J + 1 nodes of the kernels z = 1, 0, 5, -4, 9, -8: the truncation point
+    # sets base_err, so a moved count moves every error bound
+    calls, logs = [], []
     gamma = mpmath.gamma
     monkeypatch.setattr(mpmath, "gamma", lambda z: calls.append(z) or gamma(z))
+    point = _NodeSource._logs
+    monkeypatch.setattr(_NodeSource, "_logs", lambda src, t: logs.append(t) or point(src, t))
     with mpmath.workdps(digits + 18):
         series = _joint_series(CRITICAL_POINTS, k, digits)
     kernels = {int(ker.z): ker for sr in series for ker in (sr.ker_s, sr.ker_r)}
     assert [len(kernels[z].re) + 1 for z in (1, 0, 5, -4, 9, -8)] == counts
-    # one Gamma pair per grid point: line 7's pairs serve lines 6, 7, 11 and
-    # 15, so a build makes as many pairs as its longest kernel has nodes
-    assert sum(isinstance(z, mpmath.mpc) for z in calls) == 2 * max(counts)
+    # one Stirling evaluation per grid point, and no complex Gamma from
+    # mpmath (the real ones are gamma_infinity(s) of the three points): line
+    # 7's points at strip 5.5 serve lines 6, 7, 11 and 15, and at strip 6.5
+    # both kernels on line 6
+    points = max(counts[0], counts[1], counts[2], counts[4]) + max(counts[3], counts[5])
+    assert len(logs) == points
+    assert not any(isinstance(z, mpmath.mpc) for z in calls)
 
 
 @pytest.mark.parametrize("digits", [12, 20, 50])
 def test_joint_pass_matches_one_point(digits):
-    # the joint pass sums all six kernels over one rotation sequence, as long
-    # as its longest kernel; the one-point pass sums two kernels over a
-    # shorter one, so a wrong shared power changes bits that it keeps (both
-    # read the same memoized kernels, which
+    # the joint pass shares rotation powers between kernels of one step; a
+    # wrong grouping changes bits that the one-point pass, whose two kernels
+    # have different steps, keeps (both read the same memoized kernels, which
     # test_memoized_kernels_match_kernels_built_alone checks)
     joint = period_report(10, EIGEN, digits)["lvalues"]
     for s, lv in zip((1, 5, 9), joint):
@@ -345,9 +352,8 @@ KERNEL_FIELDS = ("head", "re", "im", "scale", "frac", "base_err", "round_err", "
 
 @pytest.mark.parametrize("k, digits", [(10, 12), (10, 30), (10, 50), (12, 20)])
 def test_memoized_kernels_match_kernels_built_alone(k, digits):
-    # the memo's kernels, built from one source, equal field by field a
-    # kernel built on its own source with the memo cleared: both run on the
-    # grid of GRID_STRIP
+    # the memo's kernels, built source by source, equal field by field a
+    # kernel built on its own source with the memo cleared
     with mpmath.workdps(digits + 18):
         memo = _kernels(k, digits, mpmath.mp.prec)
         assert sorted(memo) == [-8, -4, 0, 1, 5, 9]
@@ -384,24 +390,43 @@ def test_lvalues_bit_identical_on_memo_hit_and_miss():
 
 
 @pytest.mark.parametrize("digits", [12, 30, 50])
-def test_kernels_agree_with_finer_and_own_strip_grids(digits):
-    # two routes for every kernel of a build: J(z, n) on the one grid agrees,
-    # within the sum of the two bounds, with the same kernel on a grid of half
-    # the step, and J(-4), J(-8) also with the grid of their own strip 6.5
+def test_kernels_agree_with_finer_grids(digits):
+    # two routes for every kernel of a build: J(z, n) agrees, within the sum
+    # of the two bounds, with the same kernel on a grid of half its step, and
+    # J(-4), J(-8) (strip 6.5) also with the grid of the strip 5.5 of J(s)
+    # and J(0)
+    assert [_contour(z)[1] for z in (1, 0, 5, 9, -4, -8)] == [5.5] * 4 + [6.5] * 2
     with mpmath.workdps(digits + 18):
         kernels = _kernels(10, digits, mpmath.mp.prec)
         line = mpmath.mpf(7)
-        half = _NodeSource(line, GRID_STRIP / 2, 10, digits)
-        own = _NodeSource(line, 6.5, 10, digits)
-        assert all(ker.h == 2 * half.h for ker in kernels.values())
-        routes = [(ker, _Kernel(z, 10, digits, source=half)) for z, ker in kernels.items()]
-        routes += [(kernels[z], _Kernel(z, 10, digits, source=own)) for z in (-4, -8)]
-        assert _contour(-4)[1] == _contour(-8)[1] == 6.5
+        routes = []
+        for z, ker in kernels.items():
+            half = _NodeSource(line, _contour(z)[1] / 2, 10, digits)
+            assert ker.h == 2 * half.h
+            routes.append((ker, _Kernel(z, 10, digits, source=half)))
+        narrow = _NodeSource(line, 5.5, 10, digits)
+        routes += [(kernels[z], _Kernel(z, 10, digits, source=narrow)) for z in (-4, -8)]
         for n in (1, 2, 17, 154):
             lnn = mpmath.log(n)
             for ker, other in routes:
                 a, b = (k.finish(n, lnn, _step_sums([k], n)[0]) for k in (ker, other))
                 assert abs(a.value - b.value) <= a.err + b.err, (ker.z, other.h, n)
+
+
+@pytest.mark.parametrize("k, x0", [(10, 7), (12, 7.5)])
+def test_stirling_rows_match_gamma_at_max_digits(k, x0):
+    # both lines of a node source at MAX_DIGITS, out past the last node of
+    # every kernel (there |arg Z| is near pi/2, where the sec factor of
+    # Stirling's remainder bound is largest): every 20th row lies within 4
+    # units of 2^-wp of gamma_infinity evaluated 60 bits finer
+    with mpmath.workdps(MAX_DIGITS + 18):
+        src = _NodeSource(mpmath.mpf(x0), 5.5, k, MAX_DIGITS)
+        for x in (src.x0, src.x0 - 1):
+            src.node(1200, x, 0, 1)
+            for g, t, _ in src.rows[x][::20]:
+                with mpmath.extraprec(60):
+                    want = gamma_infinity(mpmath.mpc(x, t), k)
+                    assert abs(g - want) <= mpmath.ldexp(abs(want), 2 - src.wp)
 
 
 def test_delta_e4_eigenvalues():
@@ -416,8 +441,7 @@ def test_delta_e4_eigenvalues():
 
 @pytest.mark.parametrize("digits", [10, 20, 30])
 def test_error_bounds_enclose_finer_value_k12(digits):
-    # the shared grid at k = 12 on Delta E_4: a run 25 digits finer lands
-    # inside both intervals
+    # k = 12 on Delta E_4: a run 25 digits finer lands inside both intervals
     coarse = sym2_lvalues(EIGEN16, (1, 5, 9), digits)
     fine = sym2_lvalues(EIGEN16, (1, 5, 9), digits + 25)
     with mpmath.workdps(80):
@@ -450,10 +474,10 @@ def test_error_bounds_enclose_finer_value(digits):
 # period_unrounded batch; the low digits move with any change to how the
 # kernels round
 UNROUNDED_SHA256 = {
-    10: "b23d3aa145f88baa325658ca494d1da33fb4d456de38531dc2bbdb4e4e5b46d7",
-    14: "55c72ba4b423e03aedd927065e28659519fbed795eb24bf52e3841270186a61a",
-    18: "9709fe03559e8bcabb5b9319d938b8e6a171be9023a946d86bd640abfcf0b22c",
-    22: "eca54e4c54917f76f4d053f27e4714ef018d17ab7a206a5eda1e5298c71b4ef7",
+    10: "295dc37909cd5e73d9b0c60e7b829c8512b694eb318aa1a1ff1ab90d78567e73",
+    14: "060575182d0aba4127551bbc3d8d3d6894a21def7a7ba9c112aa3b210515c080",
+    18: "2d79293ee606695a37d9ca71f4979f5c0602081e80f0954346b0b071fca9f98a",
+    22: "e2924480434ffa3c098646551c1d8028eca28fd09bc001edcdb26c6ad25f7d71",
 }
 
 
