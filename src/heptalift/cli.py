@@ -217,9 +217,21 @@ def _cmd_density(args):
     return {"prime": p, "divisors": list(exps), "beta": frac_str(beta)}
 
 
+def _check_printable(what, path, *values):
+    """Refuse an output integer past Python's 4300-digit limit on int-to-str
+    conversion, naming the input file."""
+    if any(abs(v) >= _MODULUS_BOUND for v in values):
+        raise UsageError("the %s of the element in %s exceeds the 4300-digit print limit"
+                         % (what, path))
+
+
 def _cmd_mass(args):
     T = _load_element(args.input)
-    return {"det": str(T.det()), "mass": frac_str(mass(T))}
+    det = T.det()
+    _check_printable("det(T)", args.input, det)
+    m = mass(T)
+    _check_printable("mass", args.input, m.numerator, m.denominator)
+    return {"det": str(det), "mass": frac_str(m)}
 
 
 def _cmd_igusa_verify(args):
@@ -280,23 +292,16 @@ def _cmd_lift_coeff(args):
     T = _load_element(args.input)
     if not T.is_positive():
         raise UsageError("element must be positive definite")
-    genus = genus_invariants(T)
-    # the coefficient is about det(T)^((2k-9)/2) (measured bound in docs/cli.md):
-    # refuse it before it is computed where that passes the print limit
     det = T.det()
-    if (det.bit_length() - 1) * (2 * args.k - 9) >= 2 * _MODULUS_BOUND.bit_length():
-        raise UsageError("the element in %s has det(T) >= 2^%d, so its coefficient, about "
-                         "det(T)^(%d/2), exceeds the 4300-digit print limit"
-                         % (args.input, det.bit_length() - 1, 2 * args.k - 9))
+    _check_printable("det(T)", args.input, det)
+    genus = genus_invariants(T)
     max_prime = max(genus, default=2)
     eigen = _load_eigen(args.eigen, args.k, max_prime)
     try:
         a = fourier_coeff(T, eigen)
     except KeyError as exc:
         raise UsageError("eigen table is missing a_p for p = %s" % (exc,))
-    if max(abs(a.numerator), a.denominator) >= _MODULUS_BOUND:
-        raise UsageError("the coefficient at the element in %s exceeds the 4300-digit "
-                         "print limit" % (args.input,))
+    _check_printable("coefficient", args.input, a.numerator, a.denominator)
     return {
         "k": args.k,
         "det": str(det),

