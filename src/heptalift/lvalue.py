@@ -52,16 +52,12 @@ eps = 10^-(digits + 12) and are covered by the factor 100 of the
 discretization bound.  A kernel's sum depends on its nodes and n alone, so
 sharing the powers changes no bit.
 
-The nodes come from one evaluation of Stirling's series per grid point.
-On a line Re s = x0, at s = x0 + it with t = j h and v = s/2, the
-duplication formula on GammaC gives gamma_infinity(s) = pi^-(3v + w + 1)
-Gamma(v + 1/2) Gamma(v + a + 1/2) Gamma(v + a + 1), w = 2k - 9 and a =
-(w - 1)/2, and the line x0 - 1 needs Gamma(v), Gamma(v + a) and Gamma(v +
-a + 1/2) at the same t.  The recurrence moves all six to Gamma(Z) or
-Gamma(Z + 1/2) with one Z = v + D, |Z| large, and the duplication formula
-gives ln Gamma(Z + 1/2) from ln Gamma(Z) and ln Gamma(2Z); so a grid
-point takes one complex log, Stirling's series at Z and 2Z, Gaussian
-products of v + c and v + 1/2 + c, and one exp per line (`_NodeSource`).
+The nodes come from one evaluation of Stirling's series per grid point
+(`_NodeSource`): at s = x0 + it, t = j h, the duplication formula writes
+gamma_infinity(s) and gamma_infinity(s - 1) through Gamma at s/2 plus
+integers and half-integers, the recurrence moves these to Gamma(Z) and
+Gamma(Z + 1/2) for one large Z, and both logs follow from the series at Z
+and 2Z; one complex log, Gaussian products and one exp per line remain.
 Lines further right follow from the shift rule gamma_infinity(s + 2)
 = gamma_infinity(s) (s + 1)(s + w)(s + w + 1) / (8 pi^3): a kernel whose
 nodes lie on the line Re = x takes the base line x0 = x - 2 floor((x -
@@ -73,9 +69,10 @@ line one to its right.  So the J(s) kernels of s = 1, 5, 9 (lines 7, 11,
 J(1 - s) kernels of s = 5 and 9 (line 6) from line 7's points at strip
 6.5; a joint pass evaluates each point once and drops a line's points once
 its kernels exist.  The shift-rule factors are exact Gaussian-integer
-products, the series runs in fixed point 2 NODE_GUARD_BITS above the
-working precision and the rest NODE_GUARD_BITS above it (t ulp(beta)
-would otherwise cost several units at large t), and each node is rounded
+products.  The logs, series and products run in fixed point 2
+NODE_GUARD_BITS above the working precision, so the exponent, whose
+imaginary part grows like t ln t, keeps its absolute accuracy; the exp and
+the shift rule run NODE_GUARD_BITS above it, and each node is rounded
 once.  Every row lies within one unit of 2^-(prec + NODE_GUARD_BITS) of
 gamma_infinity evaluated 60 bits finer, relative (measured for k = 10, 12
 at 100 digits, out past the last node), so the nodes round as those of
@@ -245,7 +242,7 @@ def _stirling_coeff(m):
 class _NodeSource:
     """Node values gamma_infinity(x + 2m + it) / (c0 + it) at t = j h on the
     lines x = x0 and x = x0 - 1 (see the module docstring).  With v = (x0 +
-    it)/2 and a = (w - 1)/2,
+    it)/2 and a = (w - 1)/2 (w = 2k - 9 is odd),
 
         gamma_infinity(x0 + it)     = pi^-(3v + w + 1)   Gamma(v + 1/2) Gamma(v + a + 1/2) Gamma(v + a + 1),
         gamma_infinity(x0 - 1 + it) = pi^-(3v + w - 1/2) Gamma(v) Gamma(v + a) Gamma(v + a + 1/2).
@@ -269,7 +266,7 @@ class _NodeSource:
         self.h = 2 * mpmath.pi * strip / mpmath.log(1 / self.eps)
         self.wp = mpmath.mp.prec + NODE_GUARD_BITS
         self.frac = self.wp + NODE_GUARD_BITS
-        self.coeffs = [0]
+        self.coeffs = [0]  # B_2m / (2m (2m - 1)) at 2^-F by m >= 1
         self.points = []
         self.rows = {x0: [], x0 - 1: []}
         with mpmath.workprec(self.frac + 10):
