@@ -34,7 +34,9 @@ and the J(1 - s) kernels of s = 5 and s = 9 have strip 6.5.
 
 The node sums run in fixed point, with F = working precision + GUARD_BITS.
 A kernel holds its nodes as integers at one scale 2^-S, S = F minus the
-bit size of its largest node component, rounded to nearest.  At each n the
+bit size of its largest node component: each node arrives from its source
+as a Gaussian mantissa of about F bits and is rounded once, to nearest,
+into 2^-S.  At each n the
 rotation r is rounded to F fractional bits and r^j = (r^{j-1} r) >> F,
 rounded to nearest, is formed once per step h, so |r^j computed - r^j| <=
 1.42 j 2^-F.  Each kernel sums Re(G_0/2 + sum_j G_j r^j) exactly as an
@@ -44,10 +46,12 @@ J + 1 nodes that is off by at most
     2^(1-F) sum_j j |G_j| + 2^(1-S) (J + 1)
 
 plus the final rounding; `_Kernel.finish` adds this term, times the
-kernel's weight and n^-(z + c0), to its bound.  The final rounding and the
-other working-precision errors (every node lies within 0.8 units of
-2^-prec max_j |G_j| of gamma_infinity evaluated 60 bits finer, measured
-for k = 10, 12 at 12, 30 and 50 digits) stay four digits below
+kernel's weight and n^-(z + c0), to its bound (|G_j| is the integer square
+root of the mantissa's norm, rounded to the working precision).  The final
+rounding and the other working-precision errors (every table entry lies
+within 5e-8 units of 2^-prec max_j |G_j| of gamma_infinity evaluated 60
+bits finer for k = 10, 12 at 12, 30 and 50 digits, 3e-7 units for k = 343
+at 12 and 20 digits) stay four digits below
 eps = 10^-(digits + 12) and are covered by the factor 100 of the
 discretization bound.  A kernel's sum depends on its nodes and n alone, so
 sharing the powers changes no bit.
@@ -68,17 +72,19 @@ line one to its right.  So the J(s) kernels of s = 1, 5, 9 (lines 7, 11,
 15) and J(0) (line 6) all come from line 7's points at strip 5.5, and the
 J(1 - s) kernels of s = 5 and 9 (line 6) from line 7's points at strip
 6.5; a joint pass evaluates each point once and drops a line's points once
-its kernels exist.  The shift-rule factors are exact Gaussian-integer
-products.  The logs, series and products run in fixed point 2
-NODE_GUARD_BITS above the working precision, so the exponent, whose
-imaginary part grows like t ln t, keeps its absolute accuracy; the exp and
-the shift rule run NODE_GUARD_BITS above it, and each node is rounded
-once.  Every row lies within one unit of 2^-(prec + NODE_GUARD_BITS) of
-gamma_infinity evaluated 60 bits finer, relative (measured for k = 10, 12
-at 100 digits, out past the last node), so the nodes round as those of
-mpmath's Gamma did.  A node depends only on (z, c0, k, digits), so a
-one-point pass and the joint pass produce the same bits.  Each point
-keeps its own stopping rule and stops at the same n as it would alone.
+its kernels exist.  The logs, series and products run in fixed point at
+F = 2 NODE_GUARD_BITS above the working precision, so the exponent, whose
+imaginary part grows like t ln t, keeps its absolute accuracy.  From the
+one complex exp per row on, a value is a Gaussian mantissa (re, im, e),
+(re + i im) 2^e, of about F bits at any size: the division by the row's
+product, the exact shift-rule product, the fixed-point (8 pi^3)^-m and the
+division by c0 + it are integer operations, each truncated to about F
+bits.  Every row lies within 0.01 units of 2^-(prec + NODE_GUARD_BITS) of
+gamma_infinity evaluated 60 bits finer, relative (k = 10, 12 and x0 = 7,
+7.5 at 100 digits, out past the last node).  A node depends only on (z,
+c0, k, digits), so a one-point pass and the joint pass produce the same
+bits.  Each point keeps its own stopping rule and stops at the same n as
+it would alone.
 
 The six kernels of one (k, digits) are built together and kept in a
 per-process memo, `_kernels`, keyed on (k, digits, working precision) and
@@ -99,14 +105,14 @@ intervals.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, hypot, log2, prod, sqrt
+from math import ceil, hypot, isqrt, log2, prod, sqrt
 from operator import mul
 from types import MappingProxyType
 
 import mpmath
 from mpmath.libmp import (
-    from_int, from_man_exp, mpc_div, mpc_exp, mpc_log, mpf_cos_sin, mpf_log, mpf_mul,
-    mpf_shift, to_fixed, to_int, to_rational,
+    from_int, from_man_exp, fzero, mpc_exp, mpc_log, mpf_add, mpf_cos_sin, mpf_log, mpf_lt,
+    mpf_mul, mpf_shift, to_fixed, to_int, to_rational,
 )
 
 from .exactnum import BigFloat, ratfun_expand, rational_reconstruct
@@ -210,10 +216,20 @@ def _rising(x, t, offsets, acc=(1, 0, 0)):
     return re, im, n + e * len(offsets)
 
 
-def _mpc(acc, prec):
-    """(re + i im) 2^e rounded to prec bits."""
-    re, im, e = acc
-    return mpmath.mp.make_mpc((from_man_exp(re, e, prec, "n"), from_man_exp(im, e, prec, "n")))
+def _trunc(re, im, e, bits):
+    """(re + i im) 2^e cut to at most `bits` bits, truncated."""
+    d = max(re.bit_length(), im.bit_length()) - bits
+    return (re >> d, im >> d, e + d) if d > 0 else (re, im, e)
+
+
+def _gdiv(p, q, bits):
+    """p / q for Gaussian mantissas (re, im, e), p of at most `bits` bits,
+    truncated to about `bits` bits."""
+    (a, b, e), (c, d, f) = p, q
+    n2 = c * c + d * d
+    re, im = a * c + b * d, b * c - a * d
+    s = bits + n2.bit_length() - max(re.bit_length(), im.bit_length())
+    return (re << s) // n2, (im << s) // n2, e - f - s
 
 
 def _fixed_rising(acc, x, y, lo, hi, frac):
@@ -254,7 +270,9 @@ class _NodeSource:
     Z ln Z - Z + ln(2 pi)/2 + S(2Z) - S(Z), with Stirling's series S(y) =
     sum_m B_2m y^(1-2m) / (2m (2m - 1)).  A grid point takes one log, S at Z
     and 2Z and the products, all at the scale 2^-F with F = NODE_GUARD_BITS
-    above the guarded precision, and one exp per line.  The step h = 2 pi
+    above the guarded precision, and one exp per line.  Rows and nodes are
+    Gaussian mantissas (re, im, e) of about F bits, finished in integers
+    (see the module docstring).  The step h = 2 pi
     strip / ln(1/eps), eps = 10^-(digits + 12), comes from the half-width of
     the pole-free strip.  `points` holds the logs and products per t, `rows`
     per line and t the value and the exact shift products.
@@ -273,39 +291,41 @@ class _NodeSource:
             ln_pi = mpmath.log(mpmath.pi)
             self.ln_pi, self.ln_2pi = (int(mpmath.ldexp(c, self.frac))
                                        for c in (ln_pi, ln_pi + mpmath.ln2))
-        with mpmath.workprec(self.wp):
-            self.cube = 8 * mpmath.pi ** 3
-            self.inv_cubes = [mpmath.mpf(1)]
+            # (8 pi^3)^-m at 2^-(F + 8m) by m
+            self.inv_cubes = [1 << self.frac, int(mpmath.ldexp(mpmath.pi ** -3, self.frac + 5))]
 
     def node(self, j, x, m, c0):
-        """gamma_infinity(x + 2m + it) / (c0 + it) at t = j h, x in {x0, x0 - 1}."""
+        """gamma_infinity(x + 2m + it) / (c0 + it) at t = j h, x in {x0, x0 - 1},
+        as a Gaussian mantissa (re, im, e) of about F bits."""
         rows = self.rows[x]
         while len(rows) <= j:
             rows.append(self._row(len(rows), x))
         g, t, prods = rows[j]
+        f = self.frac
         if m:
             # gamma_infinity(a + 2) = gamma_infinity(a) (a + 1)(a + w)(a + w + 1) / (8 pi^3)
             while len(prods) <= m:
                 i = 2 * len(prods) - 2
                 prods.append(_rising(x, t, (i + 1, i + self.w, i + self.w + 1), prods[-1]))
-            with mpmath.workprec(self.wp):
-                while len(self.inv_cubes) <= m:
-                    self.inv_cubes.append(self.inv_cubes[-1] / self.cube)
-                g = g * _mpc(prods[m], self.wp) * self.inv_cubes[m]
-        return g / mpmath.mpc(c0, t)
+            while len(self.inv_cubes) <= m:
+                self.inv_cubes.append(self.inv_cubes[-1] * self.inv_cubes[1] >> f)
+            (a, b, e), (c, d, n), cube = g, prods[m], self.inv_cubes[m]
+            g = _trunc((a * c - b * d) * cube, (a * d + b * c) * cube, e + n - f - 8 * m, f)
+        return _gdiv(g, _rising(c0, t, (0,)), f)
 
     def _row(self, j, x):
-        """[gamma_infinity(x + it), t, [1]] at t = j h, in the guarded precision;
-        the list collects the shift products."""
+        """[gamma_infinity(x + it), t, [1]] at t = j h, the value a Gaussian
+        mantissa of about F bits; the list collects the shift products."""
         t = j * self.h
         # each line's rows are built in order of j, so a missing point is the next one
         if len(self.points) == j:
             self.points.append(self._logs(t))
         (lr, li), (qr, qi) = self.points[j][x != self.x0]
-        f, wp = self.frac, self.wp
-        g = mpc_div(mpc_exp((from_man_exp(lr, -f), from_man_exp(li, -f)), wp + 10),
-                    (from_man_exp(qr, -f, wp + 10), from_man_exp(qi, -f, wp + 10)), wp, "n")
-        return [mpmath.mp.make_mpc(g), t, [(1, 0, 0)]]
+        f = self.frac
+        ez = mpc_exp((from_man_exp(lr, -f), from_man_exp(li, -f)), self.wp + 10)
+        e = max(c[2] + c[3] for c in ez if c[1]) - f
+        g = _gdiv((to_fixed(ez[0], -e), to_fixed(ez[1], -e), e), (qr, qi, -f), f)
+        return [g, t, [(1, 0, 0)]]
 
     def _logs(self, t):
         """(ln, product) at 2^-F of the lines x0 and x0 - 1 at t: each line's
@@ -375,8 +395,8 @@ class _Kernel:
     the pole-free strip; one table of node values G_j serves every n because
     n enters only through the rotation n^{-i j h} = r^j.  The nodes are kept
     as integers at the scale 2^-S (`scale` = S, `frac` = F; see the module
-    docstring): `head` = Re(G_0 / 2) at 2^-(S + F), and `re`, `im` for
-    j >= 1 at 2^-S.
+    docstring), each rounded once from the source's Gaussian mantissa:
+    `head` = Re(G_0 / 2) at 2^-(S + F), and `re`, `im` for j >= 1 at 2^-S.
 
     The node values and the step come from `source`, a _NodeSource on the
     pair line of the kernel's base line and its strip; `_kernels` hands the
@@ -391,20 +411,22 @@ class _Kernel:
         if source is None:
             source = _NodeSource(_pair_line(base), strip, k, digits)
         eps, self.h = source.eps, source.h
+        prec, rnd = mpmath.mp._prec_rounding
         nodes = []
-        sizes = []
-        gmax = mpmath.mpf(0)
-        gsum = mpmath.mpf(0)
+        sizes = []  # |G_j| in the working precision, raw mpfs
+        gmax = gsum = fzero
         j = 0
         low = 0
         while True:
             g = source.node(j, base, shifts, self.c0)
             nodes.append(g)
-            size = abs(g)
+            re, im, e = g
+            size = from_man_exp(isqrt(re * re + im * im), e, prec, rnd)
             sizes.append(size)
-            gsum += size
-            gmax = max(gmax, size)
-            low = low + 1 if size < gmax * eps else 0
+            gsum = mpf_add(gsum, size, prec, rnd)
+            if mpf_lt(gmax, size):
+                gmax = size
+            low = low + 1 if mpf_lt(size, mpf_mul(gmax, eps._mpf_, prec, rnd)) else 0
             if low >= 3 and j > 8:
                 break
             if j > 200000:
@@ -414,20 +436,26 @@ class _Kernel:
         self.weight = self.h / mpmath.pi
         # heuristic discretization + truncation bound with safety factor;
         # the residual n-dependence n^{strip - (z + c0)} is at most n^{1/2}
-        self.base_err = 100 * self.weight * gsum * eps
+        self.base_err = 100 * self.weight * mpmath.mp.make_mpf(gsum) * eps
         self.n_pow = strip - float(self.z + self.c0)
         self.decay = -(self.z + self.c0)
 
     def _fix(self, nodes, sizes):
-        """Integer node table at the scale 2^-S and the rounding term
+        """Integer node table at the scale 2^-S, each entry rounded to nearest
+        from its Gaussian mantissa (re, im, e), and the rounding term
         2^(1-F) sum_j j |G_j| + 2^(1-S) (J + 1) of its sums; sizes[j] = |G_j|."""
         frac = self.frac = mpmath.mp.prec + GUARD_BITS
-        top = max(mpmath.mag(c) for g in nodes for c in (g.real, g.imag) if c)
+        top = max(e + max(re.bit_length(), im.bit_length()) for re, im, e in nodes)
         scale = self.scale = frac - top
-        self.head = to_int(mpf_shift(nodes[0].real._mpf_, scale + frac - 1), "n")
-        self.re = tuple(to_int(mpf_shift(g.real._mpf_, scale), "n") for g in nodes[1:])
-        self.im = tuple(to_int(mpf_shift(g.imag._mpf_, scale), "n") for g in nodes[1:])
-        moment = mpmath.fsum(j * size for j, size in enumerate(sizes))
+
+        def fixed(c, e, s):
+            d = -(e + s)
+            return c << -d if d <= 0 else (c + (1 << (d - 1))) >> d
+
+        self.head = fixed(nodes[0][0], nodes[0][2], scale + frac - 1)
+        self.re = tuple(fixed(re, e, scale) for re, _, e in nodes[1:])
+        self.im = tuple(fixed(im, e, scale) for _, im, e in nodes[1:])
+        moment = mpmath.fsum(j * mpmath.mp.make_mpf(size) for j, size in enumerate(sizes))
         self.round_err = mpmath.ldexp(moment, 1 - frac) + mpmath.ldexp(len(nodes), 1 - scale)
 
     def finish(self, n, lnn, acc):

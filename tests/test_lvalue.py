@@ -6,11 +6,16 @@ classical weight-12 value known from the literature.
 """
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import mpmath.ctx_mp_python
 import pytest
+from mpmath.libmp import from_man_exp
 
+from heptalift import lvalue
+from heptalift.cli import MAX_GAMMA_K
 from heptalift.exactnum import BigFloat
 from heptalift.genfun import gamma_k
 from heptalift.lift import eigen_delta, eigen_from_rows, sym2_coeffs, tau_table
@@ -189,13 +194,20 @@ def test_monotone_error():
     assert errs[0] > errs[1] > errs[2]
 
 
+def _exact_mpc(g):
+    """The Gaussian mantissa (re, im, e), (re + i im) 2^e, as an mpc, exactly."""
+    re, im, e = g
+    return mpmath.mp.make_mpc((from_man_exp(re, e), from_man_exp(im, e)))
+
+
 def _spy_nodes(monkeypatch):
-    """Record each kernel's complex node table as it is converted to integers."""
+    """Record each kernel's node table, converted exactly to mpcs, as it is
+    rounded to integers."""
     nodes = {}
     fix = _Kernel._fix
 
     def spy(ker, table, *rest):
-        nodes[ker] = table
+        nodes[ker] = [_exact_mpc(g) for g in table]
         fix(ker, table, *rest)
 
     monkeypatch.setattr(_Kernel, "_fix", spy)
@@ -319,6 +331,14 @@ def test_kernel_node_counts(monkeypatch, k, digits, counts):
     monkeypatch.setattr(mpmath, "gamma", lambda z: calls.append(z) or gamma(z))
     point = _NodeSource._logs
     monkeypatch.setattr(_NodeSource, "_logs", lambda src, t: logs.append(t) or point(src, t))
+    # the complex functions of mpmath's raw layer, as lvalue and the mpc
+    # type's operators (product, quotient, abs) call them
+    complex_calls = Counter()
+    for module in (lvalue, mpmath.ctx_mp_python):
+        for name in dir(module):
+            if name.startswith("mpc_"):
+                monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), _n=name:
+                                    complex_calls.update([_n]) or _f(*a))
     with mpmath.workdps(digits + 18):
         series = _joint_series(CRITICAL_POINTS, k, digits)
     kernels = {int(ker.z): ker for sr in series for ker in (sr.ker_s, sr.ker_r)}
@@ -330,6 +350,31 @@ def test_kernel_node_counts(monkeypatch, k, digits, counts):
     points = max(counts[0], counts[1], counts[2], counts[4]) + max(counts[3], counts[5])
     assert len(logs) == points
     assert not any(isinstance(z, mpmath.mpc) for z in calls)
+    # one complex log per point and one complex exp per row (line 7 rows for
+    # lines 7, 11, 15, line 6 rows for J(0), and at strip 6.5 line 6 rows);
+    # the rest of each node runs in integers
+    rows = max(counts[0], counts[2], counts[4]) + counts[1] + max(counts[3], counts[5])
+    assert complex_calls == Counter(mpc_log=points, mpc_exp=rows)
+
+
+def test_kernel_nodes_at_the_largest_weight(monkeypatch):
+    # k = MAX_GAMMA_K at 12 digits, where the largest nodes lie near 2^3630
+    # to 2^3690, far past a double's range: the node counts hold, and every
+    # 10th node lies within 4 units of 2^-prec max_j |G_j| of
+    # gamma_infinity(z + w_j) / w_j evaluated 60 bits finer
+    nodes = _spy_nodes(monkeypatch)
+    with mpmath.workdps(12 + 18):
+        series = _joint_series(CRITICAL_POINTS, MAX_GAMMA_K, 12)
+        kernels = {int(ker.z): ker for sr in series for ker in (sr.ker_s, sr.ker_r)}
+        assert [len(kernels[z].re) + 1 for z in (1, 0, 5, -4, 9, -8)] == [
+            126, 124, 135, 106, 142, 107]
+        for ker, table in nodes.items():
+            tol = mpmath.ldexp(max(abs(g) for g in table), 2 - mpmath.mp.prec)
+            for j in range(0, len(table), 10):
+                w = mpmath.mpc(ker.c0, j * ker.h)
+                with mpmath.extraprec(60):
+                    want = gamma_infinity(ker.z + w, MAX_GAMMA_K) / w
+                    assert abs(table[j] - want) <= tol
 
 
 @pytest.mark.parametrize("digits", [12, 20, 50])
@@ -422,11 +467,11 @@ def test_stirling_rows_match_gamma_at_max_digits(k, x0):
     with mpmath.workdps(MAX_DIGITS + 18):
         src = _NodeSource(mpmath.mpf(x0), 5.5, k, MAX_DIGITS)
         for x in (src.x0, src.x0 - 1):
-            src.node(1200, x, 0, 1)
+            src.node(1200, x, 0, mpmath.mpf(1))
             for g, t, _ in src.rows[x][::20]:
                 with mpmath.extraprec(60):
                     want = gamma_infinity(mpmath.mpc(x, t), k)
-                    assert abs(g - want) <= mpmath.ldexp(abs(want), 2 - src.wp)
+                    assert abs(_exact_mpc(g) - want) <= mpmath.ldexp(abs(want), 2 - src.wp)
 
 
 def test_delta_e4_eigenvalues():
@@ -439,7 +484,7 @@ def test_delta_e4_eigenvalues():
     assert a4 == 216 ** 2 - 2 ** 15
 
 
-@pytest.mark.parametrize("digits", [10, 20, 30])
+@pytest.mark.parametrize("digits", [10, 20, 30, 50])
 def test_error_bounds_enclose_finer_value_k12(digits):
     # k = 12 on Delta E_4: a run 25 digits finer lands inside both intervals
     coarse = sym2_lvalues(EIGEN16, (1, 5, 9), digits)
