@@ -276,11 +276,15 @@ def _cmd_hp_verify(args):
     return payload
 
 
+def _check_gamma_k(k):
+    if k > MAX_GAMMA_K:
+        raise UsageError("--k must be <= %d, the largest k whose gamma_k prints" % MAX_GAMMA_K)
+
+
 def _cmd_gamma_k(args):
     if args.k < 10:
         raise UsageError("--k must be an integer >= 10")
-    if args.k > MAX_GAMMA_K:
-        raise UsageError("--k must be <= %d, the largest k whose gamma_k prints" % MAX_GAMMA_K)
+    _check_gamma_k(args.k)
     payload = {"k": args.k, "gamma_k": frac_str(gamma_k(args.k))}
     if args.derived:
         payload["derived"] = frac_str(gamma_k_derived(args.k))
@@ -327,10 +331,15 @@ def _cmd_lift_table(args):
                 except KeyError as exc:
                     raise UsageError("eigen table is missing a_p for p = %s" % (exc,))
         for combo in itertools.product(*(blocks[pe] for pe in fac)):
+            try:
+                coefficient = frac_str(prod(value for _, value in combo))
+            except ValueError:  # Python's 4300-digit limit on int-to-str conversion
+                raise UsageError("the coefficient at det %d exceeds the 4300-digit print "
+                                 "limit; lower --k or --max-det" % n)
             rows.append({
                 "det": str(n),
                 "divisors": {str(p): list(exps) for (p, _), (exps, _) in zip(fac, combo)},
-                "coefficient": frac_str(prod(value for _, value in combo)),
+                "coefficient": coefficient,
             })
     return {"k": args.k, "max_det": args.max_det, "rows": rows}
 
@@ -362,6 +371,7 @@ def _check_digits(digits):
 
 def _cmd_period(args):
     _check_digits(args.digits)
+    _check_gamma_k(args.k)
     eigen = _load_eigen(args.eigen, args.k, _SERIES_PRIMES)
     try:
         report = period_report(args.k, eigen, digits=args.digits)

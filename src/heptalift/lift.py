@@ -117,10 +117,12 @@ def eigen_delta(max_prime=100):
 
 
 def eigen_from_rows(k, rows):
-    """EigenData from an iterable of (p, a_p) pairs."""
+    """EigenData from an iterable of (p, a_p) pairs, each prime at most once."""
     table = {}
     for p, a in rows:
         p = int(p)
+        if p in table:
+            raise ValueError("prime %d is listed twice" % p)
         a = Fraction(a) if not isinstance(a, int) else a
         if a == int(a):
             a = int(a)

@@ -49,8 +49,8 @@ plus the final rounding; `_Kernel.finish` adds this term, times the
 kernel's weight and n^-(z + c0), to its bound (|G_j| is the integer square
 root of the mantissa's norm, rounded to the working precision).  The final
 rounding and the other working-precision errors (every table entry lies
-within 5e-8 units of 2^-prec max_j |G_j| of gamma_infinity evaluated 60
-bits finer for k = 10, 12 at 12, 30 and 50 digits, 3e-7 units for k = 343
+within 4.1e-8 units of 2^-prec max_j |G_j| of gamma_infinity evaluated 60
+bits finer for k = 10, 12 at 12, 30 and 50 digits, 2.8e-7 units for k = 343
 at 12 and 20 digits) stay four digits below
 eps = 10^-(digits + 12) and are covered by the factor 100 of the
 discretization bound.  A kernel's sum depends on its nodes and n alone, so
@@ -72,16 +72,17 @@ line one to its right.  So the J(s) kernels of s = 1, 5, 9 (lines 7, 11,
 15) and J(0) (line 6) all come from line 7's points at strip 5.5, and the
 J(1 - s) kernels of s = 5 and 9 (line 6) from line 7's points at strip
 6.5; a joint pass evaluates each point once and drops a line's points once
-its kernels exist.  The logs, series and products run in fixed point at
-F = 2 NODE_GUARD_BITS above the working precision, so the exponent, whose
-imaginary part grows like t ln t, keeps its absolute accuracy.  From the
-one complex exp per row on, a value is a Gaussian mantissa (re, im, e),
-(re + i im) 2^e, of about F bits at any size: the division by the row's
-product, the exact shift-rule product, the fixed-point (8 pi^3)^-m and the
-division by c0 + it are integer operations, each truncated to about F
-bits.  Every row lies within 0.01 units of 2^-(prec + NODE_GUARD_BITS) of
-gamma_infinity evaluated 60 bits finer, relative (k = 10, 12 and x0 = 7,
-7.5 at 100 digits, out past the last node).  A node depends only on (z,
+its kernels exist.  With F = 2 NODE_GUARD_BITS above the working precision,
+values are mantissas and logs are fixed point.  A log (ln Z, Stirling's
+series, ln pi, each line's exponent) is an integer at the scale 2^-F, so
+the exponent, whose imaginary part grows like t ln t, keeps its absolute
+accuracy.  A value (a rising product, the exp of an exponent, a row, a
+shift step with its (8 pi^3)^-1, a node) is a Gaussian mantissa (re, im,
+e), (re + i im) 2^e, truncated to F bits after each product or quotient,
+which leaves each part less than one unit of the F-th bit off.  Every row
+lies within 0.0072 units of 2^-(prec + NODE_GUARD_BITS) of gamma_infinity
+evaluated 60 bits finer, relative (k = 10, 12 and x0 = 7, 7.5 at 100
+digits, out past the last node).  A node depends only on (z,
 c0, k, digits), so a one-point pass and the joint pass produce the same
 bits.  Each point keeps its own stopping rule and stops at the same n as
 it would alone.
@@ -202,24 +203,26 @@ def _contour(z, c0=None):
     return c0, min(float(c0), float(x + 1)) - 0.5, x - 2 * m, m
 
 
-def _rising(x, t, offsets, acc=(1, 0, 0)):
-    """acc times prod_c (x + c + it) over the integer offsets c, exactly in
-    Gaussian integers: x and t are dyadic mpfs, and acc = (re, im, e) and the
-    result stand for (re + i im) 2^e."""
-    (xs, xm, xe, _), (ts, tm, te, _) = x._mpf_, t._mpf_
-    e = min(xe, te, 0)
-    X, T, one = (-xm if xs else xm) << (xe - e), (-tm if ts else tm) << (te - e), 1 << -e
-    re, im, n = acc
+def _rising(acc, x, y, offsets, frac):
+    """acc times prod_c (x + c + iy) over the integer offsets c: x and y are
+    integers at the scale 2^-frac, and acc = (re, im, e) and the result are
+    Gaussian mantissas, (re + i im) 2^e, truncated to at most frac bits after
+    each product."""
+    re, im, e = acc
     for c in offsets:
-        a = X + c * one
-        re, im = re * a - im * T, re * T + im * a
-    return re, im, n + e * len(offsets)
+        a = x + (c << frac)
+        re, im = re * a - im * y, re * y + im * a
+        d = max(re.bit_length(), im.bit_length(), frac) - frac
+        re, im, e = re >> d, im >> d, e + d - frac
+    return re, im, e
 
 
-def _trunc(re, im, e, bits):
-    """(re + i im) 2^e cut to at most `bits` bits, truncated."""
-    d = max(re.bit_length(), im.bit_length()) - bits
-    return (re >> d, im >> d, e + d) if d > 0 else (re, im, e)
+def _gmul(p, q, bits):
+    """p q for Gaussian mantissas (re, im, e), truncated to at most `bits` bits."""
+    (a, b, e), (c, d, f) = p, q
+    re, im = a * c - b * d, a * d + b * c
+    s = max(re.bit_length(), im.bit_length(), bits) - bits
+    return re >> s, im >> s, e + f + s
 
 
 def _gdiv(p, q, bits):
@@ -230,21 +233,6 @@ def _gdiv(p, q, bits):
     re, im = a * c + b * d, b * c - a * d
     s = bits + n2.bit_length() - max(re.bit_length(), im.bit_length())
     return (re << s) // n2, (im << s) // n2, e - f - s
-
-
-def _fixed_rising(acc, x, y, lo, hi, frac):
-    """acc times prod_{lo <= c < hi} (x + c + iy), all at the scale 2^-frac:
-    acc = (re, im) and x, y are integers, and each product is truncated."""
-    re, im = acc
-    for c in range(lo, hi):
-        a = x + (c << frac)
-        re, im = (re * a - im * y) >> frac, (re * y + im * a) >> frac
-    return re, im
-
-
-def _fixed_mul(p, q, frac):
-    """p q for Gaussian pairs at the scale 2^-frac, truncated."""
-    return (p[0] * q[0] - p[1] * q[1]) >> frac, (p[0] * q[1] + p[1] * q[0]) >> frac
 
 
 @lru_cache(maxsize=None)
@@ -269,13 +257,13 @@ class _NodeSource:
     ln(2 pi)/2 + S(Z) and, by the duplication formula, ln Gamma(Z + 1/2) =
     Z ln Z - Z + ln(2 pi)/2 + S(2Z) - S(Z), with Stirling's series S(y) =
     sum_m B_2m y^(1-2m) / (2m (2m - 1)).  A grid point takes one log, S at Z
-    and 2Z and the products, all at the scale 2^-F with F = NODE_GUARD_BITS
-    above the guarded precision, and one exp per line.  Rows and nodes are
-    Gaussian mantissas (re, im, e) of about F bits, finished in integers
-    (see the module docstring).  The step h = 2 pi
-    strip / ln(1/eps), eps = 10^-(digits + 12), comes from the half-width of
-    the pole-free strip.  `points` holds the logs and products per t, `rows`
-    per line and t the value and the exact shift products.
+    and 2Z, the products and one exp per line, with F = NODE_GUARD_BITS
+    above the guarded precision: the logs are fixed point at the scale 2^-F,
+    and the products, rows and nodes Gaussian mantissas (re, im, e) of F
+    bits (see the module docstring).  The step h = 2 pi strip / ln(1/eps),
+    eps = 10^-(digits + 12), comes from the half-width of the pole-free
+    strip.  `points` holds the logs and products per t, `rows` per line and
+    t the fixed-point t and the values on the lines x + 2m reached so far.
     """
 
     def __init__(self, x0, strip, k, digits):
@@ -291,8 +279,8 @@ class _NodeSource:
             ln_pi = mpmath.log(mpmath.pi)
             self.ln_pi, self.ln_2pi = (int(mpmath.ldexp(c, self.frac))
                                        for c in (ln_pi, ln_pi + mpmath.ln2))
-            # (8 pi^3)^-m at 2^-(F + 8m) by m
-            self.inv_cubes = [1 << self.frac, int(mpmath.ldexp(mpmath.pi ** -3, self.frac + 5))]
+            # (8 pi^3)^-1, the factor of each shift step
+            self.inv_cube = (int(mpmath.ldexp(mpmath.pi ** -3, self.frac + 5)), 0, -self.frac - 8)
 
     def node(self, j, x, m, c0):
         """gamma_infinity(x + 2m + it) / (c0 + it) at t = j h, x in {x0, x0 - 1},
@@ -300,32 +288,29 @@ class _NodeSource:
         rows = self.rows[x]
         while len(rows) <= j:
             rows.append(self._row(len(rows), x))
-        g, t, prods = rows[j]
-        f = self.frac
-        if m:
-            # gamma_infinity(a + 2) = gamma_infinity(a) (a + 1)(a + w)(a + w + 1) / (8 pi^3)
-            while len(prods) <= m:
-                i = 2 * len(prods) - 2
-                prods.append(_rising(x, t, (i + 1, i + self.w, i + self.w + 1), prods[-1]))
-            while len(self.inv_cubes) <= m:
-                self.inv_cubes.append(self.inv_cubes[-1] * self.inv_cubes[1] >> f)
-            (a, b, e), (c, d, n), cube = g, prods[m], self.inv_cubes[m]
-            g = _trunc((a * c - b * d) * cube, (a * d + b * c) * cube, e + n - f - 8 * m, f)
-        return _gdiv(g, _rising(c0, t, (0,)), f)
+        t, vals = rows[j]
+        f, w = self.frac, self.w
+        # gamma_infinity(a + 2) = gamma_infinity(a) (a + 1)(a + w)(a + w + 1) / (8 pi^3)
+        while len(vals) <= m:
+            i = 2 * len(vals) - 2
+            vals.append(_rising(_gmul(vals[-1], self.inv_cube, f), to_fixed(x._mpf_, f), t,
+                                (i + 1, i + w, i + w + 1), f))
+        return _gdiv(vals[m], (to_fixed(c0._mpf_, f), t, -f), f)
 
     def _row(self, j, x):
-        """[gamma_infinity(x + it), t, [1]] at t = j h, the value a Gaussian
-        mantissa of about F bits; the list collects the shift products."""
+        """(t, [gamma_infinity(x + it)]) at t = j h, t at 2^-F and the value a
+        Gaussian mantissa of about F bits; the list collects the values on the
+        lines x + 2m by m."""
         t = j * self.h
         # each line's rows are built in order of j, so a missing point is the next one
         if len(self.points) == j:
             self.points.append(self._logs(t))
-        (lr, li), (qr, qi) = self.points[j][x != self.x0]
+        (lr, li), q = self.points[j][x != self.x0]
         f = self.frac
         ez = mpc_exp((from_man_exp(lr, -f), from_man_exp(li, -f)), self.wp + 10)
         e = max(c[2] + c[3] for c in ez if c[1]) - f
-        g = _gdiv((to_fixed(ez[0], -e), to_fixed(ez[1], -e), e), (qr, qi, -f), f)
-        return [g, t, [(1, 0, 0)]]
+        g = _gdiv((to_fixed(ez[0], -e), to_fixed(ez[1], -e), e), q, f)
+        return to_fixed(t._mpf_, f), [g]
 
     def _logs(self, t):
         """(ln, product) at 2^-F of the lines x0 and x0 - 1 at t: each line's
@@ -339,11 +324,11 @@ class _NodeSource:
         # with Q = prod_{a<=c<d} (v + 1/2 + c) and R = prod_{a<c<d} (v + c),
         # line x0 divides by Q^2 R prod_{c<a} (v + 1/2 + c) and line x0 - 1 by
         # Q (R (v + a))^2 prod_{c<a} (v + c)
-        q = _fixed_rising((one, 0), half, vi, a, d, f)
-        r = _fixed_rising((one, 0), vr, vi, a + 1, d, f)
-        ra = _fixed_rising(r, vr, vi, a, a + 1, f)
-        prod7 = _fixed_rising(_fixed_mul(_fixed_mul(q, q, f), r, f), half, vi, 0, a, f)
-        prod6 = _fixed_rising(_fixed_mul(_fixed_mul(ra, ra, f), q, f), vr, vi, 0, a, f)
+        q = _rising((1, 0, 0), half, vi, range(a, d), f)
+        r = _rising((1, 0, 0), vr, vi, range(a + 1, d), f)
+        ra = _rising(r, vr, vi, (a,), f)
+        prod7 = _rising(_gmul(_gmul(q, q, f), r, f), half, vi, range(a), f)
+        prod6 = _rising(_gmul(_gmul(ra, ra, f), q, f), vr, vi, range(a), f)
         zr = vr + (d << f)
         lam = mpc_log((from_man_exp(zr, -f), from_man_exp(vi, -f)), f + 10)
         lr, li = (to_fixed(c, f) for c in lam)

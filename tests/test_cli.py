@@ -10,11 +10,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from heptalift import acceptance, cli
 from heptalift.density import MASS_CONSTANT, beta_exps, exponent_triples
-from heptalift.exactnum import frac_str
+from heptalift.exactnum import BigFloat, frac_str
 from heptalift.genfun import gamma_k
 from heptalift.jordan import JordanElement
 from heptalift.lift import eigen_delta, local_factor
@@ -362,6 +363,28 @@ def test_short_eigen_csv_row_is_a_usage_error(tmp_path, command):
     assert "row 2 needs both p and a_p" in json.loads(proc.stderr)["error"]
 
 
+def test_eigen_csv_repeated_prime_is_a_usage_error(tmp_path, capsys):
+    # p = 2 listed with a_p = -24 and then 0: the builtin table's coefficient
+    # at diag(1, 1, 2) is -24, and the CSV is refused rather than read as 0
+    path = element_file(tmp_path, 1, 1, 2)
+    code, out, _ = run_cli(capsys, "lift-coeff", "--k", "10", "--input", path)
+    assert code == 0 and json.loads(out)["coefficient"] == "-24"
+    csv = tmp_path / "dup.csv"
+    csv.write_text("p,a_p\n2,-24\n2,0\n")
+    code, out, err = run_cli(capsys, "lift-coeff", "--k", "10", "--eigen", str(csv),
+                             "--input", path)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "bad eigen CSV %s: prime 2 is listed twice" % csv}
+
+
+def _zero_eigen_csv(tmp_path, max_prime):
+    """An eigen CSV with a_p = 0 at every prime up to max_prime."""
+    path = tmp_path / "zero.csv"
+    path.write_text("p,a_p\n" + "".join("%d,0\n" % p for p in range(2, max_prime + 1)
+                                         if is_prime(p)))
+    return str(path)
+
+
 def test_eigen_csv_header_with_spaces(tmp_path, capsys):
     # the header names are stripped when checked; rows must be read by them too
     eigen = eigen_delta(256)
@@ -415,6 +438,21 @@ def test_lift_table_matches_the_per_row_reference(capsys):
         assert code == 0 and err == ""
         rows = [r for r in reference if int(r["det"]) <= max_det]
         assert out == json.dumps({"k": 10, "max_det": max_det, "rows": rows}, indent=2) + "\n"
+
+
+def test_lift_table_print_limit(tmp_path, capsys):
+    # with a_p = 0 at k = 3000, det 36 is the first determinant whose
+    # coefficient passes Python's 4300-digit limit on int-to-str conversion
+    csv = _zero_eigen_csv(tmp_path, 36)
+    code, out, err = run_cli(capsys, "lift-table", "--k", "3000", "--max-det", "35",
+                             "--eigen", csv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["rows"][-1]["det"] == "35"
+    code, out, err = run_cli(capsys, "lift-table", "--k", "3000", "--max-det", "36",
+                             "--eigen", csv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "the coefficient at det 36 exceeds the 4300-digit "
+                                        "print limit; lower --k or --max-det"}
 
 
 @pytest.mark.parametrize("rows,missing", [
@@ -593,6 +631,24 @@ def test_period_deterministic_bytes(capsys):
     assert payload["gamma_k"] == frac_str(gamma_k(10))
     assert [lv["s"] for lv in payload["lvalues"]] == [1, 5, 9]
     assert all("error_bound" in lv for lv in payload["lvalues"])
+
+
+def test_period_k_bound(tmp_path, capsys, monkeypatch):
+    # period prints gamma_k, so it takes k up to MAX_GAMMA_K, and refuses a
+    # larger k with gamma-k's message before it reads the eigen table; the
+    # L-value series at k = 343 runs past any small table, so the report is
+    # stubbed with unit values and the real gamma_k
+    csv = _zero_eigen_csv(tmp_path, 256)
+    one = BigFloat(mpmath.mpf(1), mpmath.mpf(0))
+    monkeypatch.setattr(cli, "period_report", lambda k, eigen, digits: {
+        "value": one, "gamma_k": gamma_k(k), "pi_power": -(6 * k + 3), "lvalues": [one] * 3})
+    code, out, err = run_cli(capsys, "period", "--k", str(cli.MAX_GAMMA_K), "--eigen", csv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["gamma_k"] == frac_str(gamma_k(cli.MAX_GAMMA_K))
+    monkeypatch.setattr(cli, "_load_eigen", lambda *a: pytest.fail("eigen table read"))
+    code, out, err = run_cli(capsys, "period", "--k", str(cli.MAX_GAMMA_K + 1), "--eigen", csv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--k must be <= 343, the largest k whose gamma_k prints"}
 
 
 def test_digits_cap_is_fifty(capsys):

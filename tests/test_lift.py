@@ -101,6 +101,16 @@ def test_eigen_csv_roundtrip(tmp_path):
         eigen_from_csv(str(bad), 10)
 
 
+def test_eigen_rows_refuse_a_repeated_prime(tmp_path):
+    # a later row must not silently replace an earlier one
+    with pytest.raises(ValueError, match="prime 2 is listed twice"):
+        eigen_from_rows(10, [(2, -24), (3, 252), (2, 0)])
+    dup = tmp_path / "dup.csv"
+    dup.write_text("p,a_p\n2,-24\n02,0\n")
+    with pytest.raises(ValueError, match="prime 2 is listed twice"):
+        eigen_from_csv(str(dup), 10)
+
+
 def test_satake_power_sums():
     ts = satake_power_sums(-24, 2, 10, 4)
     assert ts[0] == 2 and ts[1] == -24

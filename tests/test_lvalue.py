@@ -6,6 +6,7 @@ classical weight-12 value known from the literature.
 """
 
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -24,11 +25,14 @@ from heptalift.lvalue import (
     GUARD_BITS,
     MAX_DIGITS,
     _contour,
+    _gdiv,
+    _gmul,
     _Kernel,
     _NodeSource,
     _joint_series,
     _kernels,
     _local_series,
+    _rising,
     _step_sums,
     gamma_infinity,
     period_report,
@@ -468,10 +472,91 @@ def test_stirling_rows_match_gamma_at_max_digits(k, x0):
         src = _NodeSource(mpmath.mpf(x0), 5.5, k, MAX_DIGITS)
         for x in (src.x0, src.x0 - 1):
             src.node(1200, x, 0, mpmath.mpf(1))
-            for g, t, _ in src.rows[x][::20]:
+            for t, (g, *_) in src.rows[x][::20]:
                 with mpmath.extraprec(60):
-                    want = gamma_infinity(mpmath.mpc(x, t), k)
+                    want = gamma_infinity(mpmath.mpc(x, mpmath.ldexp(t, -src.frac)), k)
                     assert abs(_exact_mpc(g) - want) <= mpmath.ldexp(abs(want), 2 - src.wp)
+
+
+def _gauss(g):
+    """The Gaussian mantissa (re, im, e) as an exact pair of Fractions."""
+    re, im, e = g
+    return Fraction(re) * Fraction(2) ** e, Fraction(im) * Fraction(2) ** e
+
+
+def _gauss_mul(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _within(got, want, units, frac):
+    """|got - want| <= units sqrt(2) 2^(1 - frac) |want|: each truncation to
+    frac bits leaves both parts less than one unit of the last bit, sqrt(2)
+    2^(1 - frac) relative, and the relative errors of a chain add."""
+    d2 = (got[0] - want[0]) ** 2 + (got[1] - want[1]) ** 2
+    return d2 <= 2 * (units * Fraction(2) ** (1 - frac)) ** 2 * (want[0] ** 2 + want[1] ** 2)
+
+
+@pytest.mark.parametrize("frac", [64, 200])
+def test_gaussian_mantissa_helpers_match_exact_arithmetic(frac):
+    # _rising, _gmul and _gdiv against exact Fraction arithmetic: within one
+    # unit of the frac-th bit, in each part, per truncated operation
+    rng = random.Random(frac)
+
+    def part(bits):
+        return rng.randrange(-(1 << bits), 1 << bits)
+
+    for trial in range(60):
+        zero_im = trial % 3 == 0
+        acc = (part(frac), 0 if zero_im else part(frac), rng.randrange(-80, 80))
+        x, y = part(frac + 6), 0 if zero_im else part(frac + 6)
+        for n in (0, 1, 50):
+            offsets = [rng.randrange(-40, 40) for _ in range(n)]
+            got = _rising(acc, x, y, offsets, frac)
+            want = _gauss(acc)
+            for c in offsets:
+                want = _gauss_mul(want, (Fraction(x, 1 << frac) + c, Fraction(y, 1 << frac)))
+            if n == 0:
+                assert got == acc
+            assert max(abs(got[0]), abs(got[1])).bit_length() <= frac
+            assert _within(_gauss(got), want, n, frac)
+            if zero_im:
+                assert got[1] == 0
+        p = (part(frac), part(frac), rng.randrange(-80, 80))
+        q = (part(frac + 9), 0 if zero_im else part(frac - 9), rng.randrange(-80, 80))
+        assert _within(_gauss(_gmul(p, q, frac)), _gauss_mul(_gauss(p), _gauss(q)), 1, frac)
+        qr, qi = _gauss(q)
+        n2 = qr * qr + qi * qi
+        want = _gauss_mul(_gauss(p), (qr / n2, -qi / n2))
+        assert _within(_gauss(_gdiv(p, q, frac)), want, 1, frac)
+
+
+@pytest.mark.parametrize("k, digits", [(10, 20), (12, 50), (MAX_GAMMA_K, 12)])
+def test_shift_products_match_exact_products(k, digits):
+    # each shift step multiplies by (8 pi^3)^-1, held to 2^(1 - F) relative,
+    # and by three factors x + c + it, with four truncations to F bits: the
+    # values on the lines x + 2m, m = 1..6, lie within m 2^-(F - 4) of the
+    # exact products of the row's value with the same constant and factors,
+    # relative
+    with mpmath.workdps(digits + 18):
+        src = _NodeSource(mpmath.mpf(7), 5.5, k, digits)
+    frac, w = src.frac, src.w
+    inv_cube = _gauss(src.inv_cube)
+    with mpmath.workprec(frac + 30):
+        exact = 1 / (8 * mpmath.pi ** 3)
+        assert abs(_exact_mpc(src.inv_cube) - exact) <= mpmath.ldexp(exact, 1 - frac)
+    for x in (src.x0, src.x0 - 1):
+        for j in range(0, 200, 9):
+            src.node(j, x, 6, mpmath.mpf(6))
+            t, vals = src.rows[x][j]
+            assert len(vals) == 7
+            want = _gauss(vals[0])
+            for m in range(1, 7):
+                want = _gauss_mul(want, inv_cube)
+                for c in (2 * m - 1, 2 * m - 2 + w, 2 * m - 1 + w):
+                    want = _gauss_mul(want, (int(x) + c, Fraction(t, 1 << frac)))
+                got = _gauss(vals[m])
+                d2 = (got[0] - want[0]) ** 2 + (got[1] - want[1]) ** 2
+                assert d2 <= (m * Fraction(2) ** (4 - frac)) ** 2 * (want[0] ** 2 + want[1] ** 2)
 
 
 def test_delta_e4_eigenvalues():
