@@ -7,9 +7,9 @@ as strings: integers in decimal, rationals as "num/den"; the floating
 L-value results carry explicit error-bound strings next to each value.
 
 Exit codes: 0 success, 2 usage error (bad flags, malformed or out-of-domain
-input), 1 computational failure (a verified identity did not hold, or a
-series could not be driven to the requested accuracy).  Both error paths
-write a one-object JSON diagnostic to stderr.
+input, an eigen table missing a prime the command reads), 1 computational
+failure (a verified identity did not hold, or a series did not settle).
+Both error paths write a one-object JSON diagnostic to stderr.
 """
 
 import argparse
@@ -43,40 +43,14 @@ from .siegel import f_poly
 # primes of the builtin table for period and probe: the L-value pass reads
 # b(n) for n <= 64 up to 40 digits and n <= 128 at 45-50 digits
 _SERIES_PRIMES = 256
-MAX_DIGITS = 50  # the CLI's --digits limit; the library accepts more
-# the largest k whose gamma_k prints within Python's default limit of 4300
-# digits on int-to-str conversion; the factorials of a larger k would run
-# for seconds to minutes before that limit rejected them
+# caps on the CLI's inputs; docs/cli.md gives the basis and measurements of each
+MAX_DIGITS = 50
 MAX_GAMMA_K = 343
-# the largest hp-verify --tmax (with --table-route) that finished within 10 s
-# at p = 2 and p = 97 on a 2-CPU box when it was set (tmax 41 took 9.9-10.3 s
-# at p = 97); tmax 40 has since taken 8.7-12 s at p = 97 in fresh processes,
-# so the 10 s basis holds with no margin there, and the 2x margin is to come
-# from running the Q routes over Z (the hp-verify item of ROADMAP.md), not
-# from a lower cap.  The igusa-verify --order cap was set the same way (order
-# 94 now takes 0.48-0.60 s at p = 2, 1.39-1.56 s at p = 97).  A larger value
-# is refused before any work
 MAX_TMAX = 40
 MAX_ORDER = 94
-# the largest hp-verify --tmax times the bit length of --prime: the cost grows
-# with both (tmax 40 with --table-route took 5.8 s at p = 2, 8.7-12 s at
-# p = 97, 26.6 s at p = 1000003 and 49 s at p = 10^9 + 7; fresh processes on
-# a 2-CPU box), and 280 = 40 * 7 lets every prime below 128 reach tmax 40
 MAX_HP_SIZE = 280
-# the largest lift-table --max-det N, and prime of the builtin eigen table,
-# at which lift-table --k 10 --max-det N and lift-coeff --k 10 on
-# diag(1, 1, q), q the largest prime <= N, finish within 10 s on a 2-CPU box;
-# at 29000 lift-table takes 3.8-4.4 s (200 MB peak, growing with its output)
-# and lift-coeff 1.0-1.3 s, so lift-table's memory bounds it
 MAX_DET = 29000
-# the largest bit length of --prime; every command refuses a longer one before
-# its primality test, which took 0.057 s on a 1024-bit prime, 0.13 s at 1536
-# bits, 0.3 s at 2048 bits and 0.86 s at 2800 bits on a 2-CPU box
 MAX_PRIME_BITS = 1024
-# the largest bit length of an rs-euler --prime whose prefactor prints: its
-# numerator p^28 has at most 4300 digits, Python's default limit on int-to-str
-# conversion, for every p below 2^510 (the largest 510-bit prime gives 4,299
-# digits), and more for the largest 511-bit primes
 MAX_RS_EULER_BITS = 510
 
 
@@ -111,12 +85,45 @@ def _emit(payload, out_path):
         sys.stdout.write(text)
 
 
-def _check_prime(p):
+# argparse types: a bad value raises UsageError while the arguments are parsed,
+# and each is named "int", the name argparse's message for a non-integer gives
+
+
+def _bounded(flag, least, most=None, below="must be >= %(least)d",
+             above="must be <= %(most)d"):
+    """The type of an integer flag that takes least..most, or least.. if most is None."""
+    def parse(text):
+        value = int(text)
+        if value < least or most is not None and value > most:
+            rule = below if value < least else above
+            raise UsageError("%s %s" % (flag, rule % {"least": least, "most": most}))
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+def _increasing_pair(flag, item):
+    """The type of a flag that takes two increasing comma-separated values."""
+    def parse(text):
+        pair = tuple(item(v) for v in _int_csv(text, 2, flag))
+        if pair[0] >= pair[1]:
+            raise UsageError("%s expects an increasing pair" % flag)
+        return pair
+    return parse
+
+
+def _prime(text):
+    """The type of --prime; the bit-length cap comes first, because the
+    primality test's cost grows faster than the square of the bit length."""
+    p = int(text)
     if p.bit_length() > MAX_PRIME_BITS:
         raise UsageError("--prime must have at most %d bits" % MAX_PRIME_BITS)
     if not is_prime(p):
         raise UsageError("--prime must be a prime number, got %r" % (p,))
     return p
+
+
+_prime.__name__ = "int"
 
 
 def _int_csv(text, n, flag):
@@ -169,9 +176,7 @@ def _load_eigen(source, k, max_prime):
 
 
 def _cmd_reduce(args):
-    p = _check_prime(args.prime)
-    if args.precision is not None and args.precision < 1:
-        raise UsageError("--precision must be >= 1")
+    p = args.prime
     T = _load_element(args.input)
     r = reduce_at(T, p, args.precision)
     return {
@@ -183,7 +188,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_siegel(args):
-    p = _check_prime(args.prime)
+    p = args.prime
     m1, m2, m3 = _int_csv(args.m, 3, "--m")
     try:
         f = f_poly(p, m1, m2, m3)
@@ -208,7 +213,7 @@ def _cmd_siegel(args):
 
 
 def _cmd_density(args):
-    p = _check_prime(args.prime)
+    p = args.prime
     exps = _int_csv(args.divisors, 3, "--divisors")
     try:
         beta = beta_exps(p, exps)
@@ -235,11 +240,7 @@ def _cmd_mass(args):
 
 
 def _cmd_igusa_verify(args):
-    p = _check_prime(args.prime)
-    if args.order < 0:
-        raise UsageError("--order must be >= 0")
-    if args.order > MAX_ORDER:
-        raise UsageError("--order must be <= %d" % MAX_ORDER)
+    p = args.prime
     ok, rows = igusa_verify(p, args.order)
     payload = {
         "prime": p,
@@ -261,13 +262,9 @@ def _cmd_igusa_verify(args):
 
 
 def _cmd_hp_verify(args):
-    if args.tmax < 1:
-        raise UsageError("--tmax must be >= 1")
-    if args.tmax > MAX_TMAX:
-        raise UsageError("--tmax must be <= %d" % MAX_TMAX)
-    if args.tmax * args.prime.bit_length() > MAX_HP_SIZE:
+    p = args.prime
+    if args.tmax * p.bit_length() > MAX_HP_SIZE:
         raise UsageError("--tmax times the bit length of --prime must be <= %d" % MAX_HP_SIZE)
-    p = _check_prime(args.prime)
     ok, report = H_verify(p, args.tmax, table_route=args.table_route)
     payload = {"prime": p, "tmax": args.tmax, "ok": ok}
     if not ok:
@@ -276,15 +273,7 @@ def _cmd_hp_verify(args):
     return payload
 
 
-def _check_gamma_k(k):
-    if k > MAX_GAMMA_K:
-        raise UsageError("--k must be <= %d, the largest k whose gamma_k prints" % MAX_GAMMA_K)
-
-
 def _cmd_gamma_k(args):
-    if args.k < 10:
-        raise UsageError("--k must be an integer >= 10")
-    _check_gamma_k(args.k)
     payload = {"k": args.k, "gamma_k": frac_str(gamma_k(args.k))}
     if args.derived:
         payload["derived"] = frac_str(gamma_k_derived(args.k))
@@ -301,10 +290,7 @@ def _cmd_lift_coeff(args):
     genus = genus_invariants(T)
     max_prime = max(genus, default=2)
     eigen = _load_eigen(args.eigen, args.k, max_prime)
-    try:
-        a = fourier_coeff(T, eigen)
-    except KeyError as exc:
-        raise UsageError("eigen table is missing a_p for p = %s" % (exc,))
+    a = fourier_coeff(T, eigen)
     _check_printable("coefficient", args.input, a.numerator, a.denominator)
     return {
         "k": args.k,
@@ -315,21 +301,14 @@ def _cmd_lift_coeff(args):
 
 
 def _cmd_lift_table(args):
-    if args.max_det < 1:
-        raise UsageError("--max-det must be >= 1")
-    if args.max_det > MAX_DET:
-        raise UsageError("--max-det must be <= %d" % MAX_DET)
     eigen = _load_eigen(args.eigen, args.k, args.max_det)
     blocks = {}
     rows = []
     for n, fac in enumerate(factor_table(args.max_det)[1:], 1):
         for p, e in fac:
             if (p, e) not in blocks:
-                try:
-                    blocks[p, e] = [(exps, local_factor(p, exps, eigen))
-                                    for exps in exponent_triples(e)]
-                except KeyError as exc:
-                    raise UsageError("eigen table is missing a_p for p = %s" % (exc,))
+                blocks[p, e] = [(exps, local_factor(p, exps, eigen))
+                                for exps in exponent_triples(e)]
         for combo in itertools.product(*(blocks[pe] for pe in fac)):
             try:
                 coefficient = frac_str(prod(value for _, value in combo))
@@ -345,7 +324,7 @@ def _cmd_lift_table(args):
 
 
 def _cmd_rs_euler(args):
-    p = _check_prime(args.prime)
+    p = args.prime
     if p.bit_length() > MAX_RS_EULER_BITS:
         raise UsageError("rs-euler --prime must have at most %d bits, so that its prefactor "
                          "prints within 4300 digits" % MAX_RS_EULER_BITS)
@@ -363,20 +342,9 @@ def _cmd_rs_euler(args):
     return payload
 
 
-def _check_digits(digits):
-    if not 1 <= digits <= MAX_DIGITS:
-        raise UsageError("--digits must be between 1 and %d" % MAX_DIGITS)
-    return digits
-
-
 def _cmd_period(args):
-    _check_digits(args.digits)
-    _check_gamma_k(args.k)
     eigen = _load_eigen(args.eigen, args.k, _SERIES_PRIMES)
-    try:
-        report = period_report(args.k, eigen, digits=args.digits)
-    except ValueError as exc:
-        raise ComputeError(str(exc))
+    report = period_report(args.k, eigen, digits=args.digits)
     value = report["value"]
     return {
         "k": args.k,
@@ -397,19 +365,11 @@ def _cmd_period(args):
 
 
 def _cmd_probe(args):
-    d1, d2 = _int_csv(args.digits, 2, "--digits")
-    _check_digits(d1)
-    _check_digits(d2)
-    if d1 >= d2:
-        raise UsageError("--digits expects an increasing pair")
     eigen = _load_eigen(args.eigen, args.k, _SERIES_PRIMES)
-    try:
-        out = rationality_probe(eigen, args.k, digits=(d1, d2))
-    except ValueError as exc:
-        raise ComputeError(str(exc))
+    out = rationality_probe(eigen, args.k, digits=args.digits)
     return {
         "k": args.k,
-        "digits": [d1, d2],
+        "digits": list(args.digits),
         "r5": None if out["r5"] is None else frac_str(out["r5"]),
         "r9": None if out["r9"] is None else frac_str(out["r9"]),
     }
@@ -467,6 +427,10 @@ def build_parser():
     """The argument parser, built once per process; each parse_args call
     returns a fresh Namespace, so requests share no state through it."""
     parser = _Parser(prog="heptalift", description=__doc__.splitlines()[0])
+    k_range = _bounded("--k", 10, MAX_GAMMA_K,
+                       above="must be <= %(most)d, the largest k whose gamma_k prints")
+    between = "must be between %(least)d and %(most)d"
+    digits = _bounded("--digits", 1, MAX_DIGITS, below=between, above=between)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def add(name, handler, help_text):
@@ -476,56 +440,57 @@ def build_parser():
         return sp
 
     sp = add("reduce", _cmd_reduce, "local elementary divisors of an element")
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=None)
+    sp.add_argument("--prime", type=_prime, required=True)
+    sp.add_argument("--precision", type=_bounded("--precision", 1), default=None)
     sp.add_argument("--input", required=True, help="element JSON path, or - for stdin")
 
     sp = add("siegel", _cmd_siegel, "local series polynomial for a divisor profile")
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=_prime, required=True)
     sp.add_argument("--m", required=True, help="m1,m2,m3")
     sp.add_argument("--eval", default=None, help="X=<rational> to also evaluate")
 
     sp = add("density", _cmd_density, "local density for a divisor triple")
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=_prime, required=True)
     sp.add_argument("--divisors", required=True, help="a1,a2,a3")
 
     sp = add("mass", _cmd_mass, "exact mass of the genus of an element")
     sp.add_argument("--input", required=True, help="element JSON path, or - for stdin")
 
     sp = add("igusa-verify", _cmd_igusa_verify, "check the density series identity")
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--prime", type=_prime, required=True)
+    sp.add_argument("--order", type=_bounded("--order", 0, MAX_ORDER), required=True)
 
     sp = add("hp-verify", _cmd_hp_verify, "check the generating identity through t^M")
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--tmax", type=int, required=True)
+    sp.add_argument("--prime", type=_prime, required=True)
+    sp.add_argument("--tmax", type=_bounded("--tmax", 1, MAX_TMAX), required=True)
     sp.add_argument("--table-route", action="store_true")
 
     sp = add("gamma-k", _cmd_gamma_k, "rational period constant")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=k_range, required=True)
     sp.add_argument("--derived", action="store_true")
 
     sp = add("lift-coeff", _cmd_lift_coeff, "lift Fourier coefficient at an element")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_bounded("--k", 10), required=True)
     sp.add_argument("--eigen", default="tau", help="'tau' or CSV path with p,a_p rows")
     sp.add_argument("--input", required=True, help="element JSON path, or - for stdin")
 
     sp = add("lift-table", _cmd_lift_table, "coefficients for all profiles up to a det")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--max-det", type=int, required=True)
+    sp.add_argument("--k", type=_bounded("--k", 10), required=True)
+    sp.add_argument("--max-det", type=_bounded("--max-det", 1, MAX_DET), required=True)
     sp.add_argument("--eigen", default="tau", help="'tau' or CSV path with p,a_p rows")
 
     sp = add("rs-euler", _cmd_rs_euler, "euler factor rewrite of the self series")
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=_prime, required=True)
 
     sp = add("period", _cmd_period, "Petersson norm of the lift")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--digits", type=int, default=20)
+    sp.add_argument("--k", type=k_range, required=True)
+    sp.add_argument("--digits", type=digits, default=20)
     sp.add_argument("--eigen", default="tau", help="'tau' or CSV path with p,a_p rows")
 
     sp = add("probe", _cmd_probe, "rationality probe for the L-value ratios")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--digits", default="20,30", help="two increasing digit counts")
+    sp.add_argument("--k", type=k_range, required=True)
+    sp.add_argument("--digits", type=_increasing_pair("--digits", digits), default=(20, 30),
+                    help="two increasing digit counts")
     sp.add_argument("--eigen", default="tau", help="'tau' or CSV path with p,a_p rows")
 
     sp = add("census", _cmd_census, "exhaustive rank census of the 2^27 residue space")
@@ -538,13 +503,11 @@ def build_parser():
 
 def dispatch(argv):
     """Parse and run; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         payload = args.handler(args)
+    except SystemExit as exc:  # argparse has written its help or diagnostic
+        return exc.code if isinstance(exc.code, int) else 2
     except UsageError as exc:
         _emit_error(exc)
         return 2
@@ -553,10 +516,13 @@ def dispatch(argv):
             _emit(exc.payload, args.out)
         _emit_error(exc)
         return 1
+    except KeyError as exc:  # EigenData.a found no eigenvalue for a prime
+        _emit_error("eigen table is missing a_p for p = %s" % (exc,))
+        return 2
     except (ArithmeticError, AssertionError) as exc:
         _emit_error(exc)
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         _emit_error(exc)
         return 2
     _emit(payload, args.out)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .padic import factor_table, genus_invariants
+from .padic import factor_table, genus_invariants, is_prime
 from .siegel import f_poly, symmetric_coefficients, tilde_f
 
 __all__ = [
@@ -117,10 +117,12 @@ def eigen_delta(max_prime=100):
 
 
 def eigen_from_rows(k, rows):
-    """EigenData from an iterable of (p, a_p) pairs, each prime at most once."""
+    """EigenData from an iterable of (p, a_p) pairs, each p a prime listed once."""
     table = {}
     for p, a in rows:
         p = int(p)
+        if not is_prime(p):
+            raise ValueError("p = %d is not a prime" % p)
         if p in table:
             raise ValueError("prime %d is listed twice" % p)
         a = Fraction(a) if not isinstance(a, int) else a

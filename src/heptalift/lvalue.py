@@ -533,7 +533,10 @@ def _joint_series(points, k, digits):
 
 def sym2_lvalues(eigen, points, digits=20):
     """L(s, Sym^2) for every s in points, each in {1, 5, 9}, from one pass
-    over n; returns BigFloats with error bounds, in the order of points."""
+    over n; returns BigFloats with error bounds, in the order of points.
+    Lets the KeyError of `EigenData.a` through when the eigenvalue table
+    misses a prime, and raises ArithmeticError if the series has not
+    settled after 100000 terms."""
     points = tuple(points)
     if any(s not in CRITICAL_POINTS for s in points):
         raise ValueError("s must be one of 1, 5, 9")
@@ -547,10 +550,7 @@ def sym2_lvalues(eigen, points, digits=20):
         while live:
             n += 1
             if n > len(bs):
-                try:
-                    bs = sym2_dirichlet_coeffs(eigen, max(2 * len(bs), 64))
-                except KeyError as exc:
-                    raise ValueError(f"need more eigenvalues: {exc}") from None
+                bs = sym2_dirichlet_coeffs(eigen, max(2 * len(bs), 64))
             # every live kernel at this n, one rotation sequence per step h
             lnn = mpmath.log(n)
             steps = {}
@@ -566,7 +566,7 @@ def sym2_lvalues(eigen, points, digits=20):
             live = [sr for sr in live
                     if not sr.add_term(n, b, d3, jn[sr.ker_s], jn[sr.ker_r])]
             if live and n > 100000:
-                raise ValueError("need more eigenvalues: series did not settle")
+                raise ArithmeticError("L-value series did not settle within 100000 terms")
         return [sr.lvalue() for sr in series]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -363,6 +364,16 @@ def test_short_eigen_csv_row_is_a_usage_error(tmp_path, command):
     assert "row 2 needs both p and a_p" in json.loads(proc.stderr)["error"]
 
 
+def test_eigen_csv_composite_p_is_a_usage_error(tmp_path, capsys):
+    # rows 4,7 and 9,1 are never read at diag(1, 1, 2), yet the CSV is refused
+    csv = tmp_path / "composite.csv"
+    csv.write_text("p,a_p\n2,-24\n4,7\n9,1\n")
+    code, out, err = run_cli(capsys, "lift-coeff", "--k", "10", "--eigen", str(csv),
+                             "--input", element_file(tmp_path, 1, 1, 2))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "bad eigen CSV %s: p = 4 is not a prime" % csv}
+
+
 def test_eigen_csv_repeated_prime_is_a_usage_error(tmp_path, capsys):
     # p = 2 listed with a_p = -24 and then 0: the builtin table's coefficient
     # at diag(1, 1, 2) is -24, and the CSV is refused rather than read as 0
@@ -468,6 +479,19 @@ def test_lift_table_names_the_smallest_missing_prime(tmp_path, capsys, rows, mis
     assert json.loads(err) == {
         "error": "eigen table is missing a_p for p = 'no eigenvalue ingested for prime %d'"
         % missing
+    }
+
+
+@pytest.mark.parametrize("command,digits", [("period", "10"), ("probe", "10,12")])
+def test_period_and_probe_name_the_smallest_missing_prime(tmp_path, capsys, command, digits):
+    # the L-value series reads b(n) up to n = 64, so a table of p <= 5 is short
+    csv = tmp_path / "eigen.csv"
+    csv.write_text("p,a_p\n2,-24\n3,252\n5,4830\n")
+    code, out, err = run_cli(capsys, command, "--k", "10", "--digits", digits,
+                             "--eigen", str(csv))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "eigen table is missing a_p for p = 'no eigenvalue ingested for prime 7'"
     }
 
 
@@ -659,6 +683,70 @@ def test_digits_cap_is_fifty(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "between 1 and 50" in json.loads(err)["error"]
+
+
+def _edges(least, most=None):
+    """Values at the bounds, and just outside them."""
+    taken = [least] if most is None else [least, most]
+    refused = [least - 1] if most is None else [least - 1, most + 1]
+    return [str(v) for v in taken], [str(v) for v in refused]
+
+
+# every bounded flag: the subcommand with its other required flags, the flag,
+# the values it takes and the values it refuses
+BOUNDED_FLAGS = [
+    (("reduce", "--prime", "2", "--input", "unread.json"), "--precision", *_edges(1)),
+    (("igusa-verify", "--prime", "2"), "--order", *_edges(0, cli.MAX_ORDER)),
+    (("hp-verify", "--prime", "2"), "--tmax", *_edges(1, cli.MAX_TMAX)),
+    (("gamma-k",), "--k", *_edges(10, cli.MAX_GAMMA_K)),
+    (("lift-coeff", "--input", "unread.json"), "--k", *_edges(10)),
+    (("lift-table", "--max-det", "1"), "--k", *_edges(10)),
+    (("lift-table", "--k", "10"), "--max-det", *_edges(1, cli.MAX_DET)),
+    (("period",), "--k", *_edges(10, cli.MAX_GAMMA_K)),
+    (("period", "--k", "10"), "--digits", *_edges(1, cli.MAX_DIGITS)),
+    (("probe",), "--k", ["10", str(cli.MAX_GAMMA_K)],
+     ["9", str(cli.MAX_GAMMA_K + 1), "100000"]),
+    (("probe", "--k", "10"), "--digits", ["1,%d" % cli.MAX_DIGITS],
+     ["0,%d" % cli.MAX_DIGITS, "1,%d" % (cli.MAX_DIGITS + 1)]),
+]
+
+
+@pytest.fixture
+def handler_calls(monkeypatch):
+    """Every subcommand handler replaced by one that records its call and
+    returns an empty payload, in a parser built around the replacements."""
+    calls = []
+    for name in list(vars(cli)):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: calls.append(args) or {})
+    cli.build_parser.cache_clear()
+    yield calls
+    cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("command,flag,taken,refused", BOUNDED_FLAGS,
+                         ids=[" ".join(c[0][:1] + c[1:2]) for c in BOUNDED_FLAGS])
+def test_bounded_flags_are_refused_before_any_work(capsys, handler_calls, command, flag,
+                                                   taken, refused):
+    for value in refused:
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *command, flag, value)
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].startswith(flag + " must be")
+        assert handler_calls == [] and elapsed < 0.5
+    for value in taken:
+        code, out, err = run_cli(capsys, *command, flag, value)
+        assert code == 0 and err == ""
+    assert len(handler_calls) == len(taken)
+
+
+def test_every_cap_is_in_the_cli_reference():
+    # docs/cli.md holds the basis and measurements of each cap, cli.py the value
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "cli.md").read_text()
+    for name in ("MAX_DIGITS", "MAX_GAMMA_K", "MAX_TMAX", "MAX_ORDER", "MAX_HP_SIZE",
+                 "MAX_DET", "MAX_PRIME_BITS", "MAX_RS_EULER_BITS"):
+        assert re.search(r"\b%d\b" % getattr(cli, name), doc), name
 
 
 def test_probe_payload(capsys):

@@ -111,6 +111,13 @@ def test_eigen_rows_refuse_a_repeated_prime(tmp_path):
         eigen_from_csv(str(dup), 10)
 
 
+def test_eigen_rows_refuse_a_p_that_is_not_prime():
+    # a composite p would be stored and never read, hiding a mistyped prime
+    for p in (4, 9, 1, 0, -3):
+        with pytest.raises(ValueError, match="p = %d is not a prime" % p):
+            eigen_from_rows(10, [(2, -24), (p, 1)])
+
+
 def test_satake_power_sums():
     ts = satake_power_sums(-24, 2, 10, 4)
     assert ts[0] == 2 and ts[1] == -24

@@ -629,7 +629,7 @@ def test_lvalue_preconditions():
     with pytest.raises(ValueError):
         period_report(11, EIGEN, 10)
     small = eigen_delta(20)
-    with pytest.raises(ValueError, match="need more eigenvalues"):
+    with pytest.raises(KeyError, match="prime 23"):
         sym2_lvalue(small, 9, 20)
 
 
