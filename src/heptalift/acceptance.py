@@ -20,7 +20,6 @@ import mpmath
 from .cayley import Octonion, QQ, ZZ, gram_det, structure_constants
 from .census import beta_from_census, census_f2
 from .density import MASS_CONSTANT, beta_exps, igusa_verify, mass
-from .exactnum import BigFloat
 from .genfun import H_verify, gamma_k, gamma_k_derived
 from .jordan import JordanElement, apply_word, word_multiplier
 from .lift import eigen_delta, fourier_coeff, tau_table

@@ -40,8 +40,8 @@ from .lvalue import CRITICAL_POINTS, period_report, rationality_probe
 from .padic import _MODULUS_BOUND, factor_table, genus_invariants, is_prime, reduce_at
 from .siegel import f_poly
 
-# primes of the builtin table for period and probe: the L-value pass reads
-# b(n) for n <= 64 up to 40 digits and n <= 128 at 45-50 digits
+# primes of the builtin table for period and probe: at k = 10 the L-value pass
+# reads b(n) up to n = 21, 33, 47, 62, 70 and 77 at 10, 20, 30, 40, 45 and 50 digits
 _SERIES_PRIMES = 256
 # caps on the CLI's inputs; docs/cli.md gives the basis and measurements of each
 MAX_DIGITS = 50

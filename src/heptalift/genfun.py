@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .density import MASS_CONSTANT, beta_exps, constants, exponent_triples
+from .density import beta_exps, constants, exponent_triples
 from .exactnum import (
     LaurentPoly,
     SpecialValue,

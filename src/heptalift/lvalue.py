@@ -106,6 +106,7 @@ intervals.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from math import ceil, hypot, isqrt, log2, prod, sqrt
 from operator import mul
 from types import MappingProxyType
@@ -119,7 +120,7 @@ from mpmath.libmp import (
 from .exactnum import BigFloat, ratfun_expand, rational_reconstruct
 from .genfun import gamma_k
 from .lift import sym2_coeffs
-from .padic import factor_table, factorize
+from .padic import factorize
 
 __all__ = [
     "CRITICAL_POINTS",
@@ -153,25 +154,30 @@ def _local_series(eigen, p, emax):
     return [ser.coeff(e) for e in range(emax + 1)]
 
 
+def _coefficients(eigen):
+    """(b(n), d_3(n)) for n = 1, 2, ..., from one factorization of each n:
+    both multiply over the prime powers p^e exactly dividing n, b(p^e) from
+    the local series of p (a_p is read at n = p) and d_3(p^e) = d_3(2^e)."""
+    local = {}  # p -> [b(p^0), b(p^1), ...]
+    for n in count(1):
+        b, d3 = Fraction(1), 1
+        for p, e in factorize(n).items():
+            if len(local.get(p, ())) <= e:
+                local[p] = _local_series(eigen, p, e)
+            b, d3 = b * local[p][e], d3 * triple_divisor_count(2 ** e)
+        yield b, d3
+
+
 def sym2_dirichlet_coeffs(eigen, N):
     """Exact coefficients b(1), ..., b(N) of the symmetric-square series.
 
     Returned as a list with entry i holding b(i+1).  The coefficients are
-    multiplicative with |b(n)| <= d_3(n).  Raises KeyError when the
-    eigenvalue table misses a needed prime.
+    multiplicative with |b(n)| <= d_3(n).  Raises KeyError naming the
+    smallest prime <= N that the eigenvalue table misses.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    b = [Fraction(1)] * (N + 1)
-    local = {}
-    for n, fac in enumerate(factor_table(N)[2:], 2):
-        p, e = fac[0]
-        loc = local.get(p)
-        if loc is None or len(loc) <= e:
-            loc = _local_series(eigen, p, max(e, 4))
-            local[p] = loc
-        b[n] = b[n // p ** e] * loc[e]
-    return b[1:]
+    return [b for b, _ in islice(_coefficients(eigen), N)]
 
 
 def gamma_infinity(s, k):
@@ -534,23 +540,19 @@ def _joint_series(points, k, digits):
 def sym2_lvalues(eigen, points, digits=20):
     """L(s, Sym^2) for every s in points, each in {1, 5, 9}, from one pass
     over n; returns BigFloats with error bounds, in the order of points.
-    Lets the KeyError of `EigenData.a` through when the eigenvalue table
-    misses a prime, and raises ArithmeticError if the series has not
-    settled after 100000 terms."""
+    It reads a_p when n reaches p, so the KeyError of `EigenData.a` it lets
+    through names the smallest missing prime up to the n where the last point
+    settles.  Raises ArithmeticError if not settled after 100000 terms."""
     points = tuple(points)
     if any(s not in CRITICAL_POINTS for s in points):
         raise ValueError("s must be one of 1, 5, 9")
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in [1, {MAX_DIGITS}]")
     with mpmath.workdps(digits + 18):
-        series = _joint_series(points, eigen.k, digits)
-        live = series
-        bs = []
-        n = 0
+        live = series = _joint_series(points, eigen.k, digits)
+        coeffs = enumerate(_coefficients(eigen), 1)
         while live:
-            n += 1
-            if n > len(bs):
-                bs = sym2_dirichlet_coeffs(eigen, max(2 * len(bs), 64))
+            n, (b, d3) = next(coeffs)
             # every live kernel at this n, one rotation sequence per step h
             lnn = mpmath.log(n)
             steps = {}
@@ -561,8 +563,7 @@ def sym2_lvalues(eigen, points, digits=20):
             for kernels in steps.values():
                 for ker, acc in zip(kernels, _step_sums(kernels, n)):
                     jn[ker] = ker.finish(n, lnn, acc)
-            b = BigFloat.exact(bs[n - 1])
-            d3 = triple_divisor_count(n)
+            b = BigFloat.exact(b)
             live = [sr for sr in live
                     if not sr.add_term(n, b, d3, jn[sr.ker_s], jn[sr.ker_r])]
             if live and n > 100000:

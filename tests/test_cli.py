@@ -484,7 +484,8 @@ def test_lift_table_names_the_smallest_missing_prime(tmp_path, capsys, rows, mis
 
 @pytest.mark.parametrize("command,digits", [("period", "10"), ("probe", "10,12")])
 def test_period_and_probe_name_the_smallest_missing_prime(tmp_path, capsys, command, digits):
-    # the L-value series reads b(n) up to n = 64, so a table of p <= 5 is short
+    # at 10 digits the L-value series reads b(n) up to n = 21, so a table of
+    # p <= 5 is short
     csv = tmp_path / "eigen.csv"
     csv.write_text("p,a_p\n2,-24\n3,252\n5,4830\n")
     code, out, err = run_cli(capsys, command, "--k", "10", "--digits", digits,
@@ -492,6 +493,38 @@ def test_period_and_probe_name_the_smallest_missing_prime(tmp_path, capsys, comm
     assert code == 2 and out == ""
     assert json.loads(err) == {
         "error": "eigen table is missing a_p for p = 'no eigenvalue ingested for prime 7'"
+    }
+
+
+def _tau_csv(tmp_path, max_prime):
+    """An eigen CSV of tau(p) at every prime up to max_prime."""
+    path = tmp_path / ("tau%d.csv" % max_prime)
+    path.write_text("p,a_p\n" + "".join("%d,%d\n" % row
+                                          for row in sorted(eigen_delta(max_prime).table.items())))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,largest", [
+    (("period", "--digits", "20"), 31),
+    (("period", "--digits", "50"), 73),
+    (("probe", "--digits", "20,30"), 47),
+], ids=["period-20", "period-50", "probe-20-30"])
+def test_period_and_probe_need_only_the_primes_their_series_reads(tmp_path, capsys, argv,
+                                                                   largest):
+    # at k = 10 the series reads b(n) up to n = 33 at 20 digits, 47 at 30 and
+    # 77 at 50, so tau(p) for p <= largest is all it reads
+    command, *flags = argv
+    code, want, err = run_cli(capsys, command, "--k", "10", *flags, "--eigen", "tau")
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, command, "--k", "10", *flags,
+                             "--eigen", _tau_csv(tmp_path, largest))
+    assert (code, out, err) == (0, want, "")
+    code, out, err = run_cli(capsys, command, "--k", "10", *flags,
+                             "--eigen", _tau_csv(tmp_path, largest - 1))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "eigen table is missing a_p for p = 'no eigenvalue ingested for prime %d'"
+        % largest
     }
 
 

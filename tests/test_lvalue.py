@@ -9,6 +9,8 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
+from math import prod
 
 import mpmath
 import mpmath.ctx_mp_python
@@ -24,6 +26,7 @@ from heptalift.lvalue import (
     CRITICAL_POINTS,
     GUARD_BITS,
     MAX_DIGITS,
+    _coefficients,
     _contour,
     _gdiv,
     _gmul,
@@ -44,6 +47,7 @@ from heptalift.lvalue import (
     sym2_lvalues,
     triple_divisor_count,
 )
+from heptalift.padic import factorize
 
 EIGEN = eigen_delta(12000)
 
@@ -115,6 +119,28 @@ def test_local_series_matches_recurrence(eigen, p):
     got = _local_series(eigen, p, 12)
     assert got == local_series_reference(eigen, p, 12)
     assert all(isinstance(v, Fraction) for v in got[1:])
+
+
+def test_coefficient_stream_reads_each_prime_when_n_reaches_it():
+    # b(n) against the products of the recurrence oracle over the prime
+    # powers of n, d_3(n) against triple_divisor_count, and a_p read first
+    # at n = p
+    reads, primes = set(), set()
+
+    class Spy:
+        k = EIGEN.k
+
+        def a(self, p):
+            reads.add(p)
+            return EIGEN.a(p)
+
+    for n, (b, d3) in enumerate(islice(_coefficients(Spy()), 600), 1):
+        fac = factorize(n)
+        assert b == prod(local_series_reference(EIGEN, p, e)[e] for p, e in fac.items())
+        assert d3 == triple_divisor_count(n)
+        if fac == {n: 1}:
+            primes.add(n)
+        assert reads == primes, n
 
 
 def test_coeffs_first_values():

@@ -1,5 +1,6 @@
 """The package's public names: one list per module, each name exported once,
-and each one used by the package or a demo."""
+and each one used by the package or a demo; and no module imports a name it
+never reads."""
 
 import ast
 import importlib
@@ -98,3 +99,24 @@ def test_every_module_function_has_a_caller():
                     defined.append("%s.%s" % (path.stem, own))
             used.update(name for name in _mentions(top) if name != own)
     assert [d for d in defined if d.split(".", 1)[1] not in used] == []
+
+
+def test_every_import_is_used():
+    # a name a module imports must be read in that module; __init__ imports
+    # only to re-export, and a __future__ import binds no name
+    unused = []
+    for path in sorted((ROOT / "src" / "heptalift").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in bound.items() if name not in read]
+    assert unused == []

@@ -114,6 +114,48 @@ def test_precision_independent():
     assert elementary_divisors(X, 2, precision=base.total + 6) == base
 
 
+def _order(v, p):
+    """Exponent of p in the nonzero integer v."""
+    k = 0
+    while v % p == 0:
+        v //= p
+        k += 1
+    return k
+
+
+def _content(values, p):
+    """Least p-adic order over the nonzero values."""
+    return min(_order(v, p) for v in values if v)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_divisors_match_the_adjoint_route(p):
+    # second route: a1 = v(X), a1 + a2 = v(X#) and a1 + a2 + a3 = v(det X),
+    # v the least p-adic order over the 27 coordinates; random elements,
+    # elements with scaled coordinates and scrambled diagonals, each also
+    # scaled as a whole
+    rng = random.Random(20261020 + p)
+    checked = 0
+    while checked < 240:
+        kind = checked % 3
+        if kind == 2:
+            X = apply_word(JordanElement.diag(*(rng.choice([1, -1, p + 1]) * p ** rng.randint(0, 3)
+                                                for _ in range(3))),
+                           unit_word(rng, rng.randint(1, 4)))
+        else:
+            coords = [rng.randint(-3, 3) * p ** (kind * rng.randint(0, 2)) for _ in range(27)]
+            X = JordanElement(ZZ, *coords[:3],
+                              *(Octonion(ZZ, coords[i:i + 8]) for i in (3, 11, 19)))
+        X = X.scale(p ** rng.randint(0, 2))
+        det = X.det()
+        if det == 0:
+            continue
+        v1, v2, v3 = (_content(X.coords(), p), _content(X.adj().coords(), p),
+                      _order(det, p))
+        assert reduce_at(X, p).divisors.exps == (v1, v2 - v1, v3 - v2), (X, p)
+        checked += 1
+
+
 def test_genus_invariants_multi_prime():
     inv = genus_invariants(JordanElement.diag(1, 2, 12))
     assert inv == {
