@@ -6,9 +6,13 @@ local series H_p(X,t) with its product form and an exact replication of its
 verification, the rewrite of H_p into zeta / symmetric-square local factors,
 and the residue algebra that yields the rational period constant gamma_k.
 
-The table route runs on integers: the factor 1 - p^-4 X^{+-2} is cleared to
-p^4 - X^{+-2}, P is expanded in u = t/p^9, and the division by the primitive
-common denominator is exact over Z (Gauss's lemma).  The pair sum is
+All three routes of the H_p check sum over Z and rescale each coefficient
+once.  The product form is expanded in u = t/p^9, where every factor has int
+coefficients, and its u^m coefficient is rescaled by 1/(c1 p^{9m}).  The
+table route does the same for P, once the factor 1 - p^-4 X^{+-2} is cleared
+to p^4 - X^{+-2} and the sum is divided by the primitive common denominator,
+exactly over Z (Gauss's lemma).  The lambda sum weights each exponent triple
+by the int d c1/beta_p, d a power of p, and divides by c1 d.  The pair sum is
 symmetric, so it walks the 36 unordered pairs of the eight table terms.  The
 Euler-factor rewrite is certified over Z as well: each factor 1 - c X^x t^n
 is cleared by the denominator of c before the two sides are multiplied out.
@@ -49,18 +53,29 @@ def _q(p, e):
     return Fraction(1, p ** e)
 
 
+def _lambda_in_z(p, m):
+    """(S, d) with lambda_p(p, m) = S / (c1 d), S over Z.  d, the common
+    denominator of c1/beta_p over the triples, is a power of p: c1/beta_p is
+    p^-E times 1, c1/c2 = 1 + p^-4 + p^-8 or c1/c3 = (1+p^-4)(1+p^-4+p^-8)."""
+    c1 = constants(p).c1
+    ws = {a: c1 / beta_exps(p, a) for a in exponent_triples(m)}
+    d = math.lcm(*(w.denominator for w in ws.values()))
+    total = LaurentPoly.zero("X")
+    for (a1, a2, a3), w in ws.items():
+        tf = tilde_f(f_poly(p, a1, a2 - a1, a3 - a1))
+        total = total + (tf * tf).map_coeffs(lambda v, w=int(w * d): v * w)
+    return total, d
+
+
 def lambda_p(p, m):
     """Coefficient of t^m in H_p(X,t): a Laurent polynomial in X.
 
     Sums tilde_f(...)^2 / beta_p over the exponent triples of total m; each
     triple carries exactly one unimodular class of that determinant order.
+    The sum runs over Z (_lambda_in_z) and is divided by c1 d once.
     """
-    total = LaurentPoly.zero("X")
-    for a1, a2, a3 in exponent_triples(m):
-        tf = tilde_f(f_poly(p, a1, a2 - a1, a3 - a1))
-        w = Fraction(1) / beta_exps(p, (a1, a2, a3))
-        total = total + (tf * tf).map_coeffs(lambda v, w=w: v * w)
-    return total
+    total, d = _lambda_in_z(p, m)
+    return total * (1 / (constants(p).c1 * d))
 
 
 def _P_in_u(p, A, B, C, order):
@@ -103,11 +118,20 @@ class HpClosedForm:
     denominator_factors: tuple
 
     def expand(self, order):
-        """Series in t through t^order; coefficients Laurent in X."""
-        num = LaurentPoly.const(self.prefactor, "t")
-        for f in self.numerator_factors:
-            num = num * f
-        return ratfun_expand(num, list(self.denominator_factors), order)
+        """Series in t through t^order; coefficients Laurent in X.
+
+        Expanded over Z in u = t/p^9: each factor's t^n coefficient gains
+        p^{9n} and must clear to an int.  The u^m coefficient is then rescaled
+        once, by _from_u(p, m) = 1/(c1 p^{9m}), which holds the prefactor 1/c1.
+        """
+        def in_u(f):
+            d, z = _cleared(LaurentPoly("u", {n: v * self.p ** (9 * n) for n, v in f.c.items()}))
+            if d != 1:
+                raise ArithmeticError("%r is not integral in u = t/p^9" % (f,))
+            return z
+        num = reduce(mul, map(in_u, self.numerator_factors))
+        ser = ratfun_expand(num, list(map(in_u, self.denominator_factors)), order, "u")
+        return LaurentPoly("t", {m: v * _from_u(self.p, m) for m, v in ser.c.items()})
 
 
 def hp_closed_form(p):
@@ -123,10 +147,7 @@ def hp_closed_form(p):
         _t_factor(-_q(p, 9)),
     )
     den = [_t_factor(_q(p, 1))]
-    for i in (1, 2, 3):
-        den.append(_t_factor(_q(p, 4 * i - 3)))
-        den.append(_t_factor(_q(p, 4 * i - 3), 1, -2))
-        den.append(_t_factor(_q(p, 4 * i - 3), 1, 2))
+    den += [_t_factor(_q(p, 4 * i - 3), 1, x) for i in (1, 2, 3) for x in (0, -2, 2)]
     return HpClosedForm(p, Fraction(1) / cs.c1, num, tuple(den))
 
 
@@ -217,8 +238,9 @@ def H_verify(p, tmax, table_route=False):
 
     Expands the closed form through t^tmax and checks each coefficient
     against lambda_p(p, m); with table_route=True the table pair sum is
-    checked as a third path.  Returns (ok, report); report is None on
-    success and a first-discrepancy dict otherwise.
+    checked as a third path; each route runs over Z and rescales every
+    coefficient once (module docstring).  Returns (ok, report): report is None
+    on success and otherwise a first-discrepancy dict of the rational values.
     """
     if tmax < 1:
         raise ValueError("tmax must be >= 1")
@@ -286,14 +308,7 @@ def rs_euler_factors(p):
     h = hp_closed_form(p)
     t2_numerators = [_t_factor(_q(p, 4 * i + 6), 2) for i in (1, 2, 3)]
     zeta_denominators = [_t_factor(_q(p, 4 * i - 3)) for i in (1, 2, 3)]
-    sym2_denominators = [
-        [
-            _t_factor(_q(p, 4 * i - 3), 1, 2),
-            _t_factor(_q(p, 4 * i - 3)),
-            _t_factor(_q(p, 4 * i - 3), 1, -2),
-        ]
-        for i in (1, 2, 3)
-    ]
+    sym2_denominators = [[_t_factor(_q(p, 4 * i - 3), 1, x) for x in (2, 0, -2)] for i in (1, 2, 3)]
     lhs = list(h.numerator_factors) + zeta_denominators + [f for tri in sym2_denominators for f in tri]
     rhs = t2_numerators + list(h.denominator_factors)
     return {

@@ -1,5 +1,6 @@
 """Generating-function layer: lambda sums, P(A,B,C,t), H_p routes, residues."""
 
+import json
 import math
 from fractions import Fraction
 from functools import reduce
@@ -7,9 +8,9 @@ from operator import mul
 
 import pytest
 
-from heptalift import genfun
+from heptalift import cli, genfun
 from heptalift.density import MASS_CONSTANT, beta_exps, constants, exponent_triples
-from heptalift.exactnum import LaurentPoly, SpecialValue, zeta_special
+from heptalift.exactnum import LaurentPoly, SpecialValue, ratfun_expand, zeta_special
 from heptalift.genfun import (
     H_verify,
     gamma_RS,
@@ -110,6 +111,68 @@ def test_hp_closed_low_coefficients():
         assert ser.coeff(1) == lambda_p(p, 1)
 
 
+def rational_closed_form(p, order):
+    """Oracle: the stored product form expanded over Q in t, as it stands."""
+    h = hp_closed_form(p)
+    num = reduce(mul, h.numerator_factors, LaurentPoly.const(h.prefactor, "t"))
+    return ratfun_expand(num, list(h.denominator_factors), order)
+
+
+def rational_lambda(p, m, beta=beta_exps):
+    """Oracle: lambda_p as the plain Fraction sum of tilde_f^2 / beta_p."""
+    total = LaurentPoly.zero("X")
+    for a1, a2, a3 in exponent_triples(m):
+        tf = tilde_f(f_poly(p, a1, a2 - a1, a3 - a1))
+        w = Fraction(1) / beta(p, (a1, a2, a3))
+        total = total + (tf * tf).map_coeffs(lambda v, w=w: v * w)
+    return total
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+def test_closed_form_matches_rational_expansion(p):
+    for order in range(9):
+        got, want = hp_closed_form(p).expand(order), rational_closed_form(p, order)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lambda_matches_rational_sum(p):
+    for m in range(9):
+        got, want = lambda_p(p, m), rational_lambda(p, m)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+def _beta_off_at_112(p, exps):
+    """beta_p with the triple (1, 1, 2) at p = 3 off by a factor p."""
+    b = beta_exps(p, exps)
+    return b * p if (p, tuple(exps)) == (3, (1, 1, 2)) else b
+
+
+def test_one_wrong_beta_fails_the_closed_form_route(monkeypatch, capsys):
+    monkeypatch.setattr(genfun, "beta_exps", _beta_off_at_112)
+    ok, report = H_verify(3, 6)
+    assert not ok
+    assert report["t_power"] == 4 and report["route"] == "closed_form"
+    lam_bad = rational_lambda(3, 4, _beta_off_at_112)
+    assert lam_bad != rational_lambda(3, 4)
+    want = {
+        "t_power": 4,
+        "route": "closed_form",
+        "lambda_sum": repr(lam_bad),
+        "closed_form": repr(rational_closed_form(3, 4).coeff(4)),
+    }
+    assert report == want
+    code = cli.dispatch(["hp-verify", "--prime", "3", "--tmax", "6"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and not payload["ok"]
+    assert payload["first_discrepancy"] == want
+    # the public Laurent form of Fractions, not the integers summed over Z
+    for key in ("lambda_sum", "closed_form"):
+        assert "/" in want[key]
+
+
 def tilde_from_table(p, m1, m2, m3):
     """Oracle: tilde_f via the eight-term Laurent-series table of the
     cleared numerators, divided exactly by the common half-denominator."""
@@ -153,6 +216,32 @@ def test_table_route_runs_in_z():
     for p in (7, 11):
         ok, report = H_verify(p, 10, table_route=True)
         assert ok, report
+
+
+def _int_coeffs(poly):
+    return all(type(w) is int for v in poly.c.values()
+               for w in (v.c.values() if isinstance(v, LaurentPoly) else (v,)))
+
+
+def test_rational_routes_run_in_z(monkeypatch):
+    seen = []
+
+    def spy(*args):
+        seen.append(ratfun_expand(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(genfun, "ratfun_expand", spy)
+    for p in (2, 3, 5, 97):
+        seen.clear()
+        hp_closed_form(p).expand(8)
+        ((ser,),) = [seen]
+        assert ser.var == "u" and _int_coeffs(ser)
+        c1 = constants(p).c1
+        for m in range(9):
+            total, d = genfun._lambda_in_z(p, m)
+            assert type(d) is int and p ** round(math.log(d, p)) == d
+            assert _int_coeffs(total)
+            assert total * (1 / (c1 * d)) == lambda_p(p, m)
 
 
 def test_wrong_cleared_factor_raises_in_table_routes(monkeypatch):

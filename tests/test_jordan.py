@@ -149,6 +149,33 @@ def test_generator_word_multipliers():
         assert apply_word(X, word).det() == word_multiplier(word) * X.det()
 
 
+def rand_rational_word(rng, length, bound=2):
+    """A word over Q: rand_word's tokens, with m over Q and theta scaling by
+    nonunit rationals."""
+    word = []
+    for token in rand_word(rng, length, bound):
+        if token[0] == "m":
+            token = ("m", token[1].map_ring(QQ), *token[2:])
+        elif token[0] == "theta":
+            token = ("theta", tuple(
+                Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3])) for _ in range(3)
+            ))
+        word.append(token)
+    return word
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
+def test_long_word_multipliers(ring):
+    rng = random.Random(263)
+    words = {ZZ: rand_word, QQ: rand_rational_word}[ring]
+    for _ in range(8):
+        X = rand_jordan(rng, ring, bound=2)
+        while not X.det():
+            X = rand_jordan(rng, ring, bound=2)
+        word = words(rng, rng.randint(100, 200))
+        assert apply_word(X, word).det() == word_multiplier(word, ring) * X.det()
+
+
 def test_generators_preserve_inner_products_scaled():
     # m and perm preserve det; check they also keep integrality
     rng = random.Random(257)
