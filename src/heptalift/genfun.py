@@ -122,7 +122,7 @@ class HpClosedForm:
 
         Expanded over Z in u = t/p^9: each factor's t^n coefficient gains
         p^{9n} and must clear to an int.  The u^m coefficient is then rescaled
-        once, by _from_u(p, m) = 1/(c1 p^{9m}), which holds the prefactor 1/c1.
+        once, by prefactor / p^{9m} (= 1/(c1 p^{9m}), the table route's _from_u).
         """
         def in_u(f):
             d, z = _cleared(LaurentPoly("u", {n: v * self.p ** (9 * n) for n, v in f.c.items()}))
@@ -131,7 +131,7 @@ class HpClosedForm:
             return z
         num = reduce(mul, map(in_u, self.numerator_factors))
         ser = ratfun_expand(num, list(map(in_u, self.denominator_factors)), order, "u")
-        return LaurentPoly("t", {m: v * _from_u(self.p, m) for m, v in ser.c.items()})
+        return LaurentPoly("t", {m: v * (self.prefactor / self.p ** (9 * m)) for m, v in ser.c.items()})
 
 
 def hp_closed_form(p):

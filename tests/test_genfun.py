@@ -136,6 +136,14 @@ def test_closed_form_matches_rational_expansion(p):
         assert repr(got) == repr(want)
 
 
+def test_closed_form_refuses_a_factor_not_integral_in_u():
+    h = hp_closed_form(2)
+    extra = genfun._t_factor(Fraction(1, 2 ** 10))  # 1 - u/2 at t = 2^9 u
+    bad = genfun.HpClosedForm(2, h.prefactor, h.numerator_factors, h.denominator_factors + (extra,))
+    with pytest.raises(ArithmeticError):
+        bad.expand(3)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lambda_matches_rational_sum(p):
     for m in range(9):
@@ -154,7 +162,6 @@ def test_one_wrong_beta_fails_the_closed_form_route(monkeypatch, capsys):
     monkeypatch.setattr(genfun, "beta_exps", _beta_off_at_112)
     ok, report = H_verify(3, 6)
     assert not ok
-    assert report["t_power"] == 4 and report["route"] == "closed_form"
     lam_bad = rational_lambda(3, 4, _beta_off_at_112)
     assert lam_bad != rational_lambda(3, 4)
     want = {
@@ -170,7 +177,7 @@ def test_one_wrong_beta_fails_the_closed_form_route(monkeypatch, capsys):
     assert payload["first_discrepancy"] == want
     # the public Laurent form of Fractions, not the integers summed over Z
     for key in ("lambda_sum", "closed_form"):
-        assert "/" in want[key]
+        assert "/" in payload["first_discrepancy"][key]
 
 
 def tilde_from_table(p, m1, m2, m3):
@@ -234,12 +241,12 @@ def test_rational_routes_run_in_z(monkeypatch):
     for p in (2, 3, 5, 97):
         seen.clear()
         hp_closed_form(p).expand(8)
-        ((ser,),) = [seen]
+        (ser,) = seen
         assert ser.var == "u" and _int_coeffs(ser)
         c1 = constants(p).c1
         for m in range(9):
             total, d = genfun._lambda_in_z(p, m)
-            assert type(d) is int and p ** round(math.log(d, p)) == d
+            assert type(d) is int and p ** round(math.log(d, p)) == d  # a power of p
             assert _int_coeffs(total)
             assert total * (1 / (c1 * d)) == lambda_p(p, m)
 

@@ -150,8 +150,8 @@ def test_generator_word_multipliers():
 
 
 def rand_rational_word(rng, length, bound=2):
-    """A word over Q: rand_word's tokens, with m over Q and theta scaling by
-    nonunit rationals."""
+    """A word over Q: rand_word's tokens, with m over Q and theta scalings by
+    rationals, most of them not +-1."""
     word = []
     for token in rand_word(rng, length, bound):
         if token[0] == "m":
