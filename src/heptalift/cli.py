@@ -49,6 +49,7 @@ MAX_GAMMA_K = 343
 MAX_TMAX = 40
 MAX_ORDER = 94
 MAX_HP_SIZE = 280
+MAX_LOCAL_SIZE = 10000
 MAX_DET = 29000
 MAX_PRIME_BITS = 1024
 MAX_RS_EULER_BITS = 510
@@ -187,19 +188,26 @@ def _cmd_reduce(args):
     }
 
 
+def _check_local_size(weight, of, *numbers):
+    """Refuse a siegel or density input, before any work, when its weight
+    times the bit length of the longest of its numbers passes MAX_LOCAL_SIZE."""
+    if weight * max(abs(v).bit_length() for v in numbers) > MAX_LOCAL_SIZE:
+        raise UsageError("the weight %s must be <= %d" % (of, MAX_LOCAL_SIZE))
+
+
+def _printed(what, hint, values):
+    """frac_str of each value; one past Python's 4300-digit limit on
+    int-to-str conversion exits 2."""
+    try:
+        return [frac_str(v) for v in values]
+    except ValueError:
+        raise UsageError("%s exceeds the 4300-digit print limit; %s" % (what, hint))
+
+
 def _cmd_siegel(args):
     p = args.prime
     m1, m2, m3 = _int_csv(args.m, 3, "--m")
-    try:
-        f = f_poly(p, m1, m2, m3)
-    except ValueError as exc:
-        raise UsageError("bad exponents %r: %s" % (args.m, exc))
-    payload = {
-        "prime": p,
-        "m": [m1, m2, m3],
-        "weight": f.weight,
-        "coefficients": [frac_str(c) for c in f.coeffs()],
-    }
+    x = None
     if args.eval is not None:
         name, _, rhs = args.eval.partition("=")
         if name != "X" or not rhs:
@@ -208,18 +216,35 @@ def _cmd_siegel(args):
             x = Fraction(rhs)
         except (ValueError, ZeroDivisionError):
             raise UsageError("--eval expects a rational, got %r" % (rhs,))
-        payload["eval"] = {"X": frac_str(x), "value": frac_str(f.evaluate(x))}
+    numbers = (p,) if x is None else (p, x.numerator, x.denominator)
+    _check_local_size(3 * m1 + m2 + m3, "3*m1+m2+m3 times the bit length of --prime "
+                      "(or of X's numerator or denominator, if longer)", *numbers)
+    try:
+        f = f_poly(p, m1, m2, m3)
+    except ValueError as exc:
+        raise UsageError("bad exponents %r: %s" % (args.m, exc))
+    payload = {
+        "prime": p,
+        "m": [m1, m2, m3],
+        "weight": f.weight,
+        "coefficients": _printed("a coefficient", "lower --m", f.coeffs()),
+    }
+    if x is not None:
+        (value,) = _printed("the value at X", "lower --m or shorten X", [f.evaluate(x)])
+        payload["eval"] = {"X": frac_str(x), "value": value}
     return payload
 
 
 def _cmd_density(args):
     p = args.prime
     exps = _int_csv(args.divisors, 3, "--divisors")
+    _check_local_size(sum(exps), "a1+a2+a3 times the bit length of --prime", p)
     try:
         beta = beta_exps(p, exps)
     except ValueError as exc:
         raise UsageError("bad divisors %r: %s" % (args.divisors, exc))
-    return {"prime": p, "divisors": list(exps), "beta": frac_str(beta)}
+    (beta,) = _printed("beta", "lower --divisors", [beta])
+    return {"prime": p, "divisors": list(exps), "beta": beta}
 
 
 def _check_printable(what, path, *values):

@@ -14,8 +14,9 @@ to p^4 - X^{+-2} and the sum is divided by the primitive common denominator,
 exactly over Z (Gauss's lemma).  The lambda sum weights each exponent triple
 by the int d c1/beta_p, d a power of p, and divides by c1 d.  The pair sum is
 symmetric, so it walks the 36 unordered pairs of the eight table terms.  The
-Euler-factor rewrite is certified over Z as well: each factor 1 - c X^x t^n
-is cleared by the denominator of c before the two sides are multiplied out.
+Euler-factor rewrite is certified over Z as well: the factors the two sides
+share cancel first, and each factor 1 - c X^x t^n left is cleared by the
+denominator of c before the two sides are multiplied out.
 """
 
 from __future__ import annotations
@@ -278,14 +279,25 @@ def _cleared(f):
 def _same_product(lhs, rhs):
     """Whether prod(lhs) == prod(rhs), decided over Z.
 
-    Each factor f is cleared to d f (_cleared); with S the product of a
+    Nonzero factors equal on both sides are cancelled first, as a multiset
+    (a factor twice on one side and once on the other keeps one copy).  This
+    is exact: Z[X, X^-1][t] is an integral domain, so for a product C of
+    nonzero factors prod(A) C == prod(B) C exactly when prod(A) == prod(B).
+    Each factor f left is cleared to d f (_cleared); with S the product of a
     side's d, prod(lhs) = L/S_lhs and prod(rhs) = R/S_rhs for integer
-    products L and R, so the two agree exactly when L S_rhs == R S_lhs.
+    products L and R (1 for a side cancelled to nothing), so the two agree
+    exactly when L S_rhs == R S_lhs.
     """
+    left, rest = [], list(rhs)
+    for f in lhs:
+        if f and f in rest:
+            rest.remove(f)
+        else:
+            left.append(f)
     sides = []
-    for factors in (lhs, rhs):
-        dens, polys = zip(*map(_cleared, factors))
-        sides.append((math.prod(dens), reduce(mul, polys)))
+    for factors in (left, rest):
+        cleared = [_cleared(f) for f in factors]
+        sides.append((math.prod(d for d, _ in cleared), reduce(mul, (z for _, z in cleared), 1)))
     (s_lhs, z_lhs), (s_rhs, z_rhs) = sides
     return z_lhs * s_rhs == z_rhs * s_lhs
 
@@ -299,11 +311,18 @@ def rs_euler_factors(p):
               / prod_{i=1..3} (1 - p^{-4i+3} X^2 t)(1 - p^{-4i+3} t)(1 - p^{-4i+3} X^{-2} t),
     the three lines being the zeta^{-1} numerators, the zeta factors and the
     symmetric-square factors of the global series.  The rewrite is certified
-    against the product form by exact cross-multiplication over Z: every
-    factor 1 - c X^x t^n, c = +-p^-e, is cleared to p^e - (p^e c) X^x t^n,
-    and the integer products of the two sides are compared after each is
-    scaled by the other side's product of the p^e (_same_product).
-    "consistent" is the outcome; the factor lists keep their rational form.
+    against the product form by exact cross-multiplication over Z
+    (_same_product).  Equal factors cancel as a multiset: the nine
+    symmetric-square factors against the product form's nine denominators
+    1 - p^{3-4i} X^{0,+-2} t, the zeta factor 1 - p^-1 t against the product
+    form's first denominator, and the t^2 numerator 1 - p^-14 t^2 against
+    the product form's first numerator.  That leaves 4 factors against 2,
+    (1 - p^-5 t)(1 + p^-5 t)(1 - p^-9 t)(1 + p^-9 t) against
+    (1 - p^-10 t^2)(1 - p^-18 t^2).  Every factor left, 1 - c t^n with
+    c = +-p^-e, is cleared to p^e - (p^e c) t^n, and the integer products of
+    the two sides are compared after each is scaled by the other side's
+    product of the p^e.  "consistent" is the outcome; the factor lists keep
+    their rational form.
     """
     h = hp_closed_form(p)
     t2_numerators = [_t_factor(_q(p, 4 * i + 6), 2) for i in (1, 2, 3)]

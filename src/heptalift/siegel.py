@@ -14,9 +14,13 @@ Both routes run on integers only.  The one non-integral denominator factor,
 1 - p^-4 X, is cleared to p^4 - X, and the p^4 it gains moves into the
 numerators of the terms that carry it (the d7 term of f_poly, the C1 term
 of the oracle), so every division is an exact division over Z that raises
-on a remainder.  f_poly is memoized on (p, m1, m2, m3) for the life of the
-process; the oracle is not, so a check of one against the other always
-computes both.
+on a remainder.  f_poly's denominators and their cofactors depend on p
+alone, so they are built once per prime (_f_poly_denominators); each call
+then adds four monomial pairs over them and makes one exact division.
+f_poly is memoized on (p, m1, m2, m3) for the life of the process.  The
+oracle reads neither memo and sums its own terms (_sum_symmetric), so a
+check of one route against the other always computes both and shares no
+step between them.
 
 tilde(X) = X^m f(X^{-2}) is supported on {-m, -m+2, ..., m} and is
 invariant under X -> 1/X.
@@ -101,31 +105,57 @@ def _sum_symmetric(half: LaurentPoly, terms) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def f_poly(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
-    """Eight-term closed form, summed over one common denominator.
+def _f_poly_denominators(p: int):
+    """The pieces of f_poly that depend on p alone, built once per prime.
 
-    Memoized on (p, m1, m2, m3); callers share the returned object.
+    half = (1-X)^2 (1-p^4 X)(1-p^8 X)(p^4-X) is a multiple of the three
+    term denominators d+, d5 and d7, and full = half * half(1/X) is the
+    common denominator of all eight terms.  For each den this returns
+    (A, A(1/X)) with A = (half / den) * half(1/X), so that
+    num / den + num_inv / den(1/X) = (num A + num_inv A(1/X)) / full.
+    The cofactors half / den are exact divisions: a wrong denominator raises.
+    Callers share the returned polynomials and must not mutate them.
     """
-    _check_args(p, m1, m2, m3)
     p4, p8 = p ** 4, p ** 8
     # p^4 - X = p^4 (1 - p^-4 X) keeps every coefficient an integer
     p4_x = LaurentPoly("X", {0: p4, 1: -1})
     d_plus = _lin(1) * _lin(p4) * _lin(p8)
     d5 = _lin(1) * _lin(1) * _lin(p4)
     d7 = _lin(1) * _lin(1) * p4_x
-    # (1-X)^2 (1-p^4 X)(1-p^8 X)(p^4-X); the minus side uses X -> 1/X
     half = d5 * _lin(p8) * p4_x
+    half_inv = half.subst_inverse()
+    over = []
+    for den in (d_plus, d5, d7):
+        a = half.divide_exact(den) * half_inv
+        over.append((a, a.subst_inverse()))
+    return tuple(over), half * half_inv
+
+
+@lru_cache(maxsize=None)
+def f_poly(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
+    """Eight-term closed form, summed over one common denominator.
+
+    The denominators come from the per-prime memo _f_poly_denominators; each
+    call adds its four monomial pairs over them and divides by the common
+    denominator once, exactly, so a sum that is not a polynomial raises.
+    Memoized on (p, m1, m2, m3); callers share the returned object.
+    """
+    _check_args(p, m1, m2, m3)
+    (over_plus, over5, over7), full = _f_poly_denominators(p)
     a = -(p ** (8 * m1 + 8))
     b = -(p ** (8 * m1 + 4 * (m2 + 1)))
     # the d7 term carries the p^4 that d7 gained over (1-X)^2 (1-p^-4 X)
     c = -(p ** (8 * m1 + 4 * m2 + 4))
     terms = [
-        (_mono(1, 0), _mono(1, 3 * m1 + m2 + m3), d_plus),
-        (_mono(a, m1 + 1), _mono(a, 2 * m1 + m2 + m3 - 1), d_plus),
-        (_mono(b, m1 + m2 + 1), _mono(b, 2 * m1 + m3 - 1), d5),
-        (_mono(c, m1 + m3 + 1), _mono(c, 2 * m1 + m2 - 1), d7),
+        (1, 0, 3 * m1 + m2 + m3, over_plus),
+        (a, m1 + 1, 2 * m1 + m2 + m3 - 1, over_plus),
+        (b, m1 + m2 + 1, 2 * m1 + m3 - 1, over5),
+        (c, m1 + m3 + 1, 2 * m1 + m2 - 1, over7),
     ]
-    return SiegelPoly(p, (m1, m2, m3), _sum_symmetric(half, terms))
+    num = LaurentPoly.zero("X")
+    for coeff, e, e_inv, (over, over_inv) in terms:
+        num = num + _mono(coeff, e) * over + _mono(coeff, e_inv) * over_inv
+    return SiegelPoly(p, (m1, m2, m3), num.divide_exact(full))
 
 
 def _base_poly(p: int, m2: int, m3: int) -> LaurentPoly:

@@ -21,6 +21,7 @@ from heptalift.genfun import gamma_k
 from heptalift.jordan import JordanElement
 from heptalift.lift import eigen_delta, local_factor
 from heptalift.padic import factorize, is_prime
+from heptalift.siegel import f_poly
 
 ZERO8 = [0] * 8
 
@@ -89,6 +90,69 @@ def test_series_order_caps(argv):
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "must be <=" in json.loads(proc.stderr)["error"]
+    assert elapsed < 2.0
+
+
+_M61 = str(2 ** 61 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("siegel", "--prime", "3", "--m", "0,100000,100000"),
+    ("siegel", "--prime", "2", "--m", "0,0,5001"),
+    ("siegel", "--prime", "2", "--m", "0,0,1000", "--eval", "X=1/1025"),
+    ("siegel", "--prime", "2", "--m", "10,0,0", "--eval", "X=%d" % 2 ** 400),
+    ("density", "--prime", "2", "--divisors", "100000,100000,100000"),
+    ("density", "--prime", "2", "--divisors", "0,0,5001"),
+    ("density", "--prime", _M61, "--divisors", "0,1,163"),
+], ids=lambda a: " ".join(a)[:60])
+def test_local_size_cap(argv):
+    # weight times bit length past the cap exits 2 before f_poly or beta_exps;
+    # siegel --prime 3 --m 0,100000,100000 used to run out of memory
+    assert cli.MAX_LOCAL_SIZE == 10000
+    t0 = time.perf_counter()
+    proc = run_module(list(argv))
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error.startswith("the weight ") and error.endswith(" must be <= 10000")
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("siegel", "--prime", "2", "--m", "0,0,5000"),
+    ("siegel", "--prime", "2", "--m", "0,0,1000", "--eval", "X=1/1023"),
+    ("siegel", "--prime", _M61, "--m", "0,50,50", "--eval", "X=3"),
+    ("density", "--prime", "2", "--divisors", "0,0,5000"),
+    ("density", "--prime", _M61, "--divisors", "0,1,162"),
+], ids=lambda a: " ".join(a)[:60])
+def test_local_size_cap_keeps_sizes_at_the_cap(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    if argv[0] == "siegel":
+        m1, m2, m3 = (int(v) for v in argv[4].split(","))
+        assert payload["coefficients"] == [str(c) for c in f_poly(int(argv[2]), m1, m2, m3).coeffs()]
+    else:
+        exps = tuple(int(v) for v in argv[4].split(","))
+        assert payload["beta"] == frac_str(beta_exps(int(argv[2]), exps))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("siegel", "--prime", _M61, "--m", "33,0,0"),
+     "a coefficient exceeds the 4300-digit print limit; lower --m"),
+    (("siegel", "--prime", _M61, "--m", "0,50,50", "--eval", "X=" + _M61),
+     "the value at X exceeds the 4300-digit print limit; lower --m or shorten X"),
+    (("density", "--prime", "2", "--divisors", "1666,1667,1667"),
+     "beta exceeds the 4300-digit print limit; lower --divisors"),
+], ids=["coefficient", "value", "beta"])
+def test_local_outputs_past_the_print_limit(argv, message, capsys):
+    # inside the size cap, an output past 4300 digits exits 2 and says so
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message}
     assert elapsed < 2.0
 
 
@@ -778,7 +842,7 @@ def test_every_cap_is_in_the_cli_reference():
     # docs/cli.md holds the basis and measurements of each cap, cli.py the value
     doc = (Path(__file__).resolve().parent.parent / "docs" / "cli.md").read_text()
     for name in ("MAX_DIGITS", "MAX_GAMMA_K", "MAX_TMAX", "MAX_ORDER", "MAX_HP_SIZE",
-                 "MAX_DET", "MAX_PRIME_BITS", "MAX_RS_EULER_BITS"):
+                 "MAX_LOCAL_SIZE", "MAX_DET", "MAX_PRIME_BITS", "MAX_RS_EULER_BITS"):
         assert re.search(r"\b%d\b" % getattr(cli, name), doc), name
 
 

@@ -355,6 +355,53 @@ def test_rs_euler_certificate_catches_one_wrong_factor(monkeypatch, p, side):
         monkeypatch.undo()
 
 
+def _multiset_cases():
+    f = genfun._t_factor(Fraction(1, 4))
+    g = genfun._t_factor(Fraction(1, 2), 1, 2)
+    a, b = genfun._t_factor(Fraction(1, 3)), genfun._t_factor(-Fraction(1, 3))
+    ab = genfun._t_factor(Fraction(1, 9), 2)  # (1 - t/3)(1 + t/3)
+    one = LaurentPoly.const(1, "t")
+    zero = LaurentPoly.zero("t")
+    return [
+        # a factor repeated on one side more often than on the other
+        ([f, f, a, b], [f, f, ab], True),
+        ([f, f, f, a, b], [f, f, ab], False),
+        ([f, f, f, g], [g, f, f, f], True),
+        # sides that cancel to nothing, or to nothing against a unit
+        ([f, g], [g, f], True),
+        ([], [], True),
+        ([f, one], [f], True),
+        ([f, g], [g], False),
+        # products that differ only in a repeated factor
+        ([f, f, g], [f, g, g], False),
+        ([a, a, b], [a, b, b], False),
+        # a zero factor is never cancelled, so both products stay zero
+        ([zero, a], [zero, b], True),
+    ]
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_same_product_cancels_as_a_multiset(case):
+    lhs, rhs, expected = _multiset_cases()[case]
+    plain = lambda fs: reduce(mul, fs, LaurentPoly.const(1, "t"))
+    assert (plain(lhs) == plain(rhs)) is expected
+    assert genfun._same_product(lhs, rhs) is expected
+    assert genfun._same_product(rhs, lhs) is expected
+
+
+def test_rs_euler_certificate_clears_only_the_factors_that_differ(monkeypatch):
+    # 11 factors cancel on each side; (1 -+ p^-5 t)(1 -+ p^-9 t) is left
+    # against (1 - p^-10 t^2)(1 - p^-18 t^2), to clear and multiply
+    p = 3
+    cleared = []
+    clear = genfun._cleared
+    monkeypatch.setattr(genfun, "_cleared", lambda f: cleared.append(f) or clear(f))
+    assert rs_euler_factors(p)["consistent"] is True
+    left = [genfun._t_factor(s * genfun._q(p, e)) for s in (1, -1) for e in (5, 9)]
+    left += [genfun._t_factor(genfun._q(p, e), 2) for e in (10, 18)]
+    assert len(cleared) == 6 and all(f in cleared for f in left)
+
+
 def test_mass_constant_against_even_zetas():
     v = mass_archimedean_constant()
     for n in (2, 6, 8, 12):

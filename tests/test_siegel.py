@@ -76,6 +76,7 @@ def test_memo_hands_out_unmutated_polys():
 def test_wrong_denominator_raises_in_both_routes(monkeypatch, factor):
     lin = siegel._lin
     f_poly.cache_clear()
+    siegel._f_poly_denominators.cache_clear()
     good = f_poly(2, 1, 0, 2)
     try:
         for p in (2, 3, 5):
@@ -85,9 +86,12 @@ def test_wrong_denominator_raises_in_both_routes(monkeypatch, factor):
                 siegel, "_lin", lambda c, t=target: lin(c + 1 if c == t else c)
             )
             if p == 2:
-                # a memo hit would hide the mutation
+                # a hit in either memo would hide the mutation
                 assert f_poly(2, 1, 0, 2) is good
                 f_poly.cache_clear()
+                assert f_poly(2, 1, 0, 2) == good
+                f_poly.cache_clear()
+                siegel._f_poly_denominators.cache_clear()
             for m in all_triples(6):
                 with pytest.raises(ArithmeticError):
                     f_poly(p, *m)
@@ -96,6 +100,24 @@ def test_wrong_denominator_raises_in_both_routes(monkeypatch, factor):
     finally:
         monkeypatch.undo()
         f_poly.cache_clear()
+        siegel._f_poly_denominators.cache_clear()
+
+
+def test_warm_memo_matches_cold_route_and_oracle():
+    # the per-prime denominators are shared by every call at p; a call must
+    # neither see them stale nor change them
+    f_poly.cache_clear()
+    siegel._f_poly_denominators.cache_clear()
+    for p in (2, 3, 5, 7, 97):
+        for m in all_triples(10):
+            warm = f_poly(p, *m)
+            assert warm == f_poly.__wrapped__(p, *m) == f_poly_oracle(p, *m), (p, m)
+        over, full = siegel._f_poly_denominators(p)
+        fresh_over, fresh_full = siegel._f_poly_denominators.__wrapped__(p)
+        assert full == fresh_full and over == fresh_over
+        assert all(type(v) is int for a, a_inv in over for v in (*a.c.values(), *a_inv.c.values()))
+    hits = siegel._f_poly_denominators.cache_info()
+    assert hits.currsize == 5 and hits.hits > 0
 
 
 def test_degree_and_constant_term():
