@@ -335,11 +335,8 @@ def _cmd_lift_table(args):
                 blocks[p, e] = [(exps, local_factor(p, exps, eigen))
                                 for exps in exponent_triples(e)]
         for combo in itertools.product(*(blocks[pe] for pe in fac)):
-            try:
-                coefficient = frac_str(prod(value for _, value in combo))
-            except ValueError:  # Python's 4300-digit limit on int-to-str conversion
-                raise UsageError("the coefficient at det %d exceeds the 4300-digit print "
-                                 "limit; lower --k or --max-det" % n)
+            (coefficient,) = _printed("the coefficient at det %d" % n, "lower --k or --max-det",
+                                      [prod(value for _, value in combo)])
             rows.append({
                 "det": str(n),
                 "divisors": {str(p): list(exps) for (p, _), (exps, _) in zip(fac, combo)},

@@ -182,14 +182,26 @@ class LaurentPoly:
         return LaurentPoly(self.var, {e: f(v) for e, v in self.c.items()})
 
     def evaluate(self, x):
-        """Evaluate at a scalar x (Fraction for negative exponents)."""
-        total = 0
-        for e, v in self.c.items():
-            if e >= 0:
-                total += v * x ** e
-            else:
-                total += v * Fraction(1, 1) / Fraction(x) ** (-e)
-        return total
+        """Evaluate at a scalar x, with int or Fraction coefficients.
+
+        With x = a/b in lowest terms and lo, hi the least and greatest
+        exponent, one Horner pass over Z sums N = sum c_e a^(e-lo) b^(hi-e),
+        and the value is the one Fraction N a^lo / b^hi.  x = 0 raises
+        ZeroDivisionError when lo < 0.
+        """
+        if not self.c:
+            return Fraction(0)
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        es = sorted(self.c, reverse=True)
+        n, b_pow, prev = 0, 1, es[0]
+        for e in es:
+            b_pow *= b ** (prev - e)
+            n = n * a ** (prev - e) + self.c[e] * b_pow
+            prev = e
+        if prev < 0:
+            return Fraction(n * b ** -prev, b_pow * a ** -prev)
+        return Fraction(n * a ** prev, b_pow * b ** prev)
 
     def divide_exact(self, den: "LaurentPoly") -> "LaurentPoly":
         """Exact division over Z by another Laurent polynomial.

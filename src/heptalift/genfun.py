@@ -9,9 +9,10 @@ and the residue algebra that yields the rational period constant gamma_k.
 All three routes of the H_p check sum over Z and rescale each coefficient
 once.  The product form is expanded in u = t/p^9, where every factor has int
 coefficients, and its u^m coefficient is rescaled by 1/(c1 p^{9m}).  The
-table route does the same for P, once the factor 1 - p^-4 X^{+-2} is cleared
-to p^4 - X^{+-2} and the sum is divided by the primitive common denominator,
-exactly over Z (Gauss's lemma).  The lambda sum weights each exponent triple
+table route does the same for P over a table that is siegel's eight
+closed-form terms mapped to X^m f(X^-2), where the factor 1 - p^-4 X is
+already cleared to p^4 - X; its sum is divided by the primitive common
+denominator, exactly over Z (Gauss's lemma).  The lambda sum weights each exponent triple
 by the int d c1/beta_p, d a power of p, and divides by c1 d.  The pair sum is
 symmetric, so it walks the 36 unordered pairs of the eight table terms.  The
 Euler-factor rewrite is certified over Z as well: the factors the two sides
@@ -36,7 +37,7 @@ from .exactnum import (
     symsq_special,
     zeta_special,
 )
-from .siegel import f_poly, tilde_f
+from .siegel import _closed_form_terms, f_poly, tilde_f
 
 __all__ = [
     "H_verify",
@@ -156,59 +157,30 @@ def hp_closed_form(p):
 # The eight-term Laurent-series table and the pair-sum route
 
 
-def _lin2(coeff, e):
-    """1 - coeff * X^e."""
-    return LaurentPoly("X", {0: 1, e: -coeff})
-
-
-def _mono(coeff, e):
-    return LaurentPoly.monomial(coeff, e, "X")
-
-
-def _p4_minus_x2(p):
-    """p^4 - X^2 = p^4 (1 - p^-4 X^2), the table's one factor cleared to Z."""
-    return LaurentPoly("X", {0: p ** 4, 2: -1})
-
-
 @lru_cache(maxsize=None)
 def _cleared_table(p):
     """The eight Laurent-series terms with denominators cleared, over Z.
 
-    tilde_f for exponents (m1, m1+m2, m1+m3) equals
-    sum_i N_i/D_i * X_i^{m1} Y_i^{m2} Z_i^{m3}; every D_i divides a common
-    half-denominator Dhalf.  Returns ([(W_i, X_i, Y_i, Z_i)], Dhalf) with
-    W_i = N_i * Dhalf / D_i, so that the sum of W_i X_i^.. Y_i^.. Z_i^..
-    divided by Dhalf recovers tilde_f.
+    siegel writes f = sum N x^m1 y^m2 z^m3 cof / full over its eight terms
+    (_closed_form_terms).  tilde_f = X^m f(X^-2) takes each monomial c X^e
+    to c X^-2e, and X^m = X^{3 m1} X^m2 X^m3 multiplies the x, y and z
+    monomials by X^3, X and X.  So tilde_f for exponents (m1, m1+m2, m1+m3)
+    equals sum_i W_i X_i^{m1} Y_i^{m2} Z_i^{m3} / Dhalf with
+    W_i = N_i(X^-2) cof_i(X^-2) and Dhalf = full(X^-2); this returns
+    ([(W_i, X_i, Y_i, Z_i)], Dhalf).
 
     The one non-integral factor, 1 - p^-4 X^2, is cleared to p^4 - X^2 (and
-    1 - p^-4 X^-2 to p^4 - X^-2); the numerator of the term it divides
-    carries the extra p^4.  So every W_i and Dhalf has int coefficients.
-    Each factor of Dhalf has a coefficient +-1, so Dhalf is primitive and,
-    by Gauss's lemma, an integer polynomial that Dhalf divides over Q it
-    also divides over Z.
+    1 - p^-4 X^-2 to p^4 - X^-2), as siegel clears 1 - p^-4 X; the numerator
+    of the term it divides carries the extra p^4.  So every W_i and Dhalf has
+    int coefficients.  Each factor of Dhalf has a coefficient +-1, so Dhalf
+    is primitive and, by Gauss's lemma, an integer polynomial that Dhalf
+    divides over Q it also divides over Z.
     """
-    p4, p8 = p ** 4, p ** 8
-    one, q4, q8 = _lin2(1, 2), _lin2(p4, 2), _lin2(p8, 2)
-    p4_x2 = _p4_minus_x2(p)
-    half = [one, one, q4, q8, p4_x2]
-    base = [
-        (_mono(1, 0), [one, q4, q8], _mono(1, -3), _mono(1, -1), _mono(1, -1)),
-        (_mono(-p8, 2), [one, q4, q8], _mono(p8, -1), _mono(1, -1), _mono(1, -1)),
-        (_mono(-p4, 2), [one, one, q4], _mono(p8, -1), _mono(p4, 1), _mono(1, -1)),
-        # -X^2 over (1-X^2)^2 (1-p^-4 X^2) is -p^4 X^2 over (1-X^2)^2 (p^4-X^2)
-        (_mono(-p4, 2), [one, one, p4_x2], _mono(p8, -1), _mono(p4, -1), _mono(1, 1)),
-    ]
-    inv = lambda fs: [f.subst_inverse() for f in fs]
-    terms = base + [(n.subst_inverse(), inv(d), *inv(xyz)) for n, d, *xyz in base]
-    factors = half + inv(half)
-    dhalf = reduce(mul, factors)
-    cleared = []
-    for n, dpar, xi, yi, zi in terms:
-        rest = list(factors)
-        for f in dpar:
-            rest.remove(f)
-        cleared.append((reduce(mul, rest, n), xi, yi, zi))
-    return tuple(cleared), dhalf
+    terms, full = _closed_form_terms(p)
+    mono = lambda shift, ce: LaurentPoly.monomial(ce[0], shift - 2 * ce[1], "X")
+    table = tuple((mono(0, n) * cof.subst_power(-2), mono(3, x), mono(1, y), mono(1, z))
+                  for cof, n, x, y, z in terms)
+    return table, full.subst_power(-2)
 
 
 def hp_table_route(p, tmax):

@@ -12,14 +12,17 @@ independent routes are implemented:
 
 Both routes run on integers only.  The one non-integral denominator factor,
 1 - p^-4 X, is cleared to p^4 - X, and the p^4 it gains moves into the
-numerators of the terms that carry it (the d7 term of f_poly, the C1 term
+numerators of the terms that carry it (the d7 terms of f_poly, the C1 term
 of the oracle), so every division is an exact division over Z that raises
-on a remainder.  f_poly's denominators and their cofactors depend on p
-alone, so they are built once per prime (_f_poly_denominators); each call
-then adds four monomial pairs over them and makes one exact division.
-f_poly is memoized on (p, m1, m2, m3) for the life of the process.  The
-oracle reads neither memo and sums its own terms (_sum_symmetric), so a
-check of one route against the other always computes both and shares no
+on a remainder.  The eight terms are written once, in the per-prime memo
+_closed_form_terms: each is a monomial N x^m1 y^m2 z^m3 over one of three
+denominators, stored as (coefficient, exponent) pairs next to the
+denominator's cofactor in the common denominator.  f_poly builds one
+monomial per term, adds the eight products and makes one exact division;
+genfun's table route maps the same terms to X^m f(X^-2).  f_poly is
+memoized on (p, m1, m2, m3) for the life of the process.  The oracle reads
+neither memo and sums its own two terms over its own common denominator, so
+a check of one route against the other always computes both and shares no
 step between them.
 
 tilde(X) = X^m f(X^{-2}) is supported on {-m, -m+2, ..., m} and is
@@ -88,73 +91,68 @@ def _check_args(p, m1, m2, m3):
         raise ValueError((m1, m2, m3))
 
 
-def _sum_symmetric(half: LaurentPoly, terms) -> LaurentPoly:
-    """sum(num / den + num_inv / den(1/X)) over (num, num_inv, den) in terms.
-
-    Every den divides half, so half * half(1/X) is a common denominator.  The
-    cofactors half / den and the final quotient are exact divisions: a wrong
-    denominator or a sum that is not a Laurent polynomial raises.
-    """
-    plus = minus = LaurentPoly.zero("X")
-    for num, num_inv, den in terms:
-        cof = half.divide_exact(den)
-        plus = plus + num * cof
-        minus = minus + num_inv * cof.subst_inverse()
-    half_inv = half.subst_inverse()
-    return (plus * half_inv + minus * half).divide_exact(half * half_inv)
+def _p4_minus_x(p):
+    """p^4 - X = p^4 (1 - p^-4 X), the one denominator factor cleared to Z."""
+    return LaurentPoly("X", {0: p ** 4, 1: -1})
 
 
 @lru_cache(maxsize=None)
-def _f_poly_denominators(p: int):
-    """The pieces of f_poly that depend on p alone, built once per prime.
+def _closed_form_terms(p: int):
+    """f_poly's eight terms, written once and built once per prime.
 
-    half = (1-X)^2 (1-p^4 X)(1-p^8 X)(p^4-X) is a multiple of the three
-    term denominators d+, d5 and d7, and full = half * half(1/X) is the
-    common denominator of all eight terms.  For each den this returns
-    (A, A(1/X)) with A = (half / den) * half(1/X), so that
-    num / den + num_inv / den(1/X) = (num A + num_inv A(1/X)) / full.
-    The cofactors half / den are exact divisions: a wrong denominator raises.
-    Callers share the returned polynomials and must not mutate them.
+    f = sum N x^m1 y^m2 z^m3 / den over the eight terms, with N, x, y and z
+    monomials in X given as (coefficient, exponent) pairs.  Two of the last
+    four terms sit over d+ = (1-X)(1-p^4 X)(1-p^8 X), one over
+    d5 = (1-X)^2 (1-p^4 X) and one over d7 = (1-X)^2 (p^4-X); the first four
+    are their mirror images X^m term(1/X), m = 3 m1 + m2 + m3.
+    half = (1-X)^2 (1-p^4 X)(1-p^8 X)(p^4-X) is a multiple of d+, d5 and d7,
+    and full = half * half(1/X) is a common denominator of all eight.
+    Returns ([(cof, N, x, y, z)], full) with cof = full / den, so that
+    f = sum(N x^m1 y^m2 z^m3 cof) / full.  The three cofactors half / den
+    are exact divisions, so a wrong denominator raises; a term and its
+    mirror image share one cofactor up to X -> 1/X.  Callers share the
+    returned polynomials and must not mutate them.
     """
     p4, p8 = p ** 4, p ** 8
-    # p^4 - X = p^4 (1 - p^-4 X) keeps every coefficient an integer
-    p4_x = LaurentPoly("X", {0: p4, 1: -1})
-    d_plus = _lin(1) * _lin(p4) * _lin(p8)
+    p4_x = _p4_minus_x(p)
     d5 = _lin(1) * _lin(1) * _lin(p4)
-    d7 = _lin(1) * _lin(1) * p4_x
     half = d5 * _lin(p8) * p4_x
     half_inv = half.subst_inverse()
-    over = []
-    for den in (d_plus, d5, d7):
-        a = half.divide_exact(den) * half_inv
-        over.append((a, a.subst_inverse()))
-    return tuple(over), half * half_inv
+    # (den, [(N, x, y, z)]) for d+, d5 and d7
+    over = [
+        (_lin(1) * _lin(p4) * _lin(p8),
+         [((1, 0), (1, 0), (1, 0), (1, 0)), ((-p8, 1), (p8, 1), (1, 0), (1, 0))]),
+        (d5, [((-p4, 1), (p8, 1), (p4, 1), (1, 0))]),
+        # the d7 term carries the p^4 that d7 gained over (1-X)^2 (1-p^-4 X)
+        (_lin(1) * _lin(1) * p4_x, [((-p4, 1), (p8, 1), (p4, 0), (1, 1))]),
+    ]
+    terms, mirrors = [], []
+    for den, monos in over:
+        cof = half.divide_exact(den) * half_inv
+        cof_inv = cof.subst_inverse()
+        for t in monos:
+            terms.append((cof, *t))
+            # X^m = X^{3 m1} X^m2 X^m3 shifts the exponents of N, x, y, z by 0, 3, 1, 1
+            mirrors.append((cof_inv, *((c, s - e) for (c, e), s in zip(t, (0, 3, 1, 1)))))
+    return tuple(mirrors + terms), half * half_inv
 
 
 @lru_cache(maxsize=None)
 def f_poly(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
     """Eight-term closed form, summed over one common denominator.
 
-    The denominators come from the per-prime memo _f_poly_denominators; each
-    call adds its four monomial pairs over them and divides by the common
-    denominator once, exactly, so a sum that is not a polynomial raises.
-    Memoized on (p, m1, m2, m3); callers share the returned object.
+    The terms come from the per-prime memo _closed_form_terms; each call
+    builds one monomial per term, adds its products with the cofactors and
+    divides by the common denominator once, exactly, so a sum that is not a
+    polynomial raises.  Memoized on (p, m1, m2, m3); callers share the
+    returned object.
     """
     _check_args(p, m1, m2, m3)
-    (over_plus, over5, over7), full = _f_poly_denominators(p)
-    a = -(p ** (8 * m1 + 8))
-    b = -(p ** (8 * m1 + 4 * (m2 + 1)))
-    # the d7 term carries the p^4 that d7 gained over (1-X)^2 (1-p^-4 X)
-    c = -(p ** (8 * m1 + 4 * m2 + 4))
-    terms = [
-        (1, 0, 3 * m1 + m2 + m3, over_plus),
-        (a, m1 + 1, 2 * m1 + m2 + m3 - 1, over_plus),
-        (b, m1 + m2 + 1, 2 * m1 + m3 - 1, over5),
-        (c, m1 + m3 + 1, 2 * m1 + m2 - 1, over7),
-    ]
+    terms, full = _closed_form_terms(p)
     num = LaurentPoly.zero("X")
-    for coeff, e, e_inv, (over, over_inv) in terms:
-        num = num + _mono(coeff, e) * over + _mono(coeff, e_inv) * over_inv
+    for cof, (c, e), (xc, xe), (yc, ye), (zc, ze) in terms:
+        mono = _mono(c * xc ** m1 * yc ** m2 * zc ** m3, e + xe * m1 + ye * m2 + ze * m3)
+        num = num + mono * cof
     return SiegelPoly(p, (m1, m2, m3), num.divide_exact(full))
 
 
@@ -183,10 +181,11 @@ def f_poly_oracle(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
         "X", {0: 1, 1: 1 + p4}
     )
     # C1's factor 1 - X/p^4 is scaled to p^4 - X; its numerators carry the p^4
-    p4_x = LaurentPoly("X", {0: p4, 1: -1})
+    p4_x = _p4_minus_x(p)
     c1_den = _lin(p8) * _lin(1) * p4_x * f0
     # a multiple of both C0 and C1 denominators; the minus side uses X -> 1/X
     half = c0_den * p4_x
+    half_inv = half.subst_inverse()
     q = p ** (8 * m1 + 4)
     terms = [
         (f0, _mono(1, 3 * m1) * f0, c0_den),
@@ -196,7 +195,16 @@ def f_poly_oracle(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
             c1_den,
         ),
     ]
-    return SiegelPoly(p, (m1, m2, m3), _sum_symmetric(half, terms))
+    # sum(num / den + num_inv / den(1/X)) over half * half(1/X): the
+    # cofactors half / den and the final quotient are exact divisions, so a
+    # wrong denominator or a sum that is not a polynomial raises
+    plus = minus = LaurentPoly.zero("X")
+    for num, num_inv, den in terms:
+        cof = half.divide_exact(den)
+        plus = plus + num * cof
+        minus = minus + num_inv * cof.subst_inverse()
+    f = (plus * half_inv + minus * half).divide_exact(half * half_inv)
+    return SiegelPoly(p, (m1, m2, m3), f)
 
 
 def tilde_f(s: SiegelPoly) -> LaurentPoly:

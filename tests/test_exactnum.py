@@ -96,6 +96,31 @@ def test_laurent_inverse_substitution():
     assert g.subst_inverse() == f
 
 
+def plain_sum(poly, x):
+    """Oracle: sum c_e x^e term by term, each power on its own."""
+    return sum((Fraction(v) * Fraction(x) ** e for e, v in poly.c.items()), Fraction(0))
+
+
+def test_evaluate_matches_plain_sum():
+    rng = random.Random(11)
+    polys = [
+        LaurentPoly.zero(),
+        LaurentPoly.const(5),
+        LaurentPoly("X", {-3: 2, 0: -1, 4: Fraction(3, 7)}),
+        LaurentPoly("X", {-5: Fraction(-1, 2), -2: 1}),
+        LaurentPoly("X", {2: 3, 9: -4}),
+    ] + [rand_laurent(rng, nterms=6, erange=(-9, 9)) for _ in range(60)]
+    xs = [0, 1, -1, 3, -7, 10 ** 30, Fraction(-2, 3), Fraction(7, 2), Fraction(1, 10 ** 20)]
+    for poly in polys:
+        for x in xs:
+            if x == 0 and poly and poly.valuation() < 0:
+                with pytest.raises(ZeroDivisionError):
+                    poly.evaluate(x)
+                continue
+            got = poly.evaluate(x)
+            assert type(got) is Fraction and got == plain_sum(poly, x), (poly, x)
+
+
 def test_laurent_exact_division():
     X = LaurentPoly("X", {1: 1})
     f = (1 - X) * (1 + 3 * X + X ** 2)

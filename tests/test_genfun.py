@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from heptalift import cli, genfun
+from heptalift import cli, genfun, siegel
 from heptalift.density import MASS_CONSTANT, beta_exps, constants, exponent_triples
 from heptalift.exactnum import LaurentPoly, SpecialValue, ratfun_expand, zeta_special
 from heptalift.genfun import (
@@ -23,7 +23,7 @@ from heptalift.genfun import (
     rs_closed_residue,
     rs_euler_factors,
 )
-from heptalift.siegel import f_poly, tilde_f
+from heptalift.siegel import f_poly, f_poly_oracle, tilde_f
 
 
 def sym_ABC():
@@ -199,7 +199,8 @@ def test_table_reproduces_tilde():
         for m1 in range(4):
             for m2 in range(11):
                 for m3 in range(m2, 11 - 3 * m1 - m2):
-                    assert tilde_from_table(p, m1, m2, m3) == tilde_f(f_poly(p, m1, m2, m3))
+                    want = tilde_f(f_poly_oracle(p, m1, m2, m3))
+                    assert tilde_from_table(p, m1, m2, m3) == tilde_f(f_poly(p, m1, m2, m3)) == want
     with pytest.raises(ValueError):
         tilde_from_table(2, 0, 2, 1)
 
@@ -252,21 +253,28 @@ def test_rational_routes_run_in_z(monkeypatch):
 
 
 def test_wrong_cleared_factor_raises_in_table_routes(monkeypatch):
-    # p^4 - X^2 becomes p^4 + 1 - X^2
+    # p^4 - X becomes p^4 + 1 - X; the table is f_poly's terms at X^-2
     monkeypatch.setattr(
-        genfun, "_p4_minus_x2", lambda p: LaurentPoly("X", {0: p ** 4 + 1, 2: -1})
+        siegel, "_p4_minus_x", lambda p: LaurentPoly("X", {0: p ** 4 + 1, 1: -1})
     )
-    genfun._cleared_table.cache_clear()
+    memos = (f_poly, siegel._closed_form_terms, genfun._cleared_table)
+    for memo in memos:
+        memo.cache_clear()
     try:
         for p in (2, 3):
             for m in [(0, 0, 0), (0, 1, 1), (1, 0, 2), (2, 1, 3)]:
                 with pytest.raises(ArithmeticError):
                     tilde_from_table(p, *m)
+                with pytest.raises(ArithmeticError):
+                    f_poly(p, *m)
+                with pytest.raises(ArithmeticError):
+                    f_poly_oracle(p, *m)
             with pytest.raises(ArithmeticError):
                 hp_table_route(p, 4)
     finally:
         monkeypatch.undo()
-        genfun._cleared_table.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
 
 
 def ordered_table_route(p, tmax):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from heptalift import siegel
+from heptalift import genfun, siegel
 from heptalift.exactnum import LaurentPoly
 from heptalift.density import exponent_triples
-from heptalift.genfun import lambda_p
+from heptalift.genfun import hp_table_route, lambda_p
 from heptalift.lift import eigen_delta, local_factor
 from heptalift.siegel import (
     SiegelPoly,
@@ -14,6 +14,7 @@ from heptalift.siegel import (
     symmetric_coefficients,
     tilde_f,
 )
+from test_genfun import tilde_from_table
 
 
 def all_triples(bound):
@@ -72,11 +73,16 @@ def test_memo_hands_out_unmutated_polys():
         assert cached == f_poly.__wrapped__(*args)
 
 
+def clear_memos():
+    f_poly.cache_clear()
+    siegel._closed_form_terms.cache_clear()
+    genfun._cleared_table.cache_clear()
+
+
 @pytest.mark.parametrize("factor", ["1", "p^4", "p^8"])
 def test_wrong_denominator_raises_in_both_routes(monkeypatch, factor):
     lin = siegel._lin
-    f_poly.cache_clear()
-    siegel._f_poly_denominators.cache_clear()
+    clear_memos()
     good = f_poly(2, 1, 0, 2)
     try:
         for p in (2, 3, 5):
@@ -86,37 +92,41 @@ def test_wrong_denominator_raises_in_both_routes(monkeypatch, factor):
                 siegel, "_lin", lambda c, t=target: lin(c + 1 if c == t else c)
             )
             if p == 2:
-                # a hit in either memo would hide the mutation
+                # a hit in any memo would hide the mutation
                 assert f_poly(2, 1, 0, 2) is good
                 f_poly.cache_clear()
                 assert f_poly(2, 1, 0, 2) == good
-                f_poly.cache_clear()
-                siegel._f_poly_denominators.cache_clear()
+                clear_memos()
             for m in all_triples(6):
                 with pytest.raises(ArithmeticError):
                     f_poly(p, *m)
                 with pytest.raises(ArithmeticError):
                     f_poly_oracle(p, *m)
+                # the table route reads the same per-prime terms
+                with pytest.raises(ArithmeticError):
+                    tilde_from_table(p, *m)
+            with pytest.raises(ArithmeticError):
+                hp_table_route(p, 4)
     finally:
         monkeypatch.undo()
-        f_poly.cache_clear()
-        siegel._f_poly_denominators.cache_clear()
+        clear_memos()
 
 
 def test_warm_memo_matches_cold_route_and_oracle():
-    # the per-prime denominators are shared by every call at p; a call must
+    # the per-prime terms are shared by every call at p; a call must
     # neither see them stale nor change them
     f_poly.cache_clear()
-    siegel._f_poly_denominators.cache_clear()
+    siegel._closed_form_terms.cache_clear()
     for p in (2, 3, 5, 7, 97):
         for m in all_triples(10):
             warm = f_poly(p, *m)
             assert warm == f_poly.__wrapped__(p, *m) == f_poly_oracle(p, *m), (p, m)
-        over, full = siegel._f_poly_denominators(p)
-        fresh_over, fresh_full = siegel._f_poly_denominators.__wrapped__(p)
-        assert full == fresh_full and over == fresh_over
-        assert all(type(v) is int for a, a_inv in over for v in (*a.c.values(), *a_inv.c.values()))
-    hits = siegel._f_poly_denominators.cache_info()
+        terms, full = siegel._closed_form_terms(p)
+        fresh_terms, fresh_full = siegel._closed_form_terms.__wrapped__(p)
+        assert full == fresh_full and terms == fresh_terms
+        assert all(type(v) is int for cof, *monos in terms
+                   for v in (*cof.c.values(), *(c for c, _ in monos)))
+    hits = siegel._closed_form_terms.cache_info()
     assert hits.currsize == 5 and hits.hits > 0
 
 
