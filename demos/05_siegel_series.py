@@ -10,7 +10,7 @@ that powers the lift.
 
 from fractions import Fraction
 
-from heptalift import f_poly, f_poly_oracle, symmetric_coefficients, tilde_f
+from heptalift import f_poly, f_poly_oracle, tilde_f
 
 p = 2
 for m in ((0, 0, 1), (0, 1, 1), (1, 0, 2)):
@@ -25,7 +25,9 @@ t = tilde_f(f)
 print("\ntilde f for m=(1,0,2):", t)
 assert t == t.subst_inverse()
 print("palindromic: yes")
-print("symmetric coefficients (descending):", symmetric_coefficients(t, f.weight))
+# its coefficient at X^j and X^-j, j = m, m-2, ..., is f's coefficient at X^((m-j)/2)
+print("symmetric coefficients (descending):", [t.coeff(j) for j in range(f.weight, -1, -2)])
+assert [t.coeff(j) for j in range(f.weight, -1, -2)] == f.coeffs()[: f.weight // 2 + 1]
 
 # evaluation at a rational point, exactly
 x = Fraction(1, 3)

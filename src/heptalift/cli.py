@@ -37,7 +37,7 @@ from .genfun import (
 from .jordan import JordanElement
 from .lift import eigen_delta, eigen_from_csv, fourier_coeff, local_factor
 from .lvalue import CRITICAL_POINTS, period_report, rationality_probe
-from .padic import _MODULUS_BOUND, factor_table, genus_invariants, is_prime, reduce_at
+from .padic import factor_table, genus_invariants, is_prime, reduce_at
 from .siegel import f_poly
 
 # primes of the builtin table for period and probe: at k = 10 the L-value pass
@@ -195,13 +195,14 @@ def _check_local_size(weight, of, *numbers):
         raise UsageError("the weight %s must be <= %d" % (of, MAX_LOCAL_SIZE))
 
 
-def _printed(what, hint, values):
+def _printed(what, values, hint=None):
     """frac_str of each value; one past Python's 4300-digit limit on
-    int-to-str conversion exits 2."""
+    int-to-str conversion exits 2, naming what it is and, if given, a hint."""
     try:
         return [frac_str(v) for v in values]
     except ValueError:
-        raise UsageError("%s exceeds the 4300-digit print limit; %s" % (what, hint))
+        tail = "; " + hint if hint else ""
+        raise UsageError("%s exceeds the 4300-digit print limit%s" % (what, tail))
 
 
 def _cmd_siegel(args):
@@ -227,10 +228,10 @@ def _cmd_siegel(args):
         "prime": p,
         "m": [m1, m2, m3],
         "weight": f.weight,
-        "coefficients": _printed("a coefficient", "lower --m", f.coeffs()),
+        "coefficients": _printed("a coefficient", f.coeffs(), "lower --m"),
     }
     if x is not None:
-        (value,) = _printed("the value at X", "lower --m or shorten X", [f.evaluate(x)])
+        (value,) = _printed("the value at X", [f.evaluate(x)], "lower --m or shorten X")
         payload["eval"] = {"X": frac_str(x), "value": value}
     return payload
 
@@ -243,25 +244,15 @@ def _cmd_density(args):
         beta = beta_exps(p, exps)
     except ValueError as exc:
         raise UsageError("bad divisors %r: %s" % (args.divisors, exc))
-    (beta,) = _printed("beta", "lower --divisors", [beta])
+    (beta,) = _printed("beta", [beta], "lower --divisors")
     return {"prime": p, "divisors": list(exps), "beta": beta}
-
-
-def _check_printable(what, path, *values):
-    """Refuse an output integer past Python's 4300-digit limit on int-to-str
-    conversion, naming the input file."""
-    if any(abs(v) >= _MODULUS_BOUND for v in values):
-        raise UsageError("the %s of the element in %s exceeds the 4300-digit print limit"
-                         % (what, path))
 
 
 def _cmd_mass(args):
     T = _load_element(args.input)
-    det = T.det()
-    _check_printable("det(T)", args.input, det)
-    m = mass(T)
-    _check_printable("mass", args.input, m.numerator, m.denominator)
-    return {"det": str(det), "mass": frac_str(m)}
+    (det,) = _printed("the det(T) of the element in %s" % args.input, [T.det()])
+    (m,) = _printed("the mass of the element in %s" % args.input, [mass(T)])
+    return {"det": det, "mass": m}
 
 
 def _cmd_igusa_verify(args):
@@ -310,18 +301,16 @@ def _cmd_lift_coeff(args):
     T = _load_element(args.input)
     if not T.is_positive():
         raise UsageError("element must be positive definite")
-    det = T.det()
-    _check_printable("det(T)", args.input, det)
+    (det,) = _printed("the det(T) of the element in %s" % args.input, [T.det()])
     genus = genus_invariants(T)
     max_prime = max(genus, default=2)
     eigen = _load_eigen(args.eigen, args.k, max_prime)
-    a = fourier_coeff(T, eigen)
-    _check_printable("coefficient", args.input, a.numerator, a.denominator)
+    (a,) = _printed("the coefficient of the element in %s" % args.input, [fourier_coeff(T, eigen)])
     return {
         "k": args.k,
-        "det": str(det),
+        "det": det,
         "divisors": {str(p): list(d.exps) for p, d in genus.items()},
-        "coefficient": frac_str(a),
+        "coefficient": a,
     }
 
 
@@ -335,8 +324,8 @@ def _cmd_lift_table(args):
                 blocks[p, e] = [(exps, local_factor(p, exps, eigen))
                                 for exps in exponent_triples(e)]
         for combo in itertools.product(*(blocks[pe] for pe in fac)):
-            (coefficient,) = _printed("the coefficient at det %d" % n, "lower --k or --max-det",
-                                      [prod(value for _, value in combo)])
+            (coefficient,) = _printed("the coefficient at det %d" % n, [prod(v for _, v in combo)],
+                                      "lower --k or --max-det")
             rows.append({
                 "det": str(n),
                 "divisors": {str(p): list(exps) for (p, _), (exps, _) in zip(fac, combo)},

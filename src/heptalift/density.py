@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import prod
 
 from .exactnum import ratfun_expand
-from .padic import _MODULUS_BOUND, ElemDivisors, genus_invariants, is_prime
+from .padic import _MODULUS_BOUND, ElemDivisors, _power_past_bound, genus_invariants, is_prime
 
 __all__ = [
     "MASS_CONSTANT",
@@ -118,14 +118,20 @@ def igusa_verify(p: int, order: int):
     The right-hand side is one expansion of 1/((1-u/p)(1-u/p^5)(1-u/p^9)),
     divided by c1.  A right-hand numerator or denominator over 4300 digits,
     Python's default int-to-str limit, raises ValueError before any
-    left-hand coefficient is computed.
+    left-hand coefficient is computed, and before the expansion wherever p
+    alone settles it: the u^0 coefficient 1/c1 has numerator p^28, and for
+    m >= 4 the reduced denominator of the u^m coefficient has p-valuation
+    exactly 9m - 28 (checked for p <= 2^61 - 1 and m <= 30).
     """
     c1 = constants(p).c1
+    too_long = "a coefficient through u^%d exceeds 4300 digits" % order
+    if _power_past_bound(p, max(28, 9 * order - 28)):
+        raise ValueError(too_long)
     factors = [[1, -Fraction(1, p ** e)] for e in (1, 5, 9)]
     series = ratfun_expand(1, factors, order, "u")
     rhs = [series.coeff(m) / c1 for m in range(order + 1)]
     if any(max(abs(v.numerator), v.denominator) >= _MODULUS_BOUND for v in rhs):
-        raise ValueError("a coefficient through u^%d exceeds 4300 digits" % order)
+        raise ValueError(too_long)
     rows = []
     ok = True
     for m, r in enumerate(rhs):

@@ -9,15 +9,18 @@ and the residue algebra that yields the rational period constant gamma_k.
 All three routes of the H_p check sum over Z and rescale each coefficient
 once.  The product form is expanded in u = t/p^9, where every factor has int
 coefficients, and its u^m coefficient is rescaled by 1/(c1 p^{9m}).  The
-table route does the same for P over a table that is siegel's eight
-closed-form terms mapped to X^m f(X^-2), where the factor 1 - p^-4 X is
-already cleared to p^4 - X; its sum is divided by the primitive common
-denominator, exactly over Z (Gauss's lemma).  The lambda sum weights each exponent triple
-by the int d c1/beta_p, d a power of p, and divides by c1 d.  The pair sum is
-symmetric, so it walks the 36 unordered pairs of the eight table terms.  The
-Euler-factor rewrite is certified over Z as well: the factors the two sides
-share cancel first, and each factor 1 - c X^x t^n left is cleared by the
-denominator of c before the two sides are multiplied out.
+lambda sum and the table route work on the Siegel series f itself: every
+exponent triple in t^m has weight m, so both sum f^2 terms and map each t^m
+coefficient g to X^{2m} g(X^-2) once (siegel._tilde), the map that takes f^2
+to tilde_f^2.  The lambda sum weights each exponent triple by the int
+d c1/beta_p, d a power of p, and divides by c1 d.  The table route sums
+c1 P in u over the 36 unordered pairs of siegel's eight closed-form terms
+(the pair sum is symmetric), where the factor 1 - p^-4 X is already cleared
+to p^4 - X; each u^m coefficient is divided by the square of the primitive
+common denominator, exactly over Z (Gauss's lemma).  The Euler-factor
+rewrite is certified over Z as well: the factors the two sides share cancel
+first, and each factor 1 - c X^x t^n left is cleared by the denominator of c
+before the two sides are multiplied out.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import mul
 
 from .density import beta_exps, constants, exponent_triples
@@ -37,7 +40,7 @@ from .exactnum import (
     symsq_special,
     zeta_special,
 )
-from .siegel import _closed_form_terms, f_poly, tilde_f
+from .siegel import _closed_form_terms, _tilde, f_poly
 
 __all__ = [
     "H_verify",
@@ -64,9 +67,9 @@ def _lambda_in_z(p, m):
     d = math.lcm(*(w.denominator for w in ws.values()))
     total = LaurentPoly.zero("X")
     for (a1, a2, a3), w in ws.items():
-        tf = tilde_f(f_poly(p, a1, a2 - a1, a3 - a1))
-        total = total + (tf * tf).map_coeffs(lambda v, w=int(w * d): v * w)
-    return total, d
+        f = f_poly(p, a1, a2 - a1, a3 - a1).poly
+        total = total + (f * f).map_coeffs(lambda v, w=int(w * d): v * w)
+    return _tilde(total, 2 * m), d
 
 
 def lambda_p(p, m):
@@ -74,7 +77,8 @@ def lambda_p(p, m):
 
     Sums tilde_f(...)^2 / beta_p over the exponent triples of total m; each
     triple carries exactly one unimodular class of that determinant order.
-    The sum runs over Z (_lambda_in_z) and is divided by c1 d once.
+    The sum runs over Z on f^2 (_lambda_in_z), is mapped by siegel._tilde
+    once and is divided by c1 d once.
     """
     total, d = _lambda_in_z(p, m)
     return total * (1 / (constants(p).c1 * d))
@@ -154,56 +158,35 @@ def hp_closed_form(p):
 
 
 # ---------------------------------------------------------------------------
-# The eight-term Laurent-series table and the pair-sum route
-
-
-@lru_cache(maxsize=None)
-def _cleared_table(p):
-    """The eight Laurent-series terms with denominators cleared, over Z.
-
-    siegel writes f = sum N x^m1 y^m2 z^m3 cof / full over its eight terms
-    (_closed_form_terms).  tilde_f = X^m f(X^-2) takes each monomial c X^e
-    to c X^-2e, and X^m = X^{3 m1} X^m2 X^m3 multiplies the x, y and z
-    monomials by X^3, X and X.  So tilde_f for exponents (m1, m1+m2, m1+m3)
-    equals sum_i W_i X_i^{m1} Y_i^{m2} Z_i^{m3} / Dhalf with
-    W_i = N_i(X^-2) cof_i(X^-2) and Dhalf = full(X^-2); this returns
-    ([(W_i, X_i, Y_i, Z_i)], Dhalf).
-
-    The one non-integral factor, 1 - p^-4 X^2, is cleared to p^4 - X^2 (and
-    1 - p^-4 X^-2 to p^4 - X^-2), as siegel clears 1 - p^-4 X; the numerator
-    of the term it divides carries the extra p^4.  So every W_i and Dhalf has
-    int coefficients.  Each factor of Dhalf has a coefficient +-1, so Dhalf
-    is primitive and, by Gauss's lemma, an integer polynomial that Dhalf
-    divides over Q it also divides over Z.
-    """
-    terms, full = _closed_form_terms(p)
-    mono = lambda shift, ce: LaurentPoly.monomial(ce[0], shift - 2 * ce[1], "X")
-    table = tuple((mono(0, n) * cof.subst_power(-2), mono(3, x), mono(1, y), mono(1, z))
-                  for cof, n, x, y, z in terms)
-    return table, full.subst_power(-2)
+# The pair-sum route over siegel's eight closed-form terms
 
 
 def hp_table_route(p, tmax):
     """H_p t-coefficients via the pair sum of A_i A_j P(X_iX_j, Y_iY_j, Z_iZ_j, t).
 
-    Every pair contributes its integer series c1 P in u = t/p^9 (_P_in_u),
-    weighted by the cleared numerators.  A pair's term is symmetric in
-    (i, j), so the 64 ordered pairs are summed as 36 unordered ones, each
-    pair with i != j counted twice.  Each u^m coefficient of the sum is
-    c1 p^{9m} Dhalf^2 H_m with integer coefficients; Dhalf^2 is primitive,
-    so its exact division over Z certifies that the sum collapses to
-    Laurent polynomials in X, and 1/(c1 p^{9m}) rescales the quotient.
+    siegel writes f = sum_i W_i x_i^m1 y_i^m2 z_i^m3 / full over its eight
+    terms (_closed_form_terms), W_i = N_i cof_i, all over Z.  So the integer
+    series W_i W_j c1 P(x_i x_j, y_i y_j, z_i z_j, t) in u = t/p^9 (_P_in_u)
+    sum, at u^m, to c1 p^{9m} full^2 times the f^2 / beta_p sum of t^m.  A
+    pair's term is symmetric in (i, j), so the 64 ordered pairs are summed as
+    36 unordered ones, each pair with i != j counted twice.  full^2 is
+    primitive (each factor of full has a coefficient +-1), so by Gauss's
+    lemma its exact division over Z certifies that the sum collapses to
+    polynomials in X; the quotient is mapped by siegel._tilde and rescaled
+    by 1/(c1 p^{9m}).
     """
-    cleared, dhalf = _cleared_table(p)
-    dh2 = dhalf * dhalf
+    terms, full = _closed_form_terms(p)
+    mono = lambda ce: LaurentPoly.monomial(ce[0], ce[1], "X")
+    table = [(mono(n) * cof, mono(x), mono(y), mono(z)) for cof, n, x, y, z in terms]
+    full2 = full * full
     coeffs = [LaurentPoly.zero("X") for _ in range(tmax + 1)]
-    for i, (wi, xi, yi, zi) in enumerate(cleared):
-        for j, (wj, xj, yj, zj) in enumerate(cleared[: i + 1]):
+    for i, (wi, xi, yi, zi) in enumerate(table):
+        for j, (wj, xj, yj, zj) in enumerate(table[: i + 1]):
             ser = _P_in_u(p, xi * xj, yi * yj, zi * zj, tmax)
             wij = wi * wj if i == j else 2 * (wi * wj)
             for m, cm in ser.c.items():
                 coeffs[m] = coeffs[m] + wij * cm
-    return [c.divide_exact(dh2) * _from_u(p, m) for m, c in enumerate(coeffs)]
+    return [_tilde(c.divide_exact(full2), 2 * m) * _from_u(p, m) for m, c in enumerate(coeffs)]
 
 
 def H_verify(p, tmax, table_route=False):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import prod
 
 from .padic import factor_table, genus_invariants, is_prime
-from .siegel import f_poly, symmetric_coefficients, tilde_f
+from .siegel import f_poly
 
 __all__ = [
     "EigenData",
@@ -100,13 +100,30 @@ class EigenData:
         if not isinstance(self.k, int) or self.k < 10:
             raise ValueError("k must be an integer >= 10")
         for p, a in self.table.items():
-            if a * a > 4 * p ** (2 * self.k - 9):
+            if not _within_bound(a, p, 2 * self.k - 9):
                 raise ValueError("eigenvalue at p=%d violates the coefficient bound" % p)
 
     def a(self, p):
         if p not in self.table:
             raise KeyError("no eigenvalue ingested for prime %d" % p)
         return self.table[p]
+
+
+def _within_bound(a, p, w):
+    """Whether a^2 <= 4 p^w, for a = n/d any rational (an int, a Fraction).
+
+    With b the bit length, 2^(b(x)-1) <= x < 2^b(x), so bit lengths settle
+    n^2 <= 4 p^w d^2 unless 2 b(n) lies strictly between w (b(p) - 1) + 2 b(d)
+    and w b(p) + 2 b(d) + 4; only there is p^w formed.
+    """
+    a = Fraction(a)
+    n, d = abs(a.numerator), a.denominator
+    floor = p.bit_length() - 1
+    if 2 * n.bit_length() <= w * floor + 2 * d.bit_length():
+        return True
+    if 2 * n.bit_length() >= 4 + w * (floor + 1) + 2 * d.bit_length():
+        return False
+    return n * n <= 4 * p ** w * d * d
 
 
 def eigen_delta(max_prime=100):
@@ -172,22 +189,19 @@ def satake_power_sums(a_p, p, k, jmax):
 def local_factor(p, exps, eigen):
     """The factor at p of a coefficient with elementary divisors exps at p.
 
-    Equals p^{m(2k-9)/2} tilde_f(alpha_p) for m = sum(exps): the symmetrized
-    coefficients c_j pair with the power sums t_j, and j = m (mod 2) keeps
-    all exponents integral.
+    Equals p^{m(2k-9)/2} tilde_f(alpha_p) for m = sum(exps).  f is
+    palindromic, so that is sum_{i <= m/2} f_i p^{i(2k-9)} t_{m-2i} with t_0
+    read as 1; m - 2i = m (mod 2) keeps all exponents integral.
     """
     a1, a2, a3 = exps
     m = a1 + a2 + a3
     if m == 0:
         return 1
-    cs = symmetric_coefficients(tilde_f(f_poly(p, a1, a2 - a1, a3 - a1)), m)
+    f = f_poly(p, a1, a2 - a1, a3 - a1).poly
     ts = satake_power_sums(eigen.a(p), p, eigen.k, m)
-    w = 2 * eigen.k - 9
-    total = 0
-    for c, j in zip(cs, range(m, -1, -2)):
-        scale = p ** (((m - j) // 2) * w)
-        total += c * scale * (ts[j] if j > 0 else 1)
-    return total
+    q = p ** (2 * eigen.k - 9)
+    return sum(f.coeff(i) * q ** i * (ts[m - 2 * i] if 2 * i < m else 1)
+               for i in range(m // 2 + 1))
 
 
 def fourier_coeff(T, eigen):

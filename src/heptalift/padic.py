@@ -43,6 +43,13 @@ __all__ = [
 # on int-to-str conversion is 4300 digits
 _MODULUS_BOUND = 10 ** 4300
 
+
+def _power_past_bound(p, n):
+    """Whether p^n >= _MODULUS_BOUND; the first test spares building p^n
+    when n is far too large."""
+    return n * (p.bit_length() - 1) >= _MODULUS_BOUND.bit_length() or p ** n >= _MODULUS_BOUND
+
+
 # factorize refuses an integer whose part free of prime factors below 2^10
 # has more bits than this, before any primality test or rho step:
 # factorize took 0.003-0.090 s on 20 random balanced semiprimes of 64 bits,
@@ -212,8 +219,7 @@ def reduce_at(X: JordanElement, p: int, precision=None) -> Reduction:
     N = orddet + 1 if precision is None else int(precision)
     if N <= orddet:
         raise ValueError("precision must exceed ord_p(det)")
-    # the first test spares building p^N when N is far too large
-    if N * (p.bit_length() - 1) >= _MODULUS_BOUND.bit_length() or p ** N >= _MODULUS_BOUND:
+    if _power_past_bound(p, N):
         raise ValueError("precision must keep p^precision below 10^4300, got %d" % N)
     red = _Reducer(X, p, N)
     a1, a2 = red.run()

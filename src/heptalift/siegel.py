@@ -19,14 +19,16 @@ _closed_form_terms: each is a monomial N x^m1 y^m2 z^m3 over one of three
 denominators, stored as (coefficient, exponent) pairs next to the
 denominator's cofactor in the common denominator.  f_poly builds one
 monomial per term, adds the eight products and makes one exact division;
-genfun's table route maps the same terms to X^m f(X^-2).  f_poly is
-memoized on (p, m1, m2, m3) for the life of the process.  The oracle reads
-neither memo and sums its own two terms over its own common denominator, so
-a check of one route against the other always computes both and shares no
-step between them.
+genfun's table route sums pairs of the same terms.  f_poly is memoized on
+(p, m1, m2, m3) for the life of the process.  The oracle reads neither memo
+and sums its own two terms over its own common denominator, so a check of
+one route against the other always computes both and shares no step
+between them.
 
-tilde(X) = X^m f(X^{-2}) is supported on {-m, -m+2, ..., m} and is
-invariant under X -> 1/X.
+SiegelPoly checks f_i = f_{m-i}, the local functional equation, when either
+route builds a value.  So tilde(X) = X^m f(X^{-2}) (_tilde) is supported on
+{-m, -m+2, ..., m} and is invariant under X -> 1/X; lift and genfun read f
+itself and map to tilde once per t-coefficient.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "SiegelPoly",
     "f_poly",
     "f_poly_oracle",
-    "symmetric_coefficients",
     "tilde_f",
 ]
 
@@ -61,6 +62,8 @@ class SiegelPoly:
             raise ArithmeticError("closed-form transcription error: degree")
         if self.poly.coeff(0) != 1:
             raise ArithmeticError("closed-form transcription error: f(0) != 1")
+        if any(self.poly.coeff(i) != self.poly.coeff(deg - i) for i in range(deg // 2 + 1)):
+            raise ArithmeticError("Siegel series is not palindromic")
 
     @property
     def weight(self):
@@ -207,22 +210,11 @@ def f_poly_oracle(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
     return SiegelPoly(p, (m1, m2, m3), f)
 
 
+def _tilde(poly: LaurentPoly, weight: int) -> LaurentPoly:
+    """X^weight poly(X^{-2})."""
+    return poly.subst_power(-2).shift(weight)
+
+
 def tilde_f(s: SiegelPoly) -> LaurentPoly:
     """X^m f(X^{-2}); palindromic with support in {-m, ..., m} step 2."""
-    t = s.poly.subst_power(-2).shift(s.weight)
-    if t != t.subst_inverse():
-        raise ArithmeticError("symmetrized series is not palindromic")
-    return t
-
-
-def symmetric_coefficients(t: LaurentPoly, m: int):
-    """c_j with t = sum_{j>0} c_j (X^j + X^-j) + [m even] c_0, j = m, m-2, ...
-
-    Returned in descending j order, ending at j = 1 or j = 0.
-    """
-    if t != t.subst_inverse():
-        raise ValueError("not palindromic")
-    for e in t.support():
-        if (e - m) % 2 or abs(e) > m:
-            raise ValueError("support incompatible with weight %d" % m)
-    return [t.coeff(j) for j in range(m, -1, -2)]
+    return _tilde(s.poly, s.weight)

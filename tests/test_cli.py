@@ -174,6 +174,19 @@ def test_igusa_rows_past_the_print_limit_exit_2_fast():
     assert proc.returncode == 0 and json.loads(proc.stdout)["ok"] is True
 
 
+def test_igusa_refuses_a_1024_bit_prime_before_the_series():
+    # u^0 has numerator p^28, past 4300 digits at 512 bits or more, so the
+    # refusal needs no series (building it through u^94 took 35-40 s)
+    p = 2 ** 1023 + 1155
+    assert is_prime(p)
+    t0 = time.perf_counter()
+    proc = run_module(["igusa-verify", "--prime", str(p), "--order", "94"])
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "a coefficient through u^94 exceeds 4300 digits"}
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("argv", [
     ("lift-table", "--k", "10", "--max-det", "29001"),
     ("lift-table", "--k", "10", "--max-det", "29001", "--eigen", "CSV"),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heptalift import density
+from heptalift.exactnum import frac_str
 from heptalift.density import (
     MASS_CONSTANT,
     beta_exps,
@@ -120,6 +121,30 @@ def test_igusa_refuses_unprintable_rows_before_the_left_side(monkeypatch):
     monkeypatch.setattr(density, "igusa_lhs_coeff", lhs_must_not_run)
     with pytest.raises(ValueError, match="4300 digits"):
         igusa_verify(1000003, 94)
+
+
+def test_igusa_refuses_before_the_series_where_p_settles_it(monkeypatch):
+    # at P = 1000003 the u^m denominator holds P^(9m - 28): P^719 has 4,314
+    # digits, so order 83 is refused before the expansion; orders 81 and 82
+    # pass that test and are refused once the series is built; 80 prints
+    P = 1000003
+    expanded = []
+    expand = density.ratfun_expand
+    monkeypatch.setattr(density, "ratfun_expand", lambda *a: expanded.append(a) or expand(*a))
+    monkeypatch.setattr(density, "igusa_lhs_coeff", lambda p, m: Fraction(0))
+    rows = igusa_verify(P, 80)[1]
+    assert [frac_str(r["rhs"]) for r in rows] and len(expanded) == 1
+    for order, built in ((81, 2), (82, 3), (83, 3), (94, 3)):
+        with pytest.raises(ValueError, match=r"through u\^%d exceeds 4300 digits" % order):
+            igusa_verify(P, order)
+        assert len(expanded) == built
+    # u^0 has numerator p^28, so a prime of 512 bits or more is refused at
+    # every order without a series
+    for p in (2 ** 521 - 1, 2 ** 1023 + 1155):
+        for order in (0, 10, 94):
+            with pytest.raises(ValueError, match=r"through u\^%d exceeds" % order):
+                igusa_verify(p, order)
+    assert len(expanded) == 3
 
 
 def test_igusa_verify_deep():

@@ -180,29 +180,34 @@ def test_one_wrong_beta_fails_the_closed_form_route(monkeypatch, capsys):
         assert "/" in payload["first_discrepancy"][key]
 
 
-def tilde_from_table(p, m1, m2, m3):
-    """Oracle: tilde_f via the eight-term Laurent-series table of the
-    cleared numerators, divided exactly by the common half-denominator."""
+def f_from_table(p, m1, m2, m3):
+    """Oracle: f as the plain sum of siegel's eight closed-form terms
+    N cof x^m1 y^m2 z^m3, each monomial raised to its power on its own,
+    divided exactly by the common denominator."""
     if m1 < 0 or m2 < 0 or m3 < m2:
         raise ValueError("need m1 >= 0 and 0 <= m2 <= m3")
-    cleared, dhalf = genfun._cleared_table(p)
+    terms, full = siegel._closed_form_terms(p)
+    mono = lambda ce: LaurentPoly.monomial(ce[0], ce[1], "X")
     acc = LaurentPoly.zero("X")
-    for w, xi, yi, zi in cleared:
-        acc = acc + w * xi ** m1 * yi ** m2 * zi ** m3
-    return acc.divide_exact(dhalf)
+    for cof, n, x, y, z in terms:
+        acc = acc + mono(n) * cof * mono(x) ** m1 * mono(y) ** m2 * mono(z) ** m3
+    return acc.divide_exact(full)
 
 
 def test_table_reproduces_tilde():
     # criterion 6's profile grid (weight at most 9) plus weight 10, which
-    # holds (2, 1, 3): every (m1, m2, m3) with 3 m1 + m2 + m3 <= 10
+    # holds (2, 1, 3): every (m1, m2, m3) with 3 m1 + m2 + m3 <= 10; the
+    # table's f matches both routes, and so does its image under siegel's map
     for p in (2, 3, 5):
         for m1 in range(4):
             for m2 in range(11):
                 for m3 in range(m2, 11 - 3 * m1 - m2):
-                    want = tilde_f(f_poly_oracle(p, m1, m2, m3))
-                    assert tilde_from_table(p, m1, m2, m3) == tilde_f(f_poly(p, m1, m2, m3)) == want
+                    want = f_poly_oracle(p, m1, m2, m3)
+                    got = f_from_table(p, m1, m2, m3)
+                    assert got == f_poly(p, m1, m2, m3).poly == want.poly
+                    assert siegel._tilde(got, want.weight) == tilde_f(want)
     with pytest.raises(ValueError):
-        tilde_from_table(2, 0, 2, 1)
+        f_from_table(2, 0, 2, 1)
 
 
 def test_hp_identity_deep_p2():
@@ -217,10 +222,14 @@ def test_three_routes_agree():
 
 
 def test_table_route_runs_in_z():
+    # the weights W_i = N_i cof_i and the common denominator full are int
+    # polynomials, and full is primitive, so Gauss's lemma applies to full^2
     for p in (2, 3, 5, 7):
-        cleared, dhalf = genfun._cleared_table(p)
-        for poly in [w for w, *_ in cleared] + [dhalf]:
+        terms, full = siegel._closed_form_terms(p)
+        weights = [LaurentPoly.monomial(c, e, "X") * cof for cof, (c, e), *_ in terms]
+        for poly in weights + [full]:
             assert all(type(v) is int for v in poly.c.values())
+        assert math.gcd(*full.c.values()) == 1
     for p in (7, 11):
         ok, report = H_verify(p, 10, table_route=True)
         assert ok, report
@@ -253,18 +262,18 @@ def test_rational_routes_run_in_z(monkeypatch):
 
 
 def test_wrong_cleared_factor_raises_in_table_routes(monkeypatch):
-    # p^4 - X becomes p^4 + 1 - X; the table is f_poly's terms at X^-2
+    # p^4 - X becomes p^4 + 1 - X; the table route sums f_poly's terms
     monkeypatch.setattr(
         siegel, "_p4_minus_x", lambda p: LaurentPoly("X", {0: p ** 4 + 1, 1: -1})
     )
-    memos = (f_poly, siegel._closed_form_terms, genfun._cleared_table)
+    memos = (f_poly, siegel._closed_form_terms)
     for memo in memos:
         memo.cache_clear()
     try:
         for p in (2, 3):
             for m in [(0, 0, 0), (0, 1, 1), (1, 0, 2), (2, 1, 3)]:
                 with pytest.raises(ArithmeticError):
-                    tilde_from_table(p, *m)
+                    f_from_table(p, *m)
                 with pytest.raises(ArithmeticError):
                     f_poly(p, *m)
                 with pytest.raises(ArithmeticError):
@@ -278,15 +287,19 @@ def test_wrong_cleared_factor_raises_in_table_routes(monkeypatch):
 
 
 def ordered_table_route(p, tmax):
-    """Oracle: the table route as the plain sum over all 64 ordered pairs."""
-    cleared, dhalf = genfun._cleared_table(p)
+    """Oracle: the table route as the plain sum over all 64 ordered pairs of
+    siegel's eight terms, in f, each t^m coefficient taken to X^{2m} g(X^-2)."""
+    terms, full = siegel._closed_form_terms(p)
+    mono = lambda ce: LaurentPoly.monomial(ce[0], ce[1], "X")
+    table = [(mono(n) * cof, mono(x), mono(y), mono(z)) for cof, n, x, y, z in terms]
     coeffs = [LaurentPoly.zero("X") for _ in range(tmax + 1)]
-    for wi, xi, yi, zi in cleared:
-        for wj, xj, yj, zj in cleared:
+    for wi, xi, yi, zi in table:
+        for wj, xj, yj, zj in table:
             ser = genfun._P_in_u(p, xi * xj, yi * yj, zi * zj, tmax)
             for m, cm in ser.c.items():
                 coeffs[m] = coeffs[m] + wi * wj * cm
-    return [c.divide_exact(dhalf * dhalf) * genfun._from_u(p, m) for m, c in enumerate(coeffs)]
+    return [c.divide_exact(full * full).subst_power(-2).shift(2 * m) * genfun._from_u(p, m)
+            for m, c in enumerate(coeffs)]
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -1,7 +1,9 @@
 """Lift coefficients: eigen data, power sums, Fourier values, L-factors."""
 
 import hashlib
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -216,3 +218,39 @@ def test_trunc_sqr_against_naive():
         for order in {0, len(c) - 1, 2 * len(c) - 2, 2 * len(c) + 3, rng.randint(0, 2 * len(c))}:
             want = (square + [0] * (order + 1))[: order + 1]
             assert _trunc_sqr(c, order) == want
+
+
+@pytest.mark.parametrize("k", [10, 11, 13, 20, 101, 1000])
+def test_eigen_bound_matches_the_exact_comparison(k):
+    # the bit-length shortcuts settle most entries; around isqrt(4 p^w) only
+    # the exact power does, for int and Fraction eigenvalues alike
+    w = 2 * k - 9
+    for p in (2, 3, 5, 97, 1009, 2 ** 61 - 1):
+        edge = math.isqrt(4 * p ** w)
+        edge3 = math.isqrt(36 * p ** w)
+        values = [0, 1, -1, edge // 2, 2 * edge, 2 ** (w * p.bit_length() + 8)]
+        values += [s * (edge + e) for s in (1, -1) for e in (-1, 0, 1)]
+        values += [Fraction(s * (edge3 + e), 3) for s in (1, -1) for e in (-1, 0, 1)]
+        values += [Fraction(edge3 + 2, 9), Fraction(1, 2 ** (w * p.bit_length()))]
+        for a in values:
+            within = a * a <= 4 * p ** w
+            try:
+                EigenData(k, {p: a})
+                assert within, (k, p, a)
+            except ValueError:
+                assert not within, (k, p, a)
+        assert edge * edge <= 4 * p ** w < (edge + 1) ** 2
+
+
+def test_eigen_bound_at_a_large_weight_needs_no_power():
+    # a 303-prime tau table at k = 10^5 (the bound p^199991 has up to
+    # 2.2 million bits per prime); every prime is settled by bit lengths
+    table = eigen_delta(2000).table
+    assert len(table) == 303
+    t0 = time.perf_counter()
+    assert EigenData(10 ** 5, table).table == table
+    assert time.perf_counter() - t0 < 0.5
+    bad = dict(table)
+    bad[1999] = 1999 ** 100000
+    with pytest.raises(ValueError, match="p=1999"):
+        EigenData(10 ** 5, bad)

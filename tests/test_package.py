@@ -26,7 +26,7 @@ PUBLIC = [
     "reduce_at", "rs_closed_residue", "rs_euler_factors",
     "sample_rank_fractions", "structure_constants", "sym2_coeffs",
     "sym2_dirichlet_coeffs", "sym2_dirichlet_sum", "sym2_lvalue",
-    "sym2_lvalues", "symmetric_coefficients", "tau_table", "tilde_f",
+    "sym2_lvalues", "tau_table", "tilde_f",
     "trace_pairing_gram", "triple_divisor_count", "word_multiplier",
     "zeta_special",
 ]

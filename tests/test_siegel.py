@@ -2,19 +2,13 @@
 
 import pytest
 
-from heptalift import genfun, siegel
+from heptalift import siegel
 from heptalift.exactnum import LaurentPoly
 from heptalift.density import exponent_triples
 from heptalift.genfun import hp_table_route, lambda_p
-from heptalift.lift import eigen_delta, local_factor
-from heptalift.siegel import (
-    SiegelPoly,
-    f_poly,
-    f_poly_oracle,
-    symmetric_coefficients,
-    tilde_f,
-)
-from test_genfun import tilde_from_table
+from heptalift.lift import eigen_delta, eigen_from_rows, local_factor, satake_power_sums
+from heptalift.siegel import SiegelPoly, f_poly, f_poly_oracle, tilde_f
+from test_genfun import f_from_table
 
 
 def all_triples(bound):
@@ -76,7 +70,6 @@ def test_memo_hands_out_unmutated_polys():
 def clear_memos():
     f_poly.cache_clear()
     siegel._closed_form_terms.cache_clear()
-    genfun._cleared_table.cache_clear()
 
 
 @pytest.mark.parametrize("factor", ["1", "p^4", "p^8"])
@@ -104,7 +97,7 @@ def test_wrong_denominator_raises_in_both_routes(monkeypatch, factor):
                     f_poly_oracle(p, *m)
                 # the table route reads the same per-prime terms
                 with pytest.raises(ArithmeticError):
-                    tilde_from_table(p, *m)
+                    f_from_table(p, *m)
             with pytest.raises(ArithmeticError):
                 hp_table_route(p, 4)
     finally:
@@ -156,28 +149,57 @@ def test_tilde_small():
     assert tilde_f(f_poly(3, 0, 0, 2)) == LaurentPoly("X", {2: 1, 0: 1, -2: 1})
 
 
-def test_symmetric_coefficients():
-    assert symmetric_coefficients(LaurentPoly("X", {1: 1, -1: 1}), 1) == [1]
-    assert symmetric_coefficients(LaurentPoly("X", {2: 1, 0: 1, -2: 1}), 2) == [1, 1]
+def tilde_local_factor(p, exps, eigen):
+    """Oracle: p^{m(2k-9)/2} tilde_f(alpha_p) read off tilde_f itself, its
+    coefficients c_j at X^j and X^-j paired with the power sums t_j."""
+    a1, a2, a3 = exps
+    m = a1 + a2 + a3
+    t = tilde_f(f_poly(p, a1, a2 - a1, a3 - a1))
+    ts = satake_power_sums(eigen.a(p), p, eigen.k, m)
+    total = 0
+    for j in range(m, -1, -2):
+        assert t.coeff(j) == t.coeff(-j)
+        total += t.coeff(j) * p ** ((m - j) // 2 * (2 * eigen.k - 9)) * (ts[j] if j else 1)
+    return total
+
+
+def test_local_factor_matches_tilde_oracle():
     s = f_poly(2, 0, 1, 2)
-    t = tilde_f(s)
-    cs = symmetric_coefficients(t, s.weight)
-    assert cs == [1, 17]
-    rebuilt = LaurentPoly.zero("X")
-    js = list(range(s.weight, -1, -2))
-    for j, c in zip(js, cs):
-        if j > 0:
-            rebuilt = rebuilt + LaurentPoly("X", {j: c, -j: c})
-        else:
-            rebuilt = rebuilt + LaurentPoly("X", {0: c})
-    assert rebuilt == t
+    assert [tilde_f(s).coeff(j) for j in range(s.weight, -1, -2)] == [1, 17]
+    primes = (2, 3, 5, 97)
+    tables = (eigen_delta(100),
+              eigen_from_rows(13, [(p, (-1) ** p * (p ** 8 + 3 * p)) for p in primes]))
+    for eigen in tables:
+        for p in primes:
+            for m in range(9):
+                for exps in exponent_triples(m):
+                    assert local_factor(p, exps, eigen) == tilde_local_factor(p, exps, eigen)
 
 
-def test_symmetric_coefficients_rejects():
-    with pytest.raises(ValueError):
-        symmetric_coefficients(LaurentPoly("X", {1: 1}), 1)
-    with pytest.raises(ValueError):
-        symmetric_coefficients(LaurentPoly("X", {1: 1, -1: 1}), 2)
+def _skewed(poly):
+    """poly with its X coefficient raised by one: same degree and f(0), and
+    not palindromic at degree 3 or more."""
+    return poly + LaurentPoly.monomial(1, 1, "X")
+
+
+def test_siegel_poly_rejects_non_palindromic(monkeypatch):
+    with pytest.raises(ArithmeticError, match="not palindromic"):
+        SiegelPoly(2, (0, 0, 2), LaurentPoly("X", {0: 1, 1: 3, 2: 2}))
+    with pytest.raises(ArithmeticError, match="not palindromic"):
+        SiegelPoly(3, (1, 0, 0), LaurentPoly("X", {0: 1, 1: 5, 2: 4, 3: 1}))
+
+    class Skewed(SiegelPoly):
+        def __post_init__(self):
+            object.__setattr__(self, "poly", _skewed(self.poly))
+            super().__post_init__()
+
+    # each route builds its value through SiegelPoly, so each is checked
+    monkeypatch.setattr(siegel, "SiegelPoly", Skewed)
+    for route in (f_poly.__wrapped__, f_poly_oracle):
+        for p in (2, 3):
+            for m in [(0, 0, 3), (0, 1, 2), (1, 0, 2), (2, 1, 3)]:
+                with pytest.raises(ArithmeticError, match="not palindromic"):
+                    route(p, *m)
 
 
 def test_rejects_bad_arguments():
