@@ -11,8 +11,10 @@ from heptalift import (
     eigen_delta,
     period_report,
     rationality_probe,
+    sym2_dirichlet_coeffs,
     sym2_dirichlet_sum,
     sym2_lvalue,
+    triple_divisor_count,
 )
 
 eigen = eigen_delta(2000)
@@ -26,6 +28,12 @@ for s in (1, 5, 9):
 smoothed = sym2_lvalue(eigen, 9, digits=20)
 plain = sym2_dirichlet_sum(eigen, 9, 400, digits=20)
 print("\nsmoothed - plain at s=9:", float(abs(smoothed.value - plain.value)))
+
+# both tail bounds rest on |b(n)| <= d_3(n), the number of ordered
+# factorizations n = d1 d2 d3
+coeffs = sym2_dirichlet_coeffs(eigen, 400)
+print("|b(n)| <= d_3(n) for n <= 400:",
+      all(abs(b) <= triple_divisor_count(n) for n, b in enumerate(coeffs, 1)))
 
 # the assembled period
 report = period_report(10, eigen, digits=20)

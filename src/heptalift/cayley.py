@@ -14,7 +14,11 @@ The maximal order is spanned by
 
 Elements are stored by their integer coordinates on a_0..a_7; the trace
 pairing on this basis is unimodular (E8), which is checked at import, along
-with closure of the order under multiplication and N(a_i) = 1.
+with N(a_i) = 1 and closure of the order under multiplication.  Closure is
+checked as integrality of the trace pairings Tr(a_i a_j conj(a_l)): a
+unimodular lattice is its own dual, so an octonion lies in the order exactly
+when its trace pairing with every a_l is an integer, and the integer
+coordinates of a_i a_j then come from those pairings and the inverse Gram.
 """
 
 from __future__ import annotations
@@ -210,34 +214,50 @@ def _mat_inv_frac(m):
     return [row[n:] for row in a], det
 
 
-def _build_structure():
-    inv, _ = _mat_inv_frac(_ALPHA_2E)
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
-    def to_alpha(w2):
-        # coords c with c . ALPHA_2E = w2
-        out = []
-        for k in range(8):
-            acc = Fraction(0)
-            for i in range(8):
-                acc += Fraction(w2[i]) * inv[i][k]
-            if acc.denominator != 1:
-                raise ArithmeticError("order not closed under multiplication")
-            out.append(acc.numerator)
-        return tuple(out)
 
+def _build_structure(alpha2e, gram_inv):
+    """Coordinates of a_i a_j on the basis whose doubled e-coordinates are
+    the rows of alpha2e, given the inverse of its trace-pairing Gram G.
+
+    t_l = Tr(a_i a_j conj(a_l)) = (4 a_i a_j) . (2 a_l) / 4 on doubled
+    e-coordinates, and a_i a_j = sum_k (t G^-1)_k a_k.  The order is its own
+    dual under the trace pairing (G is unimodular), so the product lies in
+    the order exactly when every t_l is an integer; closure is checked so.
+    """
+    cols = tuple(zip(*gram_inv))
     S = []
-    for i in range(8):
+    for u in alpha2e:
         row = []
-        for j in range(8):
-            prod2 = _e_mul(_ALPHA_2E[i], _ALPHA_2E[j])  # = 4 a_i a_j
-            if any(v % 2 for v in prod2):
+        for v in alpha2e:
+            prod4 = _e_mul(u, v)  # = 4 a_i a_j
+            t4 = [_dot(prod4, w) for w in alpha2e]
+            if any(t % 4 for t in t4):
                 raise ArithmeticError("order not closed under multiplication")
-            row.append(to_alpha([v // 2 for v in prod2]))
+            row.append(tuple(_dot([t // 4 for t in t4], col) for col in cols))
         S.append(tuple(row))
     return tuple(S)
 
 
-_S = _build_structure()
+# Gram of the trace pairing Tr(x conj(y)) = (2x) . (2y) / 2 on doubled coords
+_GRAM = tuple(tuple(_dot(u, v) // 2 for v in _ALPHA_2E) for u in _ALPHA_2E)
+_GRAM_INV, _GRAM_DET = _mat_inv_frac(_GRAM)
+
+
+def _check_tables():
+    for i in range(8):
+        n2 = _dot(_ALPHA_2E[i], _ALPHA_2E[i])
+        if n2 != 4:  # N(a_i) = 1 on doubled coordinates
+            raise ArithmeticError("basis vector %d has norm %s" % (i, Fraction(n2, 4)))
+    if _GRAM_DET != 1:
+        raise ArithmeticError("trace pairing Gram determinant is not 1")
+
+
+_check_tables()
+# a unimodular integer matrix has an integer inverse
+_S = _build_structure(_ALPHA_2E, [[int(v) for v in row] for row in _GRAM_INV])
 
 
 def _lin_source(coeffs, names):
@@ -283,17 +303,8 @@ _MUL_RAW = _build_mul_kernel()
 # trace of each basis vector: Tr(x) = x + conj(x) = 2 * (e_0 coefficient)
 _TRV = tuple(row[0] for row in _ALPHA_2E)
 
-# Gram of the trace pairing Tr(x conj(y)) = (2x) . (2y) / 2 on doubled coords
-_GRAM = tuple(
-    tuple(sum(a * b for a, b in zip(_ALPHA_2E[i], _ALPHA_2E[j])) // 2 for j in range(8))
-    for i in range(8)
-)
-
 # Tr(x y) bilinear form: Tr(a_i a_j) picked out of the structure constants
-_GRAM_NOCONJ = tuple(
-    tuple(sum(_S[i][j][k] * _TRV[k] for k in range(8)) for j in range(8))
-    for i in range(8)
-)
+_GRAM_NOCONJ = tuple(tuple(_dot(prod, _TRV) for prod in row) for row in _S)
 
 # N(x) = sum_i x_i (G_ii/2 x_i + sum_{j>i} G_ij x_j)
 _NORM_RAW = _compile("norm", _XS, _form_source(
@@ -306,19 +317,6 @@ _TRACE_RAW = _compile("trace", _XS, _lin_source(_TRV, _XS))
 _CONJ_RAW = _compile("conj", _XS, "(%s)" % ",".join(
     _lin_source([_TRV[j] * (k == 0) - (j == k) for j in range(8)], _XS)
     for k in range(8)))
-
-
-def _check_tables():
-    for i in range(8):
-        n2 = sum(v * v for v in _ALPHA_2E[i])
-        if n2 != 4:  # N(a_i) = 1 on doubled coordinates
-            raise ArithmeticError("basis vector %d has norm %s" % (i, Fraction(n2, 4)))
-    if _GRAM_DET != 1:
-        raise ArithmeticError("trace pairing Gram determinant is not 1")
-
-
-_, _GRAM_DET = _mat_inv_frac(_GRAM)
-_check_tables()
 
 
 def structure_constants():

@@ -146,7 +146,7 @@ def _load_element(path):
                 data = json.load(fh)
     except OSError as exc:
         raise UsageError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the decoder's limit
         raise UsageError("malformed JSON in %s: %s" % (path, exc))
     except ValueError as exc:  # a bad encoding, or an integer past 4300 digits
         raise UsageError("cannot read %s: %s" % (path, exc))

@@ -311,22 +311,10 @@ def ratfun_expand(numerator, denominator_factors, order, var="t"):
 
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Bernoulli number B_n (B_1 = -1/2 convention), exact from mpmath."""
     if n < 0:
         raise ValueError(n)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    # sum_{k=0}^{n} C(n+1,k) B_k = 0
-    acc = Fraction(0)
-    c = 1  # C(n+1, 0)
-    for k in range(n):
-        acc += c * bernoulli(k)
-        c = c * (n + 1 - k) // (k + 1)
-    return -acc / (n + 1)
+    return Fraction(*mpmath.bernfrac(n))
 
 
 def zeta_even_pi_coeff(n: int) -> Fraction:

@@ -162,7 +162,11 @@ def eigen_from_csv(path, k):
         for row in reader:
             if row["p"] is None or row["a_p"] is None:
                 raise ValueError("row %d needs both p and a_p" % reader.line_num)
-            rows.append((row["p"], Fraction(row["a_p"])))
+            try:
+                rows.append((row["p"], Fraction(row["a_p"])))
+            except ZeroDivisionError:
+                raise ValueError("row %d: a_p = %r has a zero denominator"
+                                 % (reader.line_num, row["a_p"])) from None
     return eigen_from_rows(k, rows)
 
 

@@ -117,7 +117,7 @@ from mpmath.libmp import (
     mpf_mul, mpf_shift, to_fixed, to_int, to_rational,
 )
 
-from .exactnum import BigFloat, ratfun_expand, rational_reconstruct
+from .exactnum import BigFloat, bernoulli, ratfun_expand, rational_reconstruct
 from .genfun import gamma_k
 from .lift import sym2_coeffs
 from .padic import factorize
@@ -157,14 +157,14 @@ def _local_series(eigen, p, emax):
 def _coefficients(eigen):
     """(b(n), d_3(n)) for n = 1, 2, ..., from one factorization of each n:
     both multiply over the prime powers p^e exactly dividing n, b(p^e) from
-    the local series of p (a_p is read at n = p) and d_3(p^e) = d_3(2^e)."""
+    the local series of p (a_p is read at n = p) and d_3(p^e) = (e+1)(e+2)/2."""
     local = {}  # p -> [b(p^0), b(p^1), ...]
     for n in count(1):
         b, d3 = Fraction(1), 1
         for p, e in factorize(n).items():
             if len(local.get(p, ())) <= e:
                 local[p] = _local_series(eigen, p, e)
-            b, d3 = b * local[p][e], d3 * triple_divisor_count(2 ** e)
+            b, d3 = b * local[p][e], d3 * ((e + 1) * (e + 2) // 2)
         yield b, d3
 
 
@@ -244,8 +244,7 @@ def _gdiv(p, q, bits):
 @lru_cache(maxsize=None)
 def _stirling_coeff(m):
     """B_2m / (2m (2m - 1)) and the log2 of its size."""
-    p, q = mpmath.bernfrac(2 * m)
-    b = Fraction(p, q * 2 * m * (2 * m - 1))
+    b = bernoulli(2 * m) / (2 * m * (2 * m - 1))
     return b, log2(abs(b.numerator)) - log2(b.denominator)
 
 

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .cayley import Octonion, Zmod, ZZ
-from .jordan import JordanElement, apply_token
+from .jordan import JordanElement, _off, apply_token
 
 __all__ = [
     "ElemDivisors",
@@ -107,6 +107,17 @@ class Reduction:
 
 
 class _Reducer:
+    """Pivoting mod p^N on the active block k..2, for steps k = 0 and 1.
+
+    One pivot rule serves both steps.  The candidates are the diagonal
+    entries k..2, then the upper slots (1,2), (1,3), (2,3) in rows >= k; the
+    first of minimal valuation mu wins.  The entry (k, k) is the pivot; an
+    entry (k, j) becomes it by ("m", xi, j+1, k+1) with xi from _xi; any
+    other entry moves into row k by the transposition of k with its row, and
+    the rule runs again.  Clearing then pushes ("m", w, k+1, j+1) for each
+    j > k, which zeroes the entry (k, j).
+    """
+
     def __init__(self, X, p, N):
         self.p = p
         self.N = N
@@ -130,39 +141,20 @@ class _Reducer:
         """Move a minimal-valuation active coordinate into diagonal slot k."""
         for _ in range(4):
             Y = self.Y
-            if k == 0:
-                cands = [
-                    ("a", self.vp(Y.a)), ("b", self.vp(Y.b)), ("c", self.vp(Y.c)),
-                    ("x", self.vo(Y.x)), ("y", self.vo(Y.y)), ("z", self.vo(Y.z)),
-                ]
-            else:
-                cands = [
-                    ("b", self.vp(Y.b)), ("c", self.vp(Y.c)), ("z", self.vo(Y.z)),
-                ]
-            name, mu = min(cands, key=lambda t: t[1])
+            diag = (Y.a, Y.b, Y.c)
+            cands = [(self.vp(diag[r]), r, r) for r in range(k, 3)]
+            cands += [(self.vo(_off(Y, r, j)), r, j) for r, j in ((0, 1), (0, 2), (1, 2)) if r >= k]
+            mu, r, j = min(cands, key=lambda t: t[0])
             if mu >= self.N:
                 raise ArithmeticError("all active coordinates vanish mod p^N")
-            if k == 0:
-                if name == "a":
-                    return mu
-                if name == "b":
-                    self.push(("perm", (2, 1, 3)))
-                elif name == "c":
-                    self.push(("perm", (3, 2, 1)))
-                elif name == "x":
-                    self.push(("m", self._xi(Y.a, Y.x, Y.b, mu), 2, 1))
-                elif name == "y":
-                    self.push(("m", self._xi(Y.a, Y.y, Y.c, mu), 3, 1))
-                else:
-                    # z sits at (2,3); swapping rows 1,2 moves it to (1,3)
-                    self.push(("perm", (2, 1, 3)))
+            if r == j == k:
+                return mu
+            if r == k:
+                self.push(("m", self._xi(diag[k], _off(Y, k, j), diag[j], mu), j + 1, k + 1))
             else:
-                if name == "b":
-                    return mu
-                if name == "c":
-                    self.push(("perm", (1, 3, 2)))
-                else:
-                    self.push(("m", self._xi(Y.b, Y.z, Y.c, mu), 3, 2))
+                sigma = [1, 2, 3]
+                sigma[k], sigma[r] = sigma[r], sigma[k]
+                self.push(("perm", tuple(sigma)))
         raise ArithmeticError("pivot placement did not terminate")
 
     def _xi(self, d_pivot, x_off, d_other, mu):
@@ -185,18 +177,16 @@ class _Reducer:
     # -- row/column clearing -----------------------------------------------
 
     def clear(self, k, mu):
-        ring, p = self.ring, self.p
-        pm = p ** mu
-        pivot = self.Y.a if k == 0 else self.Y.b
-        uinv = pow(int(pivot) // pm, -1, ring.m)
-        targets = (("x", 1, 2), ("y", 1, 3)) if k == 0 else (("z", 2, 3),)
-        for name, i, j in targets:
-            o = getattr(self.Y, name)
+        ring = self.ring
+        pm = self.p ** mu
+        uinv = pow(int((self.Y.a, self.Y.b, self.Y.c)[k]) // pm, -1, ring.m)
+        for j in range(k + 1, 3):
+            o = _off(self.Y, k, j)
             if not any(o.co):
                 continue
             w = Octonion(ring, [-uinv * (int(cv) // pm) for cv in o.co])
-            self.push(("m", w, i, j))
-            if any(getattr(self.Y, name).co):
+            self.push(("m", w, k + 1, j + 1))
+            if any(_off(self.Y, k, j).co):
                 raise ArithmeticError("row clearing failed")
 
     def run(self):

@@ -9,6 +9,7 @@ from heptalift.cayley import (
     ZZ,
     Octonion,
     Zmod,
+    _build_structure,
     _mat_inv_frac,
     gram_det,
     structure_constants,
@@ -70,6 +71,18 @@ def test_order_closure_integral():
             assert all(isinstance(v, int) for v in S[i][j])
     a4 = Octonion.basis(4)
     assert (a4 * a4).to_list() == [-1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_basis_leaving_the_order_is_refused():
+    # swapping e_1 and e_2 maps the order onto an E8 lattice that contains 1
+    # and has a unimodular trace pairing, but is not closed under
+    # multiplication: the build that runs at import must refuse it
+    alpha = [[r[0], r[2], r[1]] + list(r[3:]) for r in _ALPHA_2E]
+    inv, det = _mat_inv_frac([[sum(a * b for a, b in zip(u, v)) // 2 for v in alpha]
+                              for u in alpha])
+    assert det == 1
+    with pytest.raises(ArithmeticError, match="not closed under multiplication"):
+        _build_structure(alpha, [[int(v) for v in row] for row in inv])
 
 
 def test_mat_inv_frac_inverse_and_determinant():

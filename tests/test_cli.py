@@ -465,6 +465,34 @@ def test_eigen_csv_repeated_prime_is_a_usage_error(tmp_path, capsys):
     assert json.loads(err) == {"error": "bad eigen CSV %s: prime 2 is listed twice" % csv}
 
 
+@pytest.mark.parametrize("command", ["lift-coeff", "lift-table", "period", "probe"])
+def test_eigen_csv_zero_denominator_is_a_usage_error(tmp_path, capsys, command):
+    csv = tmp_path / "zero_den.csv"
+    csv.write_text("p,a_p\n2,1/0\n")
+    argv = [command, "--k", "10", "--eigen", str(csv)]
+    if command == "lift-coeff":
+        argv += ["--input", element_file(tmp_path, 1, 1, 2)]
+    elif command == "lift-table":
+        argv += ["--max-det", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "bad eigen CSV %s: row 2: a_p = '1/0' has a zero denominator" % csv}
+
+
+@pytest.mark.parametrize("command", ["reduce", "mass", "lift-coeff"])
+def test_deeply_nested_element_is_a_usage_error(tmp_path, command):
+    # past the JSON decoder's recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 1000 + "]" * 1000)
+    argv = [command, "--input", str(path)]
+    argv += {"reduce": ["--prime", "2"], "mass": [], "lift-coeff": ["--k", "10"]}[command]
+    proc = run_module(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"].startswith("malformed JSON in %s: " % path)
+
+
 def _zero_eigen_csv(tmp_path, max_prime):
     """An eigen CSV with a_p = 0 at every prime up to max_prime."""
     path = tmp_path / "zero.csv"

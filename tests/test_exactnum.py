@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -175,6 +176,12 @@ def test_bernoulli_classical_values():
     for n, v in expected.items():
         assert bernoulli(n) == v
     assert bernoulli(3) == 0 and bernoulli(7) == 0
+
+
+def test_bernoulli_satisfies_the_defining_recursion():
+    # sum_{k=0}^{n} C(n+1, k) B_k = 0 for every n >= 1
+    for n in range(1, 120):
+        assert sum(comb(n + 1, k) * bernoulli(k) for k in range(n + 1)) == 0
 
 
 def test_even_zeta_values():

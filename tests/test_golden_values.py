@@ -1,20 +1,28 @@
-"""Golden exact values: SHA-256 of repr for the H_p routes and local factors.
+"""Golden exact values: SHA-256 of repr for the H_p routes and local factors,
+the octonion order's tables and local reductions.
 
 `hp-verify` prints only whether its routes agree, so a change that moved the
 lambda sum, the table route and the product form together would leave the
 CLI corpus unchanged.  These digests pin each route's own values, and the
 local factors of the lift at three eigen tables (k = 10, an integer table at
 k = 13 and a rational one at k = 12), through exponent sums 12 (6 at 97).
+The CLI corpus pins only the length of a reduction word, so the last digests
+pin the structure constants, the trace-pairing Gram and the whole
+(divisors, word, reduced, precision) of 150 seeded reductions at each prime.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from heptalift.cayley import ZZ, Octonion, structure_constants, trace_pairing_gram
 from heptalift.density import exponent_triples
 from heptalift.genfun import hp_closed_form, hp_table_route, lambda_p
+from heptalift.jordan import JordanElement, apply_word
 from heptalift.lift import eigen_delta, eigen_from_rows, local_factor
+from heptalift.padic import reduce_at
 
 M61 = 2 ** 61 - 1
 PRIMES = (2, 3, 5, 7, 11, 13, 97)
@@ -112,3 +120,70 @@ def test_local_factor_digests(name):
                       for m in range(13 if p < 97 else 7) for exps in exponent_triples(m)])
            for p in PRIMES}
     assert got == LOCAL[name]
+
+
+STRUCTURE = "b2d9a760fd6662502fbeb60528d6223f1d2bd080f3b8b5f048e5f4d71d059ea1"
+GRAM = "8d28b9398ddbec76a50870db93ce228e89c2ca328001686849eb95331fe34c8a"
+
+REDUCTIONS = {
+    2: "4cda7313e379fb14bf83a45869ec2d36be6902298eee9ad70270888bd631a961",
+    3: "e63e68a4de0c7f1e14b8a01ba59bdf86108727799a0f68205d3c52d632324839",
+    5: "ae18e7d50d73ed8758cc880e081fe165289fe818c74061c0ae98fc61fa5d8cc9",
+    7: "f11fc9388d052e1ed3bc225c50152676bbbd25a9d48aeae371c7eed470589056",
+    11: "ce2be08f6dd7c9361c9c8ad32672cdfa8094bfb86ccd205a6769a482737f69e4",
+    97: "9c299fad37f6c10f8c5a3b806fa0d66922e8de2353b97fa690fd36b2478c5d71",
+}
+
+
+def test_order_table_digests():
+    assert digest(structure_constants()) == STRUCTURE
+    assert digest(trace_pairing_gram()) == GRAM
+
+
+def _rand_oct(rng, bound):
+    return Octonion(ZZ, [rng.randint(-bound, bound) for _ in range(8)])
+
+
+def _unit_word(rng, length):
+    """Random word of integrally invertible tokens."""
+    word = []
+    for _ in range(length):
+        kind = rng.randrange(4)
+        if kind == 0:
+            i, j = rng.sample([1, 2, 3], 2)
+            word.append(("m", _rand_oct(rng, 2), i, j))
+        elif kind == 1:
+            sigma = [1, 2, 3]
+            rng.shuffle(sigma)
+            word.append(("perm", tuple(sigma)))
+        elif kind == 2:
+            word.append(("theta", tuple(rng.choice([1, -1]) for _ in range(3))))
+        else:
+            word.append(("gamma", rng.choice([1, -1])))
+    return word
+
+
+def _reduction_inputs(p, count=150):
+    """Diagonal prime powers in any order, the same scrambled by a unit word,
+    and random elements with small entries and nonzero determinant."""
+    rng = random.Random(20261020 + p)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 2:
+            X = JordanElement(ZZ, *(rng.randint(-3, 3) for _ in range(3)),
+                              *(_rand_oct(rng, 1) for _ in range(3)))
+            if X.det() == 0:
+                continue
+        else:
+            X = JordanElement.diag(*(p ** rng.randint(0, 4) for _ in range(3)))
+            if kind == 1:
+                X = apply_word(X, _unit_word(rng, rng.randint(1, 6)))
+        out.append(X)
+    return out
+
+
+@pytest.mark.parametrize("p", sorted(REDUCTIONS))
+def test_reduction_digests(p):
+    reds = [reduce_at(X, p) for X in _reduction_inputs(p)]
+    assert digest([(r.divisors, r.word, r.reduced, r.precision) for r in reds]) == REDUCTIONS[p]
