@@ -23,6 +23,7 @@ coordinates of a_i a_j then come from those pairings and the inverse Gram.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -41,8 +42,6 @@ __all__ = [
 # rings
 
 class IntegerRing:
-    name = "Z"
-
     def el(self, v):
         if isinstance(v, Fraction):
             if v.denominator != 1:
@@ -68,8 +67,6 @@ class IntegerRing:
 
 
 class RationalRing:
-    name = "Q"
-
     def el(self, v):
         return Fraction(v)
 
@@ -86,14 +83,15 @@ class RationalRing:
         return "Q"
 
 
-class ModRing:
-    """Z/m with representatives 0..m-1."""
+@dataclass(frozen=True, repr=False)
+class Zmod:
+    """Z/m with representatives 0..m-1; two rings with the same m are equal."""
 
-    def __init__(self, m: int):
-        if m < 2:
-            raise ValueError(m)
-        self.m = m
-        self.name = "Z/%d" % m
+    m: int
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError(self.m)
 
     def el(self, v):
         if isinstance(v, Fraction):
@@ -113,27 +111,12 @@ class ModRing:
             raise ZeroDivisionError("2 is not invertible mod %d" % self.m)
         return v * pow(2, -1, self.m) % self.m
 
-    def __eq__(self, other):
-        return isinstance(other, ModRing) and other.m == self.m
-
-    def __hash__(self):
-        return hash(("ModRing", self.m))
-
     def __repr__(self):
-        return self.name
+        return "Z/%d" % self.m
 
 
 ZZ = IntegerRing()
 QQ = RationalRing()
-
-_mod_cache = {}
-
-
-def Zmod(m: int) -> ModRing:
-    r = _mod_cache.get(m)
-    if r is None:
-        r = _mod_cache[m] = ModRing(m)
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +286,11 @@ _MUL_RAW = _build_mul_kernel()
 # trace of each basis vector: Tr(x) = x + conj(x) = 2 * (e_0 coefficient)
 _TRV = tuple(row[0] for row in _ALPHA_2E)
 
-# Tr(x y) bilinear form: Tr(a_i a_j) picked out of the structure constants
-_GRAM_NOCONJ = tuple(tuple(_dot(prod, _TRV) for prod in row) for row in _S)
-
 # N(x) = sum_i x_i (G_ii/2 x_i + sum_{j>i} G_ij x_j)
 _NORM_RAW = _compile("norm", _XS, _form_source(
     [[_GRAM[i][i] // 2 if j == i else _GRAM[i][j] if j > i else 0 for j in range(8)]
      for i in range(8)], _XS))
 _POLAR_RAW = _compile("polar", _XS + _YS, _form_source(_GRAM, _YS))
-_TRACE_WITH_RAW = _compile("trace_with", _XS + _YS, _form_source(_GRAM_NOCONJ, _YS))
 _TRACE_RAW = _compile("trace", _XS, _lin_source(_TRV, _XS))
 # conj(x) = Tr(x) - x
 _CONJ_RAW = _compile("conj", _XS, "(%s)" % ",".join(
@@ -351,7 +330,7 @@ class Octonion:
         """Internal: coords already canonical (Z/Q) or just need a mod reduce."""
         o = cls.__new__(cls)
         o.ring = ring
-        if isinstance(ring, ModRing):
+        if isinstance(ring, Zmod):
             m = ring.m
             o.co = tuple(v % m for v in coords)
         else:
@@ -378,12 +357,12 @@ class Octonion:
     def __eq__(self, other):
         return (
             isinstance(other, Octonion)
-            and self.ring.name == other.ring.name
+            and self.ring == other.ring
             and self.co == other.co
         )
 
     def __hash__(self):
-        return hash((self.ring.name, self.co))
+        return hash((self.ring, self.co))
 
     def __add__(self, other):
         return Octonion._raw(self.ring, [a + b for a, b in zip(self.co, other.co)])
@@ -426,9 +405,8 @@ class Octonion:
         return acc if self.ring is ZZ else self.ring.el(acc)
 
     def trace_with(self, other):
-        """Tr(x y), as a ring scalar."""
-        acc = _TRACE_WITH_RAW(*self.co, *other.co)
-        return acc if self.ring is ZZ else self.ring.el(acc)
+        """Tr(x y) = Tr(x conj(conj(y))), as a ring scalar."""
+        return self.norm_polar(other.conj())
 
     def map_ring(self, ring):
         return Octonion(ring, self.co)
@@ -443,4 +421,4 @@ class Octonion:
         return cls(ring, coords)
 
     def __repr__(self):
-        return "Octonion(%s, %s)" % (self.ring.name, list(self.co))
+        return "Octonion(%r, %s)" % (self.ring, list(self.co))

@@ -78,12 +78,17 @@ def _emit_error(message):
 
 
 def _emit(payload, out_path):
+    """Write the payload to out_path, or to stdout if there is none; a file
+    that cannot be written raises UsageError."""
     text = json.dumps(payload, indent=2) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (out_path, exc))
 
 
 # argparse types: a bad value raises UsageError while the arguments are parsed,
@@ -513,20 +518,18 @@ def build_parser():
 
 
 def dispatch(argv):
-    """Parse and run; returns the process exit code."""
+    """Parse and run; returns the process exit code.  The payload is written
+    only once the run has made it, so a refused run leaves --out untouched."""
     try:
         args = build_parser().parse_args(argv)
-        payload = args.handler(args)
+        payload, failure = args.handler(args), None
     except SystemExit as exc:  # argparse has written its help or diagnostic
         return exc.code if isinstance(exc.code, int) else 2
     except UsageError as exc:
         _emit_error(exc)
         return 2
     except ComputeError as exc:
-        if exc.payload is not None:
-            _emit(exc.payload, args.out)
-        _emit_error(exc)
-        return 1
+        payload, failure = exc.payload, exc
     except KeyError as exc:  # EigenData.a found no eigenvalue for a prime
         _emit_error("eigen table is missing a_p for p = %s" % (exc,))
         return 2
@@ -536,8 +539,16 @@ def dispatch(argv):
     except ValueError as exc:
         _emit_error(exc)
         return 2
-    _emit(payload, args.out)
-    return 0
+    if payload is not None:
+        try:
+            _emit(payload, args.out)
+        except UsageError as exc:
+            _emit_error(exc)
+            return 2
+    if failure is None:
+        return 0
+    _emit_error(failure)
+    return 1
 
 
 def main(argv=None):

@@ -119,9 +119,14 @@ def igusa_verify(p: int, order: int):
     divided by c1.  A right-hand numerator or denominator over 4300 digits,
     Python's default int-to-str limit, raises ValueError before any
     left-hand coefficient is computed, and before the expansion wherever p
-    alone settles it: the u^0 coefficient 1/c1 has numerator p^28, and for
-    m >= 4 the reduced denominator of the u^m coefficient has p-valuation
-    exactly 9m - 28 (checked for p <= 2^61 - 1 and m <= 30).
+    alone settles it: the u^m coefficient has p-valuation exactly 28 - 9m.
+
+    Proof, for every p and m: 1/c1 = p^28/D with D = (p^2-1)(p^6-1)(p^8-1)
+    (p^12-1) prime to p.  The u^m coefficient of the expansion is the sum
+    of p^-(a+5b+9c) over a+b+c = m, that is N_m/p^(9m) with N_m the sum of
+    p^(8a+4b); only a = b = 0 gives p^0, so N_m = 1 mod p.  Hence the u^0
+    numerator is p^28, and for m >= 4 the reduced u^m denominator holds
+    exactly p^(9m-28).
     """
     c1 = constants(p).c1
     too_long = "a coefficient through u^%d exceeds 4300 digits" % order

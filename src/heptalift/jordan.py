@@ -26,7 +26,7 @@ X o Y = (XY + YX)/2 has the slots
 
 from __future__ import annotations
 
-from .cayley import ModRing, Octonion, ZZ
+from .cayley import Octonion, ZZ, Zmod
 
 __all__ = [
     "JordanElement",
@@ -70,12 +70,12 @@ class JordanElement:
     def __eq__(self, other):
         return (
             isinstance(other, JordanElement)
-            and self.ring.name == other.ring.name
+            and self.ring == other.ring
             and self.coords() == other.coords()
         )
 
     def __hash__(self):
-        return hash((self.ring.name, self.coords()))
+        return hash((self.ring, self.coords()))
 
     def __add__(self, other):
         return JordanElement(
@@ -174,7 +174,7 @@ class JordanElement:
 
     def is_positive(self):
         """Membership in the open positivity cone (over Z or Q)."""
-        if isinstance(self.ring, ModRing):
+        if isinstance(self.ring, Zmod):
             raise TypeError("positivity needs an ordered ring")
         return (
             self.a > 0
@@ -220,8 +220,8 @@ class JordanElement:
         return cls(ring, a, b, c, *(Octonion.from_list(ints(k, 8), ring) for k in "xyz"))
 
     def __repr__(self):
-        return "JordanElement(%s, diag=%r, x=%r, y=%r, z=%r)" % (
-            self.ring.name, [self.a, self.b, self.c],
+        return "JordanElement(%r, diag=%r, x=%r, y=%r, z=%r)" % (
+            self.ring, [self.a, self.b, self.c],
             list(self.x.co), list(self.y.co), list(self.z.co),
         )
 

@@ -162,6 +162,8 @@ def eigen_from_csv(path, k):
         for row in reader:
             if row["p"] is None or row["a_p"] is None:
                 raise ValueError("row %d needs both p and a_p" % reader.line_num)
+            if None in row:  # DictReader keeps the fields past the header under None
+                raise ValueError("row %d has more than the two fields p and a_p" % reader.line_num)
             try:
                 rows.append((row["p"], Fraction(row["a_p"])))
             except ZeroDivisionError:

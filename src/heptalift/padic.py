@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 
-# Zmod names its ring by the modulus in decimal, and Python's default limit
-# on int-to-str conversion is 4300 digits
+# Python's default limit on int-to-str conversion is 4300 digits:
+# igusa_verify refuses a coefficient past it, which could not be printed, and
+# reduce_at keeps p^precision below it, as its pinned refusal message says
 _MODULUS_BOUND = 10 ** 4300
 
 

@@ -143,6 +143,14 @@ def test_trace_form_identities():
         assert ((x * y) * z).trace() == (x * (y * z)).trace()
         assert x.trace_with(y) == (x * y).trace()
         assert x.norm_polar(y) == (x + y).norm() - x.norm() - y.norm()
+    # trace_with reads Tr(x y) off the trace pairing in every ring
+    for ring in (ZZ, QQ, Zmod(7), Zmod(4)):
+        for _ in range(200):
+            x, y = (Octonion(ring, [Fraction(rng.randint(-9, 9), rng.randint(1, 6) if ring is QQ else 1)
+                                    for _ in range(8)]) for _ in range(2))
+            want = (x * y).trace()
+            got = x.trace_with(y)
+            assert got == want and type(got) is type(want)
 
 
 def test_norm_is_half_gram_form():
@@ -180,6 +188,24 @@ def test_mod_ring_reduction_commutes():
             assert (x * y).map_ring(R) == x.map_ring(R) * y.map_ring(R)
             assert (x + y).map_ring(R) == x.map_ring(R) + y.map_ring(R)
             assert (x * y).map_ring(R).norm() == R.el(x.norm() * y.norm())
+
+
+def test_mod_rings_are_values():
+    # rings built apart with the same modulus are equal; no cache ties them
+    R, S = Zmod(49), Zmod(49)
+    assert R == S and hash(R) == hash(S) and R is not S
+    assert R != Zmod(7) and R != ZZ and ZZ != QQ
+    x, y = Octonion(R, range(8)), Octonion(S, range(8))
+    assert x == y and hash(x) == hash(y)
+    assert x != Octonion(ZZ, range(8)) and x != Octonion(Zmod(7), range(8))
+    assert (x * y).ring == R and x * y == Octonion(R, x.co) * Octonion(S, y.co)
+    assert (repr(R), repr(ZZ), repr(QQ)) == ("Z/49", "Z", "Q")
+    assert repr(x) == "Octonion(Z/49, [0, 1, 2, 3, 4, 5, 6, 7])"
+    assert repr(Octonion.basis(1)) == "Octonion(Z, [0, 1, 0, 0, 0, 0, 0, 0])"
+    assert repr(Octonion.basis(0, QQ)) == \
+        "Octonion(Q, [%s])" % ", ".join(["Fraction(1, 1)"] + ["Fraction(0, 1)"] * 7)
+    with pytest.raises(ValueError):
+        Zmod(1)
 
 
 def test_rational_ring():

@@ -1,6 +1,8 @@
 """CLI plumbing: JSON shapes, exit codes, determinism, error channels."""
 
+import argparse
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -480,6 +482,21 @@ def test_eigen_csv_zero_denominator_is_a_usage_error(tmp_path, capsys, command):
         "error": "bad eigen CSV %s: row 2: a_p = '1/0' has a zero denominator" % csv}
 
 
+def test_eigen_csv_row_with_extra_fields_is_a_usage_error(tmp_path, capsys):
+    # tau(5) = 4830 written with a thousands separator must not read as 4
+    csv = tmp_path / "extra.csv"
+    csv.write_text("p,a_p\n2,-24\n3,252\n5,4,830\n")
+    code, out, err = run_cli(capsys, "lift-coeff", "--k", "10", "--eigen", str(csv),
+                             "--input", element_file(tmp_path, 1, 1, 5))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "bad eigen CSV %s: row 4 has more than the two fields p and a_p" % csv}
+    csv.write_text("p,a_p\n2,-24\n3,252\n5,4830\n")
+    code, out, _ = run_cli(capsys, "lift-coeff", "--k", "10", "--eigen", str(csv),
+                           "--input", element_file(tmp_path, 1, 1, 5))
+    assert code == 0 and json.loads(out)["coefficient"] == "4830"
+
+
 @pytest.mark.parametrize("command", ["reduce", "mass", "lift-coeff"])
 def test_deeply_nested_element_is_a_usage_error(tmp_path, command):
     # past the JSON decoder's recursion limit
@@ -824,29 +841,64 @@ def test_digits_cap_is_fifty(capsys):
 
 
 def _edges(least, most=None):
-    """Values at the bounds, and just outside them."""
+    """Values at the bounds, and just outside them; with an upper bound, 10^6
+    is refused as well, far past every cap."""
     taken = [least] if most is None else [least, most]
-    refused = [least - 1] if most is None else [least - 1, most + 1]
+    refused = [least - 1] if most is None else [least - 1, most + 1, 10 ** 6]
     return [str(v) for v in taken], [str(v) for v in refused]
 
 
-# every bounded flag: the subcommand with its other required flags, the flag,
-# the values it takes and the values it refuses
-BOUNDED_FLAGS = [
-    (("reduce", "--prime", "2", "--input", "unread.json"), "--precision", *_edges(1)),
-    (("igusa-verify", "--prime", "2"), "--order", *_edges(0, cli.MAX_ORDER)),
-    (("hp-verify", "--prime", "2"), "--tmax", *_edges(1, cli.MAX_TMAX)),
-    (("gamma-k",), "--k", *_edges(10, cli.MAX_GAMMA_K)),
-    (("lift-coeff", "--input", "unread.json"), "--k", *_edges(10)),
-    (("lift-table", "--max-det", "1"), "--k", *_edges(10)),
-    (("lift-table", "--k", "10"), "--max-det", *_edges(1, cli.MAX_DET)),
-    (("period",), "--k", *_edges(10, cli.MAX_GAMMA_K)),
-    (("period", "--k", "10"), "--digits", *_edges(1, cli.MAX_DIGITS)),
-    (("probe",), "--k", ["10", str(cli.MAX_GAMMA_K)],
-     ["9", str(cli.MAX_GAMMA_K + 1), "100000"]),
-    (("probe", "--k", "10"), "--digits", ["1,%d" % cli.MAX_DIGITS],
-     ["0,%d" % cli.MAX_DIGITS, "1,%d" % (cli.MAX_DIGITS + 1)]),
-]
+def _bounds(kind):
+    """The variables a flag type closes over: least and most for a type made
+    by cli._bounded, item for the pair type; none for any other type."""
+    try:
+        return inspect.getclosurevars(kind).nonlocals
+    except TypeError:  # None, or a class such as int
+        return {}
+
+
+def _required_value(action):
+    """A value for a required flag the sweep is not testing: 2 for --prime,
+    the least value of a bounded flag, and otherwise a path that the
+    replaced handlers never read."""
+    if action.type is cli._prime:
+        return "2"
+    least = _bounds(action.type).get("least")
+    return "unread.json" if least is None else str(least)
+
+
+def _bounded_flags():
+    """Every bounded flag of cli's parser: the subcommand with its other
+    required flags, the flag, the values it takes and the values it refuses."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    cases = []
+    for name, sp in sub.choices.items():
+        flags = [a for a in sp._actions if a.option_strings]
+        for action in flags:
+            bounds = _bounds(action.type)
+            item = _bounds(bounds["item"]) if "item" in bounds else None
+            if "least" not in (item or bounds):
+                continue
+            others = tuple(v for other in flags if other.required and other is not action
+                           for v in (other.option_strings[0], _required_value(other)))
+            if item is None:
+                taken, refused = _edges(bounds["least"], bounds["most"])
+            else:  # a pair of increasing values, each of the item's range
+                (lo, hi), (below, above, _) = _edges(item["least"], item["most"])
+                taken, refused = [lo + "," + hi], [below + "," + hi, lo + "," + above]
+            cases.append(((name,) + others, action.option_strings[0], taken, refused))
+    return cases
+
+
+BOUNDED_FLAGS = _bounded_flags()
+
+
+def test_bounded_flags_are_read_from_the_parser():
+    assert [" ".join(c[0][:1] + c[1:2]) for c in BOUNDED_FLAGS] == [
+        "reduce --precision", "igusa-verify --order", "hp-verify --tmax", "gamma-k --k",
+        "lift-coeff --k", "lift-table --k", "lift-table --max-det", "period --k",
+        "period --digits", "probe --k", "probe --digits"]
 
 
 @pytest.fixture
@@ -932,6 +984,38 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "gamma-k", "--k", "11", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["gamma_k"] == frac_str(gamma_k(11))
+
+
+@pytest.mark.parametrize("kind", [
+    "missing", "directory",
+    pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                  reason="no /dev/full"))])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, kind):
+    # from a run that succeeds, and from a failed identity, whose payload
+    # goes to --out as well
+    target = {"missing": str(tmp_path / "missing" / "x.json"), "directory": str(tmp_path),
+              "full": "/dev/full"}[kind]
+    monkeypatch.setattr(cli, "H_verify", lambda p, tmax, table_route: (False, {"m": 1}))
+    for argv in (("gamma-k", "--k", "10"), ("hp-verify", "--prime", "2", "--tmax", "5")):
+        code, out, err = run_cli(capsys, *argv, "--out", target)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"].startswith("cannot write %s: " % target)
+    good = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "hp-verify", "--prime", "2", "--tmax", "5", "--out", str(good))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "generating identity failed for p=2"}
+    assert json.loads(good.read_text())["first_discrepancy"] == {"m": 1}
+
+
+def test_refused_run_leaves_out_untouched(tmp_path, capsys):
+    target = tmp_path / "kept.json"
+    target.write_text("kept\n")
+    code, out, _ = run_cli(capsys, "gamma-k", "--k", "9", "--out", str(target))
+    assert code == 2 and out == "" and target.read_text() == "kept\n"
+    code, _, err = run_cli(capsys, "lift-coeff", "--k", "10", "--input", str(tmp_path / "none.json"),
+                           "--out", str(target))
+    assert code == 2 and "cannot read" in json.loads(err)["error"]
+    assert target.read_text() == "kept\n"
 
 
 def test_unknown_command_and_missing_args(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heptalift import density
-from heptalift.exactnum import frac_str
+from heptalift.exactnum import frac_str, ratfun_expand
 from heptalift.density import (
     MASS_CONSTANT,
     beta_exps,
@@ -145,6 +145,21 @@ def test_igusa_refuses_before_the_series_where_p_settles_it(monkeypatch):
             with pytest.raises(ValueError, match=r"through u\^%d exceeds" % order):
                 igusa_verify(p, order)
     assert len(expanded) == 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 1000003])
+def test_igusa_rhs_valuation_is_28_minus_9m(p):
+    # the proof in igusa_verify's docstring, on the series it expands
+    def vp(v):
+        k = 0
+        while v % p == 0:
+            v, k = v // p, k + 1
+        return k
+
+    series = ratfun_expand(1, [[1, -Fraction(1, p ** e)] for e in (1, 5, 9)], 94, "u")
+    for m in range(95):
+        v = series.coeff(m) / constants(p).c1
+        assert vp(v.numerator) - vp(v.denominator) == 28 - 9 * m, m
 
 
 def test_igusa_verify_deep():
