@@ -13,9 +13,11 @@ Both error paths write a one-object JSON diagnostic to stderr.
 """
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -79,16 +81,26 @@ def _emit_error(message):
 
 def _emit(payload, out_path):
     """Write the payload to out_path, or to stdout if there is none; a file
-    that cannot be written raises UsageError."""
+    or a stdout that cannot be written raises UsageError.
+
+    stdout is flushed here, so a failed write surfaces now rather than at
+    exit.  After a failure its file descriptor is pointed at os.devnull:
+    the bytes left in its buffer would otherwise be retried by the flush at
+    interpreter exit, which prints "Exception ignored" and exits 120.
+    """
     text = json.dumps(payload, indent=2) + "\n"
-    if not out_path:
-        sys.stdout.write(text)
-        return
     try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise UsageError("cannot write %s: %s" % (out_path, exc))
+        if not out_path:
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise UsageError("cannot write %s: %s" % (out_path or "stdout", exc))
 
 
 # argparse types: a bad value raises UsageError while the arguments are parsed,

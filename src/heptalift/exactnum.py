@@ -207,34 +207,34 @@ class LaurentPoly:
         """Exact division over Z by another Laurent polynomial.
 
         Coefficients must be integers; the quotient must be integral too, and
-        a nonzero remainder at any step raises ArithmeticError.
+        a nonzero remainder at any step raises ArithmeticError.  Both sides
+        are shifted to valuation 0 and the remainder, a list indexed by
+        degree, is walked down once from the top; whatever is left below the
+        divisor's degree must be zero.
         """
         if not den:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
             return LaurentPoly.zero(self.var)
         sv, dv = self.valuation(), den.valuation()
-        dd = {e - dv: v for e, v in den.c.items()}
-        ddeg = max(dd)
-        lead = dd[ddeg]
+        dd = [(e - dv, v) for e, v in den.c.items()]
+        ddeg, lead = den.degree() - dv, den.c[den.degree()]
+        rem = [0] * (self.degree() - sv + 1)
+        for e, v in self.c.items():
+            rem[e - sv] = v
         q = {}
-        rem = {e - sv: v for e, v in self.c.items()}
-        while rem:
-            rdeg = max(rem)
-            if rdeg < ddeg:
-                raise ArithmeticError("inexact polynomial division")
-            f, r = divmod(rem[rdeg], lead)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            q[rdeg - ddeg] = f
-            for e, v in dd.items():
-                ee = e + rdeg - ddeg
-                w = rem.get(ee, 0) - f * v
-                if w:
-                    rem[ee] = w
-                else:
-                    rem.pop(ee, None)
-        return LaurentPoly(self.var, {e + sv - dv: v for e, v in q.items()})
+        for top in range(len(rem) - 1, ddeg - 1, -1):
+            if rem[top]:
+                f, r = divmod(rem[top], lead)
+                if r:
+                    raise ArithmeticError("inexact polynomial division")
+                k = top - ddeg
+                q[k + sv - dv] = f
+                for e, v in dd:
+                    rem[k + e] -= f * v
+        if any(rem[:ddeg]):
+            raise ArithmeticError("inexact polynomial division")
+        return LaurentPoly(self.var, q)
 
     def __repr__(self):
         if not self.c:

@@ -16,8 +16,9 @@ to tilde_f^2.  The lambda sum weights each exponent triple by the int
 d c1/beta_p, d a power of p, and divides by c1 d.  The table route sums
 c1 P in u over the 36 unordered pairs of siegel's eight closed-form terms
 (the pair sum is symmetric), where the factor 1 - p^-4 X is already cleared
-to p^4 - X; each u^m coefficient is divided by the square of the primitive
-common denominator, exactly over Z (Gauss's lemma).  The Euler-factor
+to p^4 - X; its terms are monomials in X, so the pairs add into one integer
+dict per u^m, which is divided by the square of the primitive common
+denominator, exactly over Z (Gauss's lemma).  The Euler-factor
 rewrite is certified over Z as well: the factors the two sides share cancel
 first, and each factor 1 - c X^x t^n left is cleared by the denominator of c
 before the two sides are multiplied out.
@@ -85,18 +86,37 @@ def lambda_p(p, m):
 
 
 def _P_in_u(p, A, B, C, order):
-    """c1 P(A,B,C,t) at t = p^9 u, expanded in u through u^order.
+    """c1 P(A,B,C,t) at t = p^9 u, expanded in u through u^order, for
+    monomials A, B and C in X given as (coefficient, exponent) pairs.
 
     In u the closed form is
       (1 + (p^4+1) C u + (p^4+1) BC u^2 + p^4 BC^2 u^3)
       / ((1 - A u^3)(1 - p^8 BC u^2)(1 - p^8 C u)),
-    so the series has integer coefficients whenever A, B and C do.
+    so the series has integer coefficients whenever A, B and C do.  The
+    three denominators are geometric series in monomials: the u^n
+    coefficient of their inverse is the sum of A^i (p^8 BC)^j (p^8 C)^k over
+    3i + 2j + k = n, and the numerator's four monomials shift it.  Returns
+    one {exponent: int} dict per u^m, m = 0..order.
     """
     p4, p8 = p ** 4, p ** 8
-    BC = B * C
-    num = {0: 1, 1: (p4 + 1) * C, 2: (p4 + 1) * BC, 3: p4 * (BC * C)}
-    den = [{0: 1, 3: -A}, {0: 1, 2: -(p8 * BC)}, {0: 1, 1: -(p8 * C)}]
-    return ratfun_expand(num, den, order)
+    (a, ae), (b, be), (c, ce) = A, B, C
+    # the numerator's monomials (coefficient, X-exponent), at u^0..u^3
+    num = [(1, 0), ((p4 + 1) * c, ce), ((p4 + 1) * b * c, be + ce), (p4 * b * c * c, be + 2 * ce)]
+    # A^i, (p^8 BC)^j and (p^8 C)^k as far as u^order reaches
+    powers = lambda v, e, n: [(v ** i, e * i) for i in range(n + 1)]
+    geo_a = powers(a, ae, order // 3)
+    geo_bc = powers(p8 * b * c, be + ce, order // 2)
+    geo_c = powers(p8 * c, ce, order)
+    out = [{} for _ in range(order + 1)]
+    for i, (va, ea) in enumerate(geo_a):
+        for j, (vb, eb) in enumerate(geo_bc[: (order - 3 * i) // 2 + 1]):
+            vab, eab, n0 = va * vb, ea + eb, 3 * i + 2 * j
+            for k, (vc, ec) in enumerate(geo_c[: order - n0 + 1]):
+                g, eg = vab * vc, eab + ec
+                for s, (vn, en) in enumerate(num[: order - n0 - k + 1]):
+                    d = out[n0 + k + s]
+                    d[eg + en] = d.get(eg + en, 0) + g * vn
+    return out
 
 
 def _from_u(p, m):
@@ -169,24 +189,29 @@ def hp_table_route(p, tmax):
     series W_i W_j c1 P(x_i x_j, y_i y_j, z_i z_j, t) in u = t/p^9 (_P_in_u)
     sum, at u^m, to c1 p^{9m} full^2 times the f^2 / beta_p sum of t^m.  A
     pair's term is symmetric in (i, j), so the 64 ordered pairs are summed as
-    36 unordered ones, each pair with i != j counted twice.  full^2 is
-    primitive (each factor of full has a coefficient +-1), so by Gauss's
-    lemma its exact division over Z certifies that the sum collapses to
-    polynomials in X; the quotient is mapped by siegel._tilde and rescaled
-    by 1/(c1 p^{9m}).
+    36 unordered ones, each pair with i != j counted twice.  x_i x_j, y_i y_j
+    and z_i z_j are monomials, so each pair's u^m coefficient is a few
+    monomials; times W_i W_j they are added into one {exponent: int} dict
+    per m, and one LaurentPoly per m is built from it.  full^2 is primitive
+    (each factor of full has a coefficient +-1), so by Gauss's lemma its
+    exact division over Z certifies that the sum collapses to polynomials in
+    X; the quotient is mapped by siegel._tilde and rescaled by 1/(c1 p^{9m}).
     """
     terms, full = _closed_form_terms(p)
-    mono = lambda ce: LaurentPoly.monomial(ce[0], ce[1], "X")
-    table = [(mono(n) * cof, mono(x), mono(y), mono(z)) for cof, n, x, y, z in terms]
+    table = [(LaurentPoly.monomial(*n, "X") * cof, x, y, z) for cof, n, x, y, z in terms]
+    times = lambda u, v: (u[0] * v[0], u[1] + v[1])
     full2 = full * full
-    coeffs = [LaurentPoly.zero("X") for _ in range(tmax + 1)]
+    coeffs = [{} for _ in range(tmax + 1)]
     for i, (wi, xi, yi, zi) in enumerate(table):
         for j, (wj, xj, yj, zj) in enumerate(table[: i + 1]):
-            ser = _P_in_u(p, xi * xj, yi * yj, zi * zj, tmax)
-            wij = wi * wj if i == j else 2 * (wi * wj)
-            for m, cm in ser.c.items():
-                coeffs[m] = coeffs[m] + wij * cm
-    return [_tilde(c.divide_exact(full2), 2 * m) * _from_u(p, m) for m, c in enumerate(coeffs)]
+            ser = _P_in_u(p, times(xi, xj), times(yi, yj), times(zi, zj), tmax)
+            wij = (wi * wj * (1 if i == j else 2)).c.items()
+            for acc, cm in zip(coeffs, ser):
+                for e, v in cm.items():
+                    for ew, w in wij:
+                        acc[e + ew] = acc.get(e + ew, 0) + v * w
+    return [_tilde(LaurentPoly("X", c).divide_exact(full2), 2 * m) * _from_u(p, m)
+            for m, c in enumerate(coeffs)]
 
 
 def H_verify(p, tmax, table_route=False):

@@ -17,8 +17,10 @@ of the oracle), so every division is an exact division over Z that raises
 on a remainder.  The eight terms are written once, in the per-prime memo
 _closed_form_terms: each is a monomial N x^m1 y^m2 z^m3 over one of three
 denominators, stored as (coefficient, exponent) pairs next to the
-denominator's cofactor in the common denominator.  f_poly builds one
-monomial per term, adds the eight products and makes one exact division;
+denominator's cofactor in the common denominator.  f_poly makes one
+integer pass: each term, at the given profile, is one int times its
+cofactor shifted by one exponent, and the eight are added into a single
+{exponent: int} dict before one exact division (LaurentPoly.divide_exact);
 genfun's table route sums pairs of the same terms.  f_poly is memoized on
 (p, m1, m2, m3) for the life of the process.  The oracle reads neither memo
 and sums its own two terms over its own common denominator, so a check of
@@ -144,19 +146,22 @@ def _closed_form_terms(p: int):
 def f_poly(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
     """Eight-term closed form, summed over one common denominator.
 
-    The terms come from the per-prime memo _closed_form_terms; each call
-    builds one monomial per term, adds its products with the cofactors and
-    divides by the common denominator once, exactly, so a sum that is not a
-    polynomial raises.  Memoized on (p, m1, m2, m3); callers share the
-    returned object.
+    The terms come from the per-prime memo _closed_form_terms.  At
+    (m1, m2, m3) a term's monomial N x^m1 y^m2 z^m3 is one int c and one
+    exponent e, so the term adds c times its cofactor, shifted by e, into a
+    single {exponent: int} dict; the sum is divided by the common
+    denominator once, exactly, so a sum that is not a polynomial raises.
+    Memoized on (p, m1, m2, m3); callers share the returned object.
     """
     _check_args(p, m1, m2, m3)
     terms, full = _closed_form_terms(p)
-    num = LaurentPoly.zero("X")
+    num = {}
     for cof, (c, e), (xc, xe), (yc, ye), (zc, ze) in terms:
-        mono = _mono(c * xc ** m1 * yc ** m2 * zc ** m3, e + xe * m1 + ye * m2 + ze * m3)
-        num = num + mono * cof
-    return SiegelPoly(p, (m1, m2, m3), num.divide_exact(full))
+        c *= xc ** m1 * yc ** m2 * zc ** m3
+        e += xe * m1 + ye * m2 + ze * m3
+        for ce, cv in cof.c.items():
+            num[e + ce] = num.get(e + ce, 0) + c * cv
+    return SiegelPoly(p, (m1, m2, m3), LaurentPoly("X", num).divide_exact(full))
 
 
 def _base_poly(p: int, m2: int, m3: int) -> LaurentPoly:

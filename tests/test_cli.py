@@ -306,13 +306,14 @@ def test_reduce_precision_bound(tmp_path, capsys):
     assert "precision must keep p^precision below 10^4300" in json.loads(err)["error"]
 
 
-def run_module(argv, **env_extra):
-    """`python -m heptalift *argv` in a subprocess, on this checkout's src."""
+def run_module(argv, stdout=subprocess.PIPE, **env_extra):
+    """`python -m heptalift *argv` in a subprocess, on this checkout's src;
+    stdout is captured unless a file is given."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, **env_extra)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     return subprocess.run([sys.executable, "-m", "heptalift", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
 
 
 def test_reduce_huge_precision_fails_fast_without_str_limit(tmp_path):
@@ -1005,6 +1006,23 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, kind):
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "generating identity failed for p=2"}
     assert json.loads(good.read_text())["first_discrepancy"] == {"m": 1}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    pytest.param(("lift-table", "--k", "10", "--max-det", "200"), id="long"),
+    pytest.param(("gamma-k", "--k", "10"), id="short")])
+def test_unwritable_stdout_is_a_usage_error(argv):
+    # a fresh process: with stdout buffered (PYTHONUNBUFFERED empty) the long
+    # payload fails in the write itself and the short one only when it is
+    # flushed, and the interpreter's own flush at exit must not retry either
+    # (that would print "Exception ignored" and exit 120)
+    for unbuffered in ("", "1"):
+        with open("/dev/full", "w") as full:
+            proc = run_module(argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"].startswith("cannot write stdout: ")
 
 
 def test_refused_run_leaves_out_untouched(tmp_path, capsys):

@@ -151,6 +151,73 @@ def test_integer_division_stays_in_z():
         half.divide_exact(2 * X)
 
 
+def divide_by_max_rem(num, den):
+    """Reference: exact division that takes the top degree of the remainder
+    dict afresh at every step."""
+    sv, dv = num.valuation(), den.valuation()
+    dd = {e - dv: v for e, v in den.c.items()}
+    ddeg = max(dd)
+    q, rem = {}, {e - sv: v for e, v in num.c.items()}
+    while rem:
+        rdeg = max(rem)
+        if rdeg < ddeg:
+            raise ArithmeticError("inexact polynomial division")
+        f, r = divmod(rem[rdeg], dd[ddeg])
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        q[rdeg - ddeg] = f
+        for e, v in dd.items():
+            w = rem.get(e + rdeg - ddeg, 0) - f * v
+            if w:
+                rem[e + rdeg - ddeg] = w
+            else:
+                rem.pop(e + rdeg - ddeg, None)
+    return LaurentPoly(num.var, {e + sv - dv: v for e, v in q.items()})
+
+
+def rand_int_laurent(rng, digits, nterms=6):
+    """A Laurent polynomial over Z with exponents in -5..8 and up to nterms
+    terms of up to `digits` digits; its leading and its lowest coefficient
+    are neither 0 nor +-1."""
+    big = lambda: rng.choice([-1, 1]) * rng.randint(2, 10 ** digits)
+    c = {rng.randint(-5, 8): rng.randint(-10 ** digits, 10 ** digits) for _ in range(nterms)}
+    c[max(c)], c[min(c)] = big(), big()
+    return LaurentPoly("X", c)
+
+
+def test_divide_exact_matches_max_rem_reference():
+    rng = random.Random(29)
+    for trial in range(300):
+        digits = (1, 3, 100)[trial % 3]
+        q = rand_int_laurent(rng, digits, rng.randint(1, 6))
+        den = rand_int_laurent(rng, digits, rng.randint(1, 6))
+        num = q * den
+        got = num.divide_exact(den)
+        assert got == q == divide_by_max_rem(num, den)
+        assert all(type(v) is int for v in got.c.values())
+
+
+def test_divide_exact_raises_on_any_inexact_step():
+    # num = q den plus 1 at the top degree (the leading coefficient of den
+    # is not +-1), at the middle quotient step, or at num's lowest degree,
+    # below den's degree: every quotient step is then exact and only the
+    # last remainder term is not
+    rng = random.Random(2029)
+    for digits in (1, 3, 100):
+        for _ in range(20):
+            q = LaurentPoly("X", {e: rng.randint(1, 10 ** digits) for e in range(-3, 5)})
+            den = rand_int_laurent(rng, digits)
+            if len(den.c) < 2:
+                continue
+            num = q * den
+            mid = 1 + den.degree()  # q's degree 1 lies between -3 and 4
+            for e in (num.degree(), mid, num.valuation()):
+                bad = num + LaurentPoly("X", {e: 1})
+                for divide in (LaurentPoly.divide_exact, divide_by_max_rem):
+                    with pytest.raises(ArithmeticError):
+                        divide(bad, den)
+
+
 def test_series_inverse_roundtrip():
     rng = random.Random(13)
     for _ in range(100):

@@ -61,10 +61,29 @@ def test_lambda_low_orders():
 
 
 def P_closed(p, A, B, C, order):
-    """P(A,B,C,t) through t^order from the integer series in u = t/p^9 that
+    """P(A,B,C,t) through t^order, for monomials A, B, C in X given as
+    (coefficient, exponent) pairs, from the integer series in u = t/p^9 that
     hp_table_route sums, rescaled coefficientwise."""
     ser = genfun._P_in_u(p, A, B, C, order)
-    return LaurentPoly("t", {m: v * genfun._from_u(p, m) for m, v in ser.c.items()})
+    return LaurentPoly("t", {m: LaurentPoly("X", v) * genfun._from_u(p, m) for m, v in enumerate(ser)})
+
+
+def P_closed_symbolic(p, order):
+    """P_closed with A, B, C encoded as X, X^D and X^(D^2), D = 3 order + 1,
+    and each X-exponent decoded back to A^a B^b C^c in sym_ABC's symbols.
+    Through u^order, a <= order/3 and b <= order/2 stay below D, so the
+    base-D digits of an exponent are (a, b, c) with no carry."""
+    D = 3 * order + 1
+    A, B, C = sym_ABC()
+    out = {}
+    for m, v in P_closed(p, (1, 1), (1, D), (1, D * D), order).c.items():
+        acc = LaurentPoly.zero("C")
+        for e, w in v.c.items():
+            c, rest = divmod(e, D * D)
+            b, a = divmod(rest, D)
+            acc = acc + w * A ** a * B ** b * C ** c
+        out[m] = acc
+    return LaurentPoly("t", out)
 
 
 def P_direct(p, A, B, C, order):
@@ -86,7 +105,7 @@ def P_direct(p, A, B, C, order):
 def test_P_closed_vs_direct_symbolic():
     A, B, C = sym_ABC()
     for p in (2, 3):
-        closed = P_closed(p, A, B, C, 6)
+        closed = P_closed_symbolic(p, 6)
         direct = P_direct(p, A, B, C, 6)
         assert closed == direct
         assert direct.coeff(0) == Fraction(1) / beta_exps(p, (0, 0, 0))
@@ -97,7 +116,10 @@ def test_P_closed_vs_direct_symbolic():
 
 def test_P_scalar_specialization():
     for p in (2, 3, 5):
-        assert P_closed(p, 1, 1, 1, 5) == P_direct(p, 1, 1, 1, 5)
+        for a, b, c in [(1, 1, 1), (2, -3, 5)]:
+            closed = P_closed(p, (a, 0), (b, 0), (c, 0), 5)
+            want = P_direct(p, a, b, c, 5)
+            assert {m: v.coeff(0) for m, v in closed.c.items()} == want.c
 
 
 def test_hp_closed_low_coefficients():
@@ -291,13 +313,14 @@ def ordered_table_route(p, tmax):
     siegel's eight terms, in f, each t^m coefficient taken to X^{2m} g(X^-2)."""
     terms, full = siegel._closed_form_terms(p)
     mono = lambda ce: LaurentPoly.monomial(ce[0], ce[1], "X")
-    table = [(mono(n) * cof, mono(x), mono(y), mono(z)) for cof, n, x, y, z in terms]
+    times = lambda u, v: (u[0] * v[0], u[1] + v[1])
+    table = [(mono(n) * cof, x, y, z) for cof, n, x, y, z in terms]
     coeffs = [LaurentPoly.zero("X") for _ in range(tmax + 1)]
     for wi, xi, yi, zi in table:
         for wj, xj, yj, zj in table:
-            ser = genfun._P_in_u(p, xi * xj, yi * yj, zi * zj, tmax)
-            for m, cm in ser.c.items():
-                coeffs[m] = coeffs[m] + wi * wj * cm
+            ser = genfun._P_in_u(p, times(xi, xj), times(yi, yj), times(zi, zj), tmax)
+            for m, cm in enumerate(ser):
+                coeffs[m] = coeffs[m] + wi * wj * LaurentPoly("X", cm)
     return [c.divide_exact(full * full).subst_power(-2).shift(2 * m) * genfun._from_u(p, m)
             for m, c in enumerate(coeffs)]
 

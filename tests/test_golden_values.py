@@ -6,6 +6,9 @@ lambda sum, the table route and the product form together would leave the
 CLI corpus unchanged.  These digests pin each route's own values, and the
 local factors of the lift at three eigen tables (k = 10, an integer table at
 k = 13 and a rational one at k = 12), through exponent sums 12 (6 at 97).
+Those reach the Siegel series f only through lambda_p and the local factors,
+so the f_poly digests pin f itself at every profile of weight <= 12, also at
+the 61-bit prime.
 The CLI corpus pins only the length of a reduction word, so the last digests
 pin the structure constants, the trace-pairing Gram and the whole
 (divisors, word, reduced, precision) of 150 seeded reductions at each prime.
@@ -23,6 +26,7 @@ from heptalift.genfun import hp_closed_form, hp_table_route, lambda_p
 from heptalift.jordan import JordanElement, apply_word
 from heptalift.lift import eigen_delta, eigen_from_rows, local_factor
 from heptalift.padic import reduce_at
+from heptalift.siegel import f_poly
 
 M61 = 2 ** 61 - 1
 PRIMES = (2, 3, 5, 7, 11, 13, 97)
@@ -57,6 +61,13 @@ CLOSED = {
     7: "c9a0e056719553bb0ecba60e56d51a6ef5d5a4dcb7a76c76c36e3c0a09b218a2",
     97: "9c3fcb667e71021bb547e29666c14ea0e9e47f90bb121363f26a2aef079919c3",
     M61: "c783849372173f166c55ac3e74556db550b1cb62544a8951b0ae2c4897aa21cb",
+}
+
+F_POLY = {
+    2: "3caf8e64248ee232de35c219b28d67f726f2ae7de1581926efa897d1db829785",
+    3: "0a36450b68581ef8e79072353ac29330446ab2a57dcbd3faea3dd411569b4e0b",
+    97: "e8b9ab14988ac2643986554e058e0dfa84f8327ac1a1dc1cd940e845fb7c31b8",
+    M61: "103cc98814f50bd78d0c06905ab38d68bc1a19dc7ffb47c2ed83c39d03a8a288",
 }
 
 LOCAL = {
@@ -111,6 +122,13 @@ def test_table_route_digest(p):
 @pytest.mark.parametrize("p", sorted(CLOSED))
 def test_closed_form_digest(p):
     assert digest(hp_closed_form(p).expand(10 if p < 100 else 6)) == CLOSED[p]
+
+
+@pytest.mark.parametrize("p", sorted(F_POLY))
+def test_f_poly_digest(p):
+    # every profile (m1, m2, m3) of weight 3 m1 + m2 + m3 = a1 + a2 + a3 <= 12
+    profiles = [(a1, a2 - a1, a3 - a1) for m in range(13) for a1, a2, a3 in exponent_triples(m)]
+    assert digest([f_poly(p, *m) for m in profiles]) == F_POLY[p]
 
 
 @pytest.mark.parametrize("name", sorted(LOCAL))
