@@ -23,7 +23,7 @@ print("t^1 coefficient of H_2:", lambda_p(2, 1))
 
 h = hp_closed_form(2)
 print("\nclosed form prefactor:", h.prefactor)
-print("first numerator factor:", h.numerator_factors[0])
+print("first numerator factor, in u = t/2^9:", h.numerator_factors[0])
 
 # regrouped as zeta and symmetric-square local factors
 r = rs_euler_factors(2)

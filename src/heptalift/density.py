@@ -18,7 +18,8 @@ The Igusa series identity
 
 is checked coefficientwise by two independent routes: the left-hand side
 sums 1/beta_p over the exponent triples of each order, and the right-hand
-side is one exact power-series expansion of the rational function.
+side is one power-series expansion of the rational function, over Z in
+v = u/p^9, with each coefficient rescaled once.
 """
 
 from __future__ import annotations
@@ -115,26 +116,27 @@ def igusa_lhs_coeff(p: int, m: int) -> Fraction:
 def igusa_verify(p: int, order: int):
     """Compare both u-series through u^order; returns (ok, rows).
 
-    The right-hand side is one expansion of 1/((1-u/p)(1-u/p^5)(1-u/p^9)),
-    divided by c1.  A right-hand numerator or denominator over 4300 digits,
+    The right-hand side is expanded over Z in v = u/p^9, where its factors
+    are 1 - p^8 v, 1 - p^4 v and 1 - v: the v^m coefficient is the integer
+    N_m of the proof below, and the u^m coefficient is N_m/(c1 p^(9m)),
+    rescaled once.  A right-hand numerator or denominator over 4300 digits,
     Python's default int-to-str limit, raises ValueError before any
     left-hand coefficient is computed, and before the expansion wherever p
     alone settles it: the u^m coefficient has p-valuation exactly 28 - 9m.
 
     Proof, for every p and m: 1/c1 = p^28/D with D = (p^2-1)(p^6-1)(p^8-1)
-    (p^12-1) prime to p.  The u^m coefficient of the expansion is the sum
-    of p^-(a+5b+9c) over a+b+c = m, that is N_m/p^(9m) with N_m the sum of
-    p^(8a+4b); only a = b = 0 gives p^0, so N_m = 1 mod p.  Hence the u^0
-    numerator is p^28, and for m >= 4 the reduced u^m denominator holds
-    exactly p^(9m-28).
+    (p^12-1) prime to p.  The u^m coefficient of 1/((1-u/p)(1-u/p^5)
+    (1-u/p^9)) is the sum of p^-(a+5b+9c) over a+b+c = m, that is N_m/p^(9m)
+    with N_m the sum of p^(8a+4b); only a = b = 0 gives p^0, so
+    N_m = 1 mod p.  Hence the u^0 numerator is p^28, and for m >= 4 the
+    reduced u^m denominator holds exactly p^(9m-28).
     """
     c1 = constants(p).c1
     too_long = "a coefficient through u^%d exceeds 4300 digits" % order
     if _power_past_bound(p, max(28, 9 * order - 28)):
         raise ValueError(too_long)
-    factors = [[1, -Fraction(1, p ** e)] for e in (1, 5, 9)]
-    series = ratfun_expand(1, factors, order, "u")
-    rhs = [series.coeff(m) / c1 for m in range(order + 1)]
+    series = ratfun_expand(1, [[1, -p ** 8], [1, -p ** 4], [1, -1]], order, "v")
+    rhs = [series.coeff(m) / (c1 * p ** (9 * m)) for m in range(order + 1)]
     if any(max(abs(v.numerator), v.denominator) >= _MODULUS_BOUND for v in rhs):
         raise ValueError(too_long)
     rows = []

@@ -77,9 +77,6 @@ class LaurentPoly:
     def coeff(self, e):
         return self.c.get(e, 0)
 
-    def support(self):
-        return sorted(self.c)
-
     def valuation(self):
         if not self.c:
             raise ValueError("valuation of zero")

@@ -7,21 +7,25 @@ verification, the rewrite of H_p into zeta / symmetric-square local factors,
 and the residue algebra that yields the rational period constant gamma_k.
 
 All three routes of the H_p check sum over Z and rescale each coefficient
-once.  The product form is expanded in u = t/p^9, where every factor has int
-coefficients, and its u^m coefficient is rescaled by 1/(c1 p^{9m}).  The
-lambda sum and the table route work on the Siegel series f itself: every
-exponent triple in t^m has weight m, so both sum f^2 terms and map each t^m
-coefficient g to X^{2m} g(X^-2) once (siegel._tilde), the map that takes f^2
-to tilde_f^2.  The lambda sum weights each exponent triple by the int
-d c1/beta_p, d a power of p, and divides by c1 d.  The table route sums
-c1 P in u over the 36 unordered pairs of siegel's eight closed-form terms
-(the pair sum is symmetric), where the factor 1 - p^-4 X is already cleared
-to p^4 - X; its terms are monomials in X, so the pairs add into one integer
-dict per u^m, which is divided by the square of the primitive common
-denominator, exactly over Z (Gauss's lemma).  The Euler-factor
-rewrite is certified over Z as well: the factors the two sides share cancel
-first, and each factor 1 - c X^x t^n left is cleared by the denominator of c
-before the two sides are multiplied out.
+once.  With t = p^9 u, every factor of the product form and of its
+Euler-factor rewrite is an integer polynomial 1 - c X^x u^n with c = +-p^e,
+e >= 0 (_u_factor): 1 - p^-14 t^2 is 1 - p^4 u^2, and 1 - p^{3-4i} X^{+-2} t
+is 1 - p^{12-4i} X^{+-2} u.  The factors are written once, in u, and the
+product form is expanded from them over Z; its u^m coefficient is rescaled
+by 1/(c1 p^{9m}).  The lambda sum and the table route work on the Siegel
+series f itself: every exponent triple in t^m has weight m, so both sum f^2
+terms and map each t^m coefficient g to X^{2m} g(X^-2) once (siegel._tilde),
+the map that takes f^2 to tilde_f^2.  The lambda sum weights each exponent
+triple by the int d c1/beta_p, d a power of p, and divides by c1 d.  The
+table route sums c1 P in u over the 36 unordered pairs of siegel's eight
+closed-form terms (the pair sum is symmetric), where the factor 1 - p^-4 X
+is already cleared to p^4 - X; its terms are monomials in X, so the pairs
+add into one integer dict per u^m, which is divided by the square of the
+primitive common denominator, exactly over Z (Gauss's lemma).  The
+Euler-factor rewrite is certified on the same u-factors: the factors the
+two sides share cancel first, and the integer products of the factors left
+are compared.  t appears only at output (_in_t), so the factors printed are
+exactly the image of the factors certified.
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ __all__ = [
     "rs_closed_residue",
     "rs_euler_factors",
 ]
-
-
-def _q(p, e):
-    return Fraction(1, p ** e)
 
 
 def _lambda_in_z(p, m):
@@ -119,23 +119,23 @@ def _P_in_u(p, A, B, C, order):
     return out
 
 
-def _from_u(p, m):
-    """1 / (c1 p^{9m}), taking u^m coefficients of _P_in_u to t^m ones of P."""
-    return Fraction(1) / (constants(p).c1 * p ** (9 * m))
+def _u_factor(c, n=1, x=0):
+    """1 - c X^x u^n, a polynomial in u = t/p^9 with int c."""
+    return LaurentPoly("u", {0: 1, n: -c if x == 0 else LaurentPoly.monomial(-c, x, "X")})
 
 
-def _t_factor(coeff, tpow=1, xpow=0):
-    """1 - coeff * X^xpow * t^tpow, as a polynomial in t."""
-    c = coeff if xpow == 0 else LaurentPoly.monomial(coeff, xpow, "X")
-    return LaurentPoly("t", {0: 1, tpow: -c})
+def _in_t(p, f, c=1):
+    """c f at u = t/p^9: the u^n coefficient of f, times c / p^{9n}, is the
+    t^n coefficient."""
+    return LaurentPoly("t", {n: v * Fraction(c, p ** (9 * n)) for n, v in f.c.items()})
 
 
 @dataclass(frozen=True)
 class HpClosedForm:
-    """Product form of H_p(X,t): prefactor * prod(num) / prod(den).
+    """Product form of H_p(X,t): prefactor * prod(num) / prod(den), t = p^9 u.
 
-    Factors are polynomials in t whose coefficients are scalars or Laurent
-    polynomials in X.
+    Factors are the integer polynomials 1 - c X^x u^n of _u_factor, in
+    u = t/p^9, whose coefficients are ints or Laurent polynomials in X over Z.
     """
 
     p: int
@@ -146,35 +146,28 @@ class HpClosedForm:
     def expand(self, order):
         """Series in t through t^order; coefficients Laurent in X.
 
-        Expanded over Z in u = t/p^9: each factor's t^n coefficient gains
-        p^{9n} and must clear to an int.  The u^m coefficient is then rescaled
-        once, by prefactor / p^{9m} (= 1/(c1 p^{9m}), the table route's _from_u).
+        The factors are multiplied and expanded over Z in u = t/p^9, and the
+        u^m coefficient is rescaled once, by prefactor / p^{9m} = 1/(c1 p^{9m})
+        (_in_t, as in the table route).
         """
-        def in_u(f):
-            d, z = _cleared(LaurentPoly("u", {n: v * self.p ** (9 * n) for n, v in f.c.items()}))
-            if d != 1:
-                raise ArithmeticError("%r is not integral in u = t/p^9" % (f,))
-            return z
-        num = reduce(mul, map(in_u, self.numerator_factors))
-        ser = ratfun_expand(num, list(map(in_u, self.denominator_factors)), order, "u")
-        return LaurentPoly("t", {m: v * (self.prefactor / self.p ** (9 * m)) for m, v in ser.c.items()})
+        num = reduce(mul, self.numerator_factors)
+        ser = ratfun_expand(num, list(self.denominator_factors), order, "u")
+        return _in_t(self.p, ser, self.prefactor)
 
 
 def hp_closed_form(p):
     """The product form of H_p(X,t).
 
     c1^{-1} (1-p^{-14}t^2)(1+p^{-5}t)(1+p^{-9}t) / (1-p^{-1}t)
-    / prod_{i=1..3} (1-p^{3-4i}t)(1-p^{3-4i}X^{-2}t)(1-p^{3-4i}X^2 t).
+    / prod_{i=1..3} (1-p^{3-4i}t)(1-p^{3-4i}X^{-2}t)(1-p^{3-4i}X^2 t),
+    stored in u = t/p^9 as
+    c1^{-1} (1-p^4 u^2)(1+p^4 u)(1+u) / (1-p^8 u)
+    / prod_{i=1..3} (1-p^{12-4i}u)(1-p^{12-4i}X^{-2}u)(1-p^{12-4i}X^2 u).
     """
-    cs = constants(p)
-    num = (
-        _t_factor(_q(p, 14), 2),
-        _t_factor(-_q(p, 5)),
-        _t_factor(-_q(p, 9)),
-    )
-    den = [_t_factor(_q(p, 1))]
-    den += [_t_factor(_q(p, 4 * i - 3), 1, x) for i in (1, 2, 3) for x in (0, -2, 2)]
-    return HpClosedForm(p, Fraction(1) / cs.c1, num, tuple(den))
+    num = (_u_factor(p ** 4, 2), _u_factor(-p ** 4), _u_factor(-1))
+    den = [_u_factor(p ** 8)]
+    den += [_u_factor(p ** (12 - 4 * i), 1, x) for i in (1, 2, 3) for x in (0, -2, 2)]
+    return HpClosedForm(p, Fraction(1) / constants(p).c1, num, tuple(den))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +188,8 @@ def hp_table_route(p, tmax):
     per m, and one LaurentPoly per m is built from it.  full^2 is primitive
     (each factor of full has a coefficient +-1), so by Gauss's lemma its
     exact division over Z certifies that the sum collapses to polynomials in
-    X; the quotient is mapped by siegel._tilde and rescaled by 1/(c1 p^{9m}).
+    X; the quotient is mapped by siegel._tilde and rescaled by 1/(c1 p^{9m})
+    (_in_t).
     """
     terms, full = _closed_form_terms(p)
     table = [(LaurentPoly.monomial(*n, "X") * cof, x, y, z) for cof, n, x, y, z in terms]
@@ -210,8 +204,9 @@ def hp_table_route(p, tmax):
                 for e, v in cm.items():
                     for ew, w in wij:
                         acc[e + ew] = acc.get(e + ew, 0) + v * w
-    return [_tilde(LaurentPoly("X", c).divide_exact(full2), 2 * m) * _from_u(p, m)
-            for m, c in enumerate(coeffs)]
+    quotients = {m: _tilde(LaurentPoly("X", c).divide_exact(full2), 2 * m) for m, c in enumerate(coeffs)}
+    series = _in_t(p, LaurentPoly("u", quotients), 1 / constants(p).c1)
+    return [series.coeff(m) for m in range(tmax + 1)]
 
 
 def H_verify(p, tmax, table_route=False):
@@ -242,31 +237,15 @@ def H_verify(p, tmax, table_route=False):
     return True, None
 
 
-def _cleared(f):
-    """(d, d f) for a polynomial f in t over Q or over Laurent polynomials in
-    X, with d the least common denominator of its coefficients, so that d f
-    has int coefficients."""
-    nested = lambda v: isinstance(v, LaurentPoly)
-    d = math.lcm(*(
-        Fraction(w).denominator
-        for v in f.c.values()
-        for w in (v.c.values() if nested(v) else (v,))
-    ))
-    scale = lambda w: int(w * d)
-    return d, LaurentPoly(f.var, {e: v.map_coeffs(scale) if nested(v) else scale(v) for e, v in f.c.items()})
-
-
 def _same_product(lhs, rhs):
-    """Whether prod(lhs) == prod(rhs), decided over Z.
+    """Whether prod(lhs) == prod(rhs), for factors with int coefficients.
 
     Nonzero factors equal on both sides are cancelled first, as a multiset
     (a factor twice on one side and once on the other keeps one copy).  This
-    is exact: Z[X, X^-1][t] is an integral domain, so for a product C of
+    is exact: Z[X, X^-1][u] is an integral domain, so for a product C of
     nonzero factors prod(A) C == prod(B) C exactly when prod(A) == prod(B).
-    Each factor f left is cleared to d f (_cleared); with S the product of a
-    side's d, prod(lhs) = L/S_lhs and prod(rhs) = R/S_rhs for integer
-    products L and R (1 for a side cancelled to nothing), so the two agree
-    exactly when L S_rhs == R S_lhs.
+    The factors left are multiplied out over Z on each side (1 for a side
+    cancelled to nothing), and the two integer products are compared.
     """
     left, rest = [], list(rhs)
     for f in lhs:
@@ -274,12 +253,7 @@ def _same_product(lhs, rhs):
             rest.remove(f)
         else:
             left.append(f)
-    sides = []
-    for factors in (left, rest):
-        cleared = [_cleared(f) for f in factors]
-        sides.append((math.prod(d for d, _ in cleared), reduce(mul, (z for _, z in cleared), 1)))
-    (s_lhs, z_lhs), (s_rhs, z_rhs) = sides
-    return z_lhs * s_rhs == z_rhs * s_lhs
+    return reduce(mul, left, 1) == reduce(mul, rest, 1)
 
 
 def rs_euler_factors(p):
@@ -290,32 +264,33 @@ def rs_euler_factors(p):
               / prod_{i=1..3} (1 - p^{-4i+3} t)
               / prod_{i=1..3} (1 - p^{-4i+3} X^2 t)(1 - p^{-4i+3} t)(1 - p^{-4i+3} X^{-2} t),
     the three lines being the zeta^{-1} numerators, the zeta factors and the
-    symmetric-square factors of the global series.  The rewrite is certified
-    against the product form by exact cross-multiplication over Z
-    (_same_product).  Equal factors cancel as a multiset: the nine
+    symmetric-square factors of the global series.  In u = t/p^9 every
+    factor is an integer polynomial (_u_factor): 1 - p^{12-4i} u^2,
+    1 - p^{12-4i} u and 1 - p^{12-4i} X^{+-2} u.  The rewrite is certified
+    against the product form's u-factors by exact cross-multiplication over
+    Z (_same_product).  Equal factors cancel as a multiset: the nine
     symmetric-square factors against the product form's nine denominators
-    1 - p^{3-4i} X^{0,+-2} t, the zeta factor 1 - p^-1 t against the product
-    form's first denominator, and the t^2 numerator 1 - p^-14 t^2 against
-    the product form's first numerator.  That leaves 4 factors against 2,
-    (1 - p^-5 t)(1 + p^-5 t)(1 - p^-9 t)(1 + p^-9 t) against
-    (1 - p^-10 t^2)(1 - p^-18 t^2).  Every factor left, 1 - c t^n with
-    c = +-p^-e, is cleared to p^e - (p^e c) t^n, and the integer products of
-    the two sides are compared after each is scaled by the other side's
-    product of the p^e.  "consistent" is the outcome; the factor lists keep
-    their rational form.
+    1 - p^{12-4i} X^{0,+-2} u, the zeta factor 1 - p^8 u against the product
+    form's first denominator, and the u^2 numerator 1 - p^4 u^2 against the
+    product form's first numerator.  That leaves 4 factors against 2,
+    (1 - p^4 u)(1 + p^4 u)(1 - u)(1 + u) against (1 - p^8 u^2)(1 - u^2),
+    whose integer products are compared.  "consistent" is the outcome; the
+    factor lists are the certified u-factors at u = t/p^9 (_in_t), the
+    rational polynomials in t that rs-euler prints.
     """
     h = hp_closed_form(p)
-    t2_numerators = [_t_factor(_q(p, 4 * i + 6), 2) for i in (1, 2, 3)]
-    zeta_denominators = [_t_factor(_q(p, 4 * i - 3)) for i in (1, 2, 3)]
-    sym2_denominators = [[_t_factor(_q(p, 4 * i - 3), 1, x) for x in (2, 0, -2)] for i in (1, 2, 3)]
+    t2_numerators = [_u_factor(p ** (12 - 4 * i), 2) for i in (1, 2, 3)]
+    zeta_denominators = [_u_factor(p ** (12 - 4 * i)) for i in (1, 2, 3)]
+    sym2_denominators = [[_u_factor(p ** (12 - 4 * i), 1, x) for x in (2, 0, -2)] for i in (1, 2, 3)]
     lhs = list(h.numerator_factors) + zeta_denominators + [f for tri in sym2_denominators for f in tri]
     rhs = t2_numerators + list(h.denominator_factors)
+    in_t = lambda fs: [_in_t(p, f) for f in fs]
     return {
         "p": p,
         "prefactor": h.prefactor,
-        "t2_numerators": t2_numerators,
-        "zeta_denominators": zeta_denominators,
-        "sym2_denominators": sym2_denominators,
+        "t2_numerators": in_t(t2_numerators),
+        "zeta_denominators": in_t(zeta_denominators),
+        "sym2_denominators": [in_t(tri) for tri in sym2_denominators],
         "consistent": _same_product(lhs, rhs),
     }
 

@@ -53,10 +53,6 @@ class JordanElement:
         return cls(ring, a, b, c, zero, zero, zero)
 
     @classmethod
-    def identity(cls, ring=ZZ):
-        return cls.diag(1, 1, 1, ring)
-
-    @classmethod
     def zero(cls, ring=ZZ):
         return cls.diag(0, 0, 0, ring)
 

@@ -189,6 +189,45 @@ def test_igusa_refuses_a_1024_bit_prime_before_the_series():
     assert elapsed < 2.0
 
 
+@pytest.fixture(scope="module")
+def tau_files(tmp_path_factory):
+    """An eigen CSV of tau at the 303 primes below 2000, and the identity."""
+    path = tmp_path_factory.mktemp("edges")
+    csv = path / "tau.csv"
+    csv.write_text("p,a_p\n" + "".join("%d,%d\n" % pa for pa in sorted(eigen_delta(2000).table.items())))
+    elem = path / "one.json"
+    elem.write_text(json.dumps(JordanElement.diag(1, 1, 1).to_json()))
+    return {"CSV": str(csv), "ELEM": str(elem)}
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ("igusa-verify", "--prime", "1000003", "--order", "80")),
+    (2, ("igusa-verify", "--prime", "1000003", "--order", "81")),
+    (2, ("igusa-verify", "--prime", "1000003", "--order", "82")),
+    (2, ("igusa-verify", "--prime", str(2 ** 1023 + 1155), "--order", "94")),
+    (0, ("rs-euler", "--prime", str(2 ** 510 - 75))),
+    (2, ("siegel", "--prime", "2", "--m", "1666,0,2", "--eval", "X=-1/3")),
+    (0, ("hp-verify", "--prime", "2", "--tmax", "40", "--table-route")),
+    (0, ("lift-coeff", "--k", "1000000", "--eigen", "CSV", "--input", "ELEM")),
+    (2, ("lift-table", "--k", "1000000", "--max-det", "10", "--eigen", "CSV")),
+], ids=["igusa-80", "igusa-81", "igusa-82", "igusa-1024-bit", "rs-euler-510-bit",
+        "siegel-eval", "hp-verify-table-route", "lift-coeff-huge-k", "lift-table-huge-k"])
+def test_edge_inputs_finish_in_bounded_time(tau_files, code, argv):
+    # inputs at the edges of the caps, each in a fresh process: the expected
+    # exit code within 10 s (0.1-2.0 s each on a 2-CPU box), and on exit 2
+    # one JSON error line on stderr, never a traceback
+    t0 = time.perf_counter()
+    proc = run_module([tau_files.get(a, a) for a in argv])
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == (code != 0)
+    assert all(set(json.loads(line)) == {"error"} for line in lines)
+    assert (proc.stdout == "") == (code != 0)
+    assert elapsed < 10.0
+
+
 @pytest.mark.parametrize("argv", [
     ("lift-table", "--k", "10", "--max-det", "29001"),
     ("lift-table", "--k", "10", "--max-det", "29001", "--eigen", "CSV"),

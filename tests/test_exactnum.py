@@ -29,7 +29,7 @@ def rand_laurent(rng, var="X", nterms=4, erange=(-4, 4), crange=(-9, 9)):
 
 
 def series_coeffs(s, order):
-    assert all(0 <= e <= order for e in s.support())
+    assert all(0 <= e <= order for e in s.c)
     return [s.coeff(n) for n in range(order + 1)]
 
 

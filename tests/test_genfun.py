@@ -65,7 +65,8 @@ def P_closed(p, A, B, C, order):
     (coefficient, exponent) pairs, from the integer series in u = t/p^9 that
     hp_table_route sums, rescaled coefficientwise."""
     ser = genfun._P_in_u(p, A, B, C, order)
-    return LaurentPoly("t", {m: LaurentPoly("X", v) * genfun._from_u(p, m) for m, v in enumerate(ser)})
+    c1 = constants(p).c1
+    return LaurentPoly("t", {m: LaurentPoly("X", v) * (Fraction(1, p ** (9 * m)) / c1) for m, v in enumerate(ser)})
 
 
 def P_closed_symbolic(p, order):
@@ -133,11 +134,20 @@ def test_hp_closed_low_coefficients():
         assert ser.coeff(1) == lambda_p(p, 1)
 
 
+def t_factor(c, n=1, x=0):
+    """1 - c X^x t^n over Q."""
+    return LaurentPoly("t", {0: 1, n: -c if x == 0 else LaurentPoly.monomial(-c, x, "X")})
+
+
 def rational_closed_form(p, order):
-    """Oracle: the stored product form expanded over Q in t, as it stands."""
-    h = hp_closed_form(p)
-    num = reduce(mul, h.numerator_factors, LaurentPoly.const(h.prefactor, "t"))
-    return ratfun_expand(num, list(h.denominator_factors), order)
+    """Oracle: the product form of hp_closed_form's docstring, written in t
+    with Fraction coefficients and expanded over Q,
+    c1^{-1} (1-p^{-14}t^2)(1+p^{-5}t)(1+p^{-9}t) / (1-p^{-1}t)
+    / prod_{i=1..3} (1-p^{3-4i}t)(1-p^{3-4i}X^{-2}t)(1-p^{3-4i}X^2 t)."""
+    q = lambda e: Fraction(1, p ** e)
+    num = [t_factor(q(14), 2), t_factor(-q(5)), t_factor(-q(9))]
+    den = [t_factor(q(1))] + [t_factor(q(4 * i - 3), 1, x) for i in (1, 2, 3) for x in (0, -2, 2)]
+    return ratfun_expand(reduce(mul, num, LaurentPoly.const(1 / constants(p).c1, "t")), den, order)
 
 
 def rational_lambda(p, m, beta=beta_exps):
@@ -156,14 +166,6 @@ def test_closed_form_matches_rational_expansion(p):
         got, want = hp_closed_form(p).expand(order), rational_closed_form(p, order)
         assert got == want
         assert repr(got) == repr(want)
-
-
-def test_closed_form_refuses_a_factor_not_integral_in_u():
-    h = hp_closed_form(2)
-    extra = genfun._t_factor(Fraction(1, 2 ** 10))  # 1 - u/2 at t = 2^9 u
-    bad = genfun.HpClosedForm(2, h.prefactor, h.numerator_factors, h.denominator_factors + (extra,))
-    with pytest.raises(ArithmeticError):
-        bad.expand(3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -321,7 +323,8 @@ def ordered_table_route(p, tmax):
             ser = genfun._P_in_u(p, times(xi, xj), times(yi, yj), times(zi, zj), tmax)
             for m, cm in enumerate(ser):
                 coeffs[m] = coeffs[m] + wi * wj * LaurentPoly("X", cm)
-    return [c.divide_exact(full * full).subst_power(-2).shift(2 * m) * genfun._from_u(p, m)
+    c1 = constants(p).c1
+    return [c.divide_exact(full * full).subst_power(-2).shift(2 * m) * (Fraction(1, p ** (9 * m)) / c1)
             for m, c in enumerate(coeffs)]
 
 
@@ -365,23 +368,28 @@ def _spy_certificate(monkeypatch, mutate=None):
 
 
 def _bump_exponent(f, p):
-    """1 - c X^x t^n  ->  1 - (c/p) X^x t^n: an off-by-one in p's exponent."""
-    scale = lambda v: v / p if not isinstance(v, LaurentPoly) else v.map_coeffs(lambda w: w / p)
-    return LaurentPoly(f.var, {e: scale(v) if e else v for e, v in f.c.items()})
+    """1 - c X^x u^n  ->  1 - (c p) X^x u^n: an off-by-one in p's exponent."""
+    return LaurentPoly(f.var, {e: v * p if e else v for e, v in f.c.items()})
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 31])
 def test_rs_euler_certificate_agrees_with_rational_products(monkeypatch, p):
     seen = _spy_certificate(monkeypatch)
-    assert rs_euler_factors(p)["consistent"] is True
+    fac = rs_euler_factors(p)
+    assert fac["consistent"] is True
     ((lhs, rhs),) = seen
     assert len(lhs) == 15 and len(rhs) == 13
-    for f in lhs + rhs:
-        d, z = genfun._cleared(f)
-        assert all(type(v) is int for w in z.c.values()
-                   for v in (w.c.values() if isinstance(w, LaurentPoly) else (w,)))
-        assert z == f * d
+    assert all(f.var == "u" and _int_coeffs(f) for f in lhs + rhs)
     assert reduce(mul, lhs) == reduce(mul, rhs)
+    # the factor lists are the certified u-factors at u = t/p^9, and they are
+    # the t-factors of rs_euler_factors' docstring, written over Q
+    in_t = lambda fs: [genfun._in_t(p, f) for f in fs]
+    q = lambda e: Fraction(1, p ** e)
+    assert fac["t2_numerators"] == in_t(rhs[:3]) == [t_factor(q(4 * i + 6), 2) for i in (1, 2, 3)]
+    assert fac["zeta_denominators"] == in_t(lhs[3:6]) == [t_factor(q(4 * i - 3)) for i in (1, 2, 3)]
+    sym2 = [t_factor(q(4 * i - 3), 1, x) for i in (1, 2, 3) for x in (2, 0, -2)]
+    assert [f for tri in fac["sym2_denominators"] for f in tri] == in_t(lhs[6:]) == sym2
+    assert reduce(mul, in_t(lhs)) == reduce(mul, in_t(rhs))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -400,12 +408,12 @@ def test_rs_euler_certificate_catches_one_wrong_factor(monkeypatch, p, side):
 
 
 def _multiset_cases():
-    f = genfun._t_factor(Fraction(1, 4))
-    g = genfun._t_factor(Fraction(1, 2), 1, 2)
-    a, b = genfun._t_factor(Fraction(1, 3)), genfun._t_factor(-Fraction(1, 3))
-    ab = genfun._t_factor(Fraction(1, 9), 2)  # (1 - t/3)(1 + t/3)
-    one = LaurentPoly.const(1, "t")
-    zero = LaurentPoly.zero("t")
+    f = genfun._u_factor(4)
+    g = genfun._u_factor(2, 1, 2)
+    a, b = genfun._u_factor(3), genfun._u_factor(-3)
+    ab = genfun._u_factor(9, 2)  # (1 - 3u)(1 + 3u)
+    one = LaurentPoly.const(1, "u")
+    zero = LaurentPoly.zero("u")
     return [
         # a factor repeated on one side more often than on the other
         ([f, f, a, b], [f, f, ab], True),
@@ -427,23 +435,27 @@ def _multiset_cases():
 @pytest.mark.parametrize("case", range(10))
 def test_same_product_cancels_as_a_multiset(case):
     lhs, rhs, expected = _multiset_cases()[case]
-    plain = lambda fs: reduce(mul, fs, LaurentPoly.const(1, "t"))
+    plain = lambda fs: reduce(mul, fs, LaurentPoly.const(1, "u"))
     assert (plain(lhs) == plain(rhs)) is expected
     assert genfun._same_product(lhs, rhs) is expected
     assert genfun._same_product(rhs, lhs) is expected
 
 
-def test_rs_euler_certificate_clears_only_the_factors_that_differ(monkeypatch):
-    # 11 factors cancel on each side; (1 -+ p^-5 t)(1 -+ p^-9 t) is left
-    # against (1 - p^-10 t^2)(1 - p^-18 t^2), to clear and multiply
+def test_rs_euler_certificate_multiplies_out_only_the_factors_that_differ(monkeypatch):
+    # 11 factors cancel on each side; (1 -+ p^4 u)(1 -+ u) is left against
+    # (1 - p^8 u^2)(1 - u^2), and only those are multiplied out over Z
     p = 3
-    cleared = []
-    clear = genfun._cleared
-    monkeypatch.setattr(genfun, "_cleared", lambda f: cleared.append(f) or clear(f))
+    seen = _spy_certificate(monkeypatch)
+    factors = []
+    monkeypatch.setattr(genfun, "mul", lambda a, b: factors.append(b) or a * b)
     assert rs_euler_factors(p)["consistent"] is True
-    left = [genfun._t_factor(s * genfun._q(p, e)) for s in (1, -1) for e in (5, 9)]
-    left += [genfun._t_factor(genfun._q(p, e), 2) for e in (10, 18)]
-    assert len(cleared) == 6 and all(f in cleared for f in left)
+    ((lhs, rhs),) = seen
+    assert all(_int_coeffs(f) for f in lhs + rhs)
+    u = genfun._u_factor
+    left = [u(p ** 4), u(-p ** 4), u(1), u(-1)]
+    right = [u(p ** 8, 2), u(1, 2)]
+    assert sorted(map(repr, factors)) == sorted(map(repr, left + right))
+    assert reduce(mul, left) == reduce(mul, right) == LaurentPoly("u", {0: 1, 2: -1 - p ** 8, 4: p ** 8})
 
 
 def test_mass_constant_against_even_zetas():

@@ -51,7 +51,7 @@ def test_det_example():
 
 
 def test_identity_element():
-    I = JordanElement.identity()
+    I = JordanElement.diag(1, 1, 1)
     assert I.det() == 1
     assert I.inner(I) == 3
     assert I.adj() == I
@@ -88,7 +88,7 @@ def test_cross_is_polarized_adjoint():
 
 def test_jordan_product_laws():
     rng = random.Random(229)
-    I = JordanElement.identity(QQ)
+    I = JordanElement.diag(1, 1, 1, QQ)
     for _ in range(120):
         X, Y = rand_jordan(rng, QQ, 2), rand_jordan(rng, QQ, 2)
         assert X.circ(Y) == Y.circ(X)
@@ -187,7 +187,7 @@ def test_generators_preserve_inner_products_scaled():
 
 def test_positivity():
     rng = random.Random(263)
-    assert JordanElement.identity().is_positive()
+    assert JordanElement.diag(1, 1, 1).is_positive()
     assert not JordanElement.diag(1, 1, -1).is_positive()
     assert not JordanElement.diag(0, 1, 1).is_positive()
     assert not JordanElement.zero().is_positive()
@@ -207,7 +207,7 @@ def test_rank_classification_mod_p():
     assert JordanElement.zero(R).rank_mod_p() == 0
     assert JordanElement.diag(1, 0, 0, R).rank_mod_p() == 1
     assert JordanElement.diag(1, 1, 0, R).rank_mod_p() == 2
-    assert JordanElement.identity(R).rank_mod_p() == 3
+    assert JordanElement.diag(1, 1, 1, R).rank_mod_p() == 3
 
 
 def test_mod_ring_elements_compare_by_value():
@@ -223,7 +223,7 @@ def test_mod_ring_elements_compare_by_value():
     zero = [0] * 8
     assert repr(JordanElement.diag(1, 2, 50, Zmod(49))) == \
         "JordanElement(Z/49, diag=[1, 2, 1], x=%r, y=%r, z=%r)" % (zero, zero, zero)
-    assert repr(JordanElement.identity()) == \
+    assert repr(JordanElement.diag(1, 1, 1)) == \
         "JordanElement(Z, diag=[1, 1, 1], x=%r, y=%r, z=%r)" % (zero, zero, zero)
 
 

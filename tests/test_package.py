@@ -1,9 +1,10 @@
 """The package's public names: one list per module, each name exported once,
-and each one used by the package or a demo; and no module imports a name it
-never reads."""
+and each one used by the package or a demo; every method named outside its
+own body; and no module imports a name it never reads."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import heptalift
@@ -99,6 +100,31 @@ def test_every_module_function_has_a_caller():
                     defined.append("%s.%s" % (path.stem, own))
             used.update(name for name in _mentions(top) if name != own)
     assert [d for d in defined if d.split(".", 1)[1] not in used] == []
+
+
+def test_every_method_has_a_caller():
+    # a method of a package class, other than a dunder, is mentioned in the
+    # package, a demo or perfbench outside its own body; a method that
+    # overrides one of a base class (cli._Parser.error) is called by the base
+    paths = (sorted((ROOT / "src" / "heptalift").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+             + sorted((ROOT / "perfbench").rglob("*.py")))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    mentioned = Counter(name for tree in trees.values() for name in _mentions(tree))
+    unused = []
+    for path, tree in trees.items():
+        if path.parent.name != "heptalift":
+            continue
+        for cls in (top for top in tree.body if isinstance(top, ast.ClassDef)):
+            bases = getattr(importlib.import_module("heptalift." + path.stem), cls.name).__mro__[1:]
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name[:2] == fn.name[-2:] == "__":
+                    continue
+                if any(hasattr(base, fn.name) for base in bases):
+                    continue
+                own = sum(name == fn.name for name in _mentions(fn))
+                if mentioned[fn.name] == own:
+                    unused.append("%s.%s.%s" % (path.stem, cls.name, fn.name))
+    assert unused == []
 
 
 def test_every_import_is_used():
