@@ -1,25 +1,31 @@
 """Local densities of integral Jordan elements and the exact mass formula.
 
-For T with elementary divisors a1 <= a2 <= a3 at p the local density has
-a four-stratum closed form
+For T with elementary divisors a1 <= a2 <= a3 at p, m = a1 + a2 + a3,
+the local density is beta_p = c1 p^{9m} / w with c1 = prod_{k=2,6,8,12}
+(1 - p^{-k}) and an integer weight w that depends only on the stratum and
+on a3 - a1:
 
-    beta_p = p^{27 a1} c1              (a1 = a2 = a3)
-           = p^{26 a1 + a3} c2         (a1 = a2 < a3)
-           = p^{17 a1 + 10 a3} c2      (a1 < a2 = a3)
-           = p^{17 a1 + 9 a2 + a3} c3  (a1 < a2 < a3)
+    w = 1                                        (a1 = a2 = a3)
+      = p^{8(a3-a1-1)} (p^8+p^4+1)               (exactly two agree)
+      = p^{8(a3-a1)-12} (p^4+1) (p^8+p^4+1)      (a1 < a2 < a3)
 
-with c1, c2, c3 explicit products of (1 - p^{-k}).  Everything here is
-exact rational arithmetic; the mass formula consumes only the rational
-constant 691/(2^15 3^6 5^2 7^2 13), never a transcendental value.
+This is the four-stratum closed form p^{27 a1} c1, p^{26 a1 + a3} c',
+p^{17 a1 + 10 a3} c' and p^{17 a1 + 9 a2 + a3} c'', with
+c' = prod_{k=2,4,6,8} (1 - p^{-k}) and c'' = prod_{k=2,4,4,6} (1 - p^{-k}),
+written once over Z: c1/c' = p^-8 (p^8+p^4+1) and
+c1/c'' = p^-12 (p^4+1)(p^8+p^4+1).
+Everything here is exact rational arithmetic; the mass formula consumes
+only the rational constant 691/(2^15 3^6 5^2 7^2 13), never a
+transcendental value.
 
 The Igusa series identity
 
     sum_{a1<=a2<=a3} u^{a1+a2+a3} / beta_p = 1 / (c1 (1-u/p)(1-u/p^5)(1-u/p^9))
 
-is checked coefficientwise by two independent routes: the left-hand side
-sums 1/beta_p over the exponent triples of each order, and the right-hand
-side is one power-series expansion of the rational function, over Z in
-v = u/p^9, with each coefficient rescaled once.
+is checked coefficientwise by two independent routes, each over Z with each
+coefficient rescaled once: the left-hand side sums the weights w over the
+exponent triples of each order and divides by c1 p^{9m}, and the right-hand
+side is one power-series expansion of the rational function in v = u/p^9.
 """
 
 from __future__ import annotations
@@ -51,12 +57,10 @@ def _prod_one_minus(p, ks):
 class DensityConstants:
     p: int
     c1: Fraction
-    c2: Fraction
-    c3: Fraction
     delta: Fraction
 
     def __post_init__(self):
-        for v in (self.c1, self.c2, self.c3, self.delta):
+        for v in (self.c1, self.delta):
             if not 0 < v < 1:
                 raise ValueError(v)
         if self.delta != self.c1 * _prod_one_minus(self.p, (5, 9)):
@@ -70,8 +74,6 @@ def constants(p: int) -> DensityConstants:
     return DensityConstants(
         p=p,
         c1=_prod_one_minus(p, (2, 6, 8, 12)),
-        c2=_prod_one_minus(p, (2, 4, 6, 8)),
-        c3=_prod_one_minus(p, (2, 4, 4, 6)),
         delta=_prod_one_minus(p, (2, 5, 6, 8, 9, 12)),
     )
 
@@ -85,19 +87,23 @@ def exponent_triples(m):
             yield a1, a2, m - a1 - a2
 
 
-def beta_exps(p: int, exps) -> Fraction:
-    """Closed-form local density for the ascending exponent triple."""
+def _weight(p, exps):
+    """The int c1 p^{9m} / beta_p of an ascending triple (module docstring)."""
     a1, a2, a3 = exps
     if not 0 <= a1 <= a2 <= a3:
         raise ValueError(exps)
-    k = constants(p)
-    if a1 == a2 == a3:
-        return Fraction(p) ** (27 * a1) * k.c1
-    if a1 == a2:
-        return Fraction(p) ** (26 * a1 + a3) * k.c2
-    if a2 == a3:
-        return Fraction(p) ** (17 * a1 + 10 * a3) * k.c2
-    return Fraction(p) ** (17 * a1 + 9 * a2 + a3) * k.c3
+    if a1 == a3:
+        return 1
+    p4 = p ** 4
+    if a1 == a2 or a2 == a3:
+        return p ** (8 * (a3 - a1 - 1)) * (p4 * p4 + p4 + 1)
+    return p ** (8 * (a3 - a1) - 12) * (p4 + 1) * (p4 * p4 + p4 + 1)
+
+
+def beta_exps(p: int, exps) -> Fraction:
+    """Closed-form local density for the ascending exponent triple."""
+    w = _weight(p, exps)
+    return constants(p).c1 * p ** (9 * sum(exps)) / w
 
 
 def beta_p(d: ElemDivisors) -> Fraction:
@@ -110,7 +116,10 @@ def beta_p(d: ElemDivisors) -> Fraction:
 
 
 def igusa_lhs_coeff(p: int, m: int) -> Fraction:
-    return sum((1 / beta_exps(p, exps) for exps in exponent_triples(m)), Fraction(0))
+    """The u^m coefficient of the left-hand side: the sum of 1/beta_p over
+    the triples of order m, as the int sum of their weights over c1 p^{9m}."""
+    total = sum(_weight(p, exps) for exps in exponent_triples(m))
+    return total / (constants(p).c1 * p ** (9 * m))
 
 
 def igusa_verify(p: int, order: int):

@@ -15,17 +15,18 @@ product form is expanded from them over Z; its u^m coefficient is rescaled
 by 1/(c1 p^{9m}).  The lambda sum and the table route work on the Siegel
 series f itself: every exponent triple in t^m has weight m, so both sum f^2
 terms and map each t^m coefficient g to X^{2m} g(X^-2) once (siegel._tilde),
-the map that takes f^2 to tilde_f^2.  The lambda sum weights each exponent
-triple by the int d c1/beta_p, d a power of p, and divides by c1 d.  The
-table route sums c1 P in u over the 36 unordered pairs of siegel's eight
-closed-form terms (the pair sum is symmetric), where the factor 1 - p^-4 X
-is already cleared to p^4 - X; its terms are monomials in X, so the pairs
-add into one integer dict per u^m, which is divided by the square of the
-primitive common denominator, exactly over Z (Gauss's lemma).  The
-Euler-factor rewrite is certified on the same u-factors: the factors the
-two sides share cancel first, and the integer products of the factors left
-are compared.  t appears only at output (_in_t), so the factors printed are
-exactly the image of the factors certified.
+the map that takes f^2 to tilde_f^2.  The lambda sum multiplies each
+triple's f^2 by the int c1 p^{9m}/beta_p (density._weight) and divides by
+c1 p^{9m} once.  The table route sums c1 P in u over the 36 unordered
+pairs of siegel's eight closed-form terms (the pair sum is symmetric),
+where the factor 1 - p^-4 X is already cleared to p^4 - X; its terms are
+monomials in X, so the pairs add into one integer dict per u^m, which is
+divided by the square of the primitive common denominator, exactly over Z
+(Gauss's lemma).  The Euler-factor rewrite is certified on the same
+u-factors: the factors the two sides share cancel first, and the integer
+products of the factors left are compared.  t appears only at output
+(_in_t), so the factors printed are exactly the image of the factors
+certified.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from .density import beta_exps, constants, exponent_triples
+from .density import _weight, constants, exponent_triples
 from .exactnum import (
     LaurentPoly,
     SpecialValue,
@@ -59,30 +60,20 @@ __all__ = [
 ]
 
 
-def _lambda_in_z(p, m):
-    """(S, d) with lambda_p(p, m) = S / (c1 d), S over Z.  d, the common
-    denominator of c1/beta_p over the triples, is a power of p: c1/beta_p is
-    p^-E times 1, c1/c2 = 1 + p^-4 + p^-8 or c1/c3 = (1+p^-4)(1+p^-4+p^-8)."""
-    c1 = constants(p).c1
-    ws = {a: c1 / beta_exps(p, a) for a in exponent_triples(m)}
-    d = math.lcm(*(w.denominator for w in ws.values()))
-    total = LaurentPoly.zero("X")
-    for (a1, a2, a3), w in ws.items():
-        f = f_poly(p, a1, a2 - a1, a3 - a1).poly
-        total = total + (f * f).map_coeffs(lambda v, w=int(w * d): v * w)
-    return _tilde(total, 2 * m), d
-
-
 def lambda_p(p, m):
     """Coefficient of t^m in H_p(X,t): a Laurent polynomial in X.
 
     Sums tilde_f(...)^2 / beta_p over the exponent triples of total m; each
     triple carries exactly one unimodular class of that determinant order.
-    The sum runs over Z on f^2 (_lambda_in_z), is mapped by siegel._tilde
-    once and is divided by c1 d once.
+    1/beta_p is w / (c1 p^{9m}) with the int w of density._weight, so the
+    sum runs over Z on f^2 times w, is mapped by siegel._tilde once and is
+    divided by c1 p^{9m} once.
     """
-    total, d = _lambda_in_z(p, m)
-    return total * (1 / (constants(p).c1 * d))
+    total = LaurentPoly.zero("X")
+    for a1, a2, a3 in exponent_triples(m):
+        f = f_poly(p, a1, a2 - a1, a3 - a1).poly
+        total = total + (f * f).map_coeffs(lambda v, w=_weight(p, (a1, a2, a3)): v * w)
+    return _tilde(total, 2 * m) * (1 / (constants(p).c1 * p ** (9 * m)))
 
 
 def _P_in_u(p, A, B, C, order):

@@ -12,6 +12,7 @@ from heptalift.density import (
     beta_exps,
     beta_p,
     constants,
+    exponent_triples,
     igusa_lhs_coeff,
     igusa_verify,
     mass,
@@ -26,12 +27,30 @@ def frac_prod(p, ks):
     return out
 
 
+def c123(p):
+    """The closed form's three constants, products of (1 - p^-k)."""
+    return frac_prod(p, (2, 6, 8, 12)), frac_prod(p, (2, 4, 6, 8)), frac_prod(p, (2, 4, 4, 6))
+
+
+def beta_reference(p, exps):
+    """Oracle: the four-stratum closed form of beta_p over Q,
+    p^{27 a1} c1, p^{26 a1 + a3} c2, p^{17 a1 + 10 a3} c2 or
+    p^{17 a1 + 9 a2 + a3} c3 as the exponents agree."""
+    a1, a2, a3 = exps
+    c1, c2, c3 = c123(p)
+    if a1 == a2 == a3:
+        return Fraction(p) ** (27 * a1) * c1
+    if a1 == a2:
+        return Fraction(p) ** (26 * a1 + a3) * c2
+    if a2 == a3:
+        return Fraction(p) ** (17 * a1 + 10 * a3) * c2
+    return Fraction(p) ** (17 * a1 + 9 * a2 + a3) * c3
+
+
 def test_constants_values_and_invariants():
     for p in (2, 3, 5, 7):
         k = constants(p)
         assert k.c1 == frac_prod(p, (2, 6, 8, 12))
-        assert k.c2 == frac_prod(p, (2, 4, 6, 8))
-        assert k.c3 == frac_prod(p, (2, 4, 4, 6))
         assert k.delta == frac_prod(p, (2, 5, 6, 8, 9, 12))
         assert k.delta / k.c1 == frac_prod(p, (5, 9))
         # delta equals the F_p point-count density of the multiplier-1 group,
@@ -44,11 +63,18 @@ def test_constants_values_and_invariants():
 
 def test_beta_pinned_values():
     for p in (2, 3, 5):
-        k = constants(p)
-        assert beta_exps(p, (0, 0, 0)) == k.c1
-        assert beta_exps(p, (0, 0, 1)) == p * k.c2
-        assert beta_exps(p, (0, 1, 2)) == p ** 11 * k.c3
-        assert beta_exps(p, (0, 1, 1)) == p ** 10 * k.c2
+        c1, c2, c3 = c123(p)
+        assert beta_exps(p, (0, 0, 0)) == c1
+        assert beta_exps(p, (0, 0, 1)) == p * c2
+        assert beta_exps(p, (0, 1, 2)) == p ** 11 * c3
+        assert beta_exps(p, (0, 1, 1)) == p ** 10 * c2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 1000003])
+def test_beta_matches_reference(p):
+    for m in range(13):
+        for exps in exponent_triples(m):
+            assert beta_exps(p, exps) == beta_reference(p, exps), exps
 
 
 def test_beta_scaling_rule():
@@ -102,7 +128,7 @@ def test_igusa_low_coefficients():
         assert igusa_lhs_coeff(p, 0) == 1 / k.c1 == rows[0]["rhs"]
         u1 = Fraction(1, p) + Fraction(1, p ** 5) + Fraction(1, p ** 9)
         assert rows[1]["rhs"] == u1 / k.c1
-        assert igusa_lhs_coeff(p, 1) == 1 / (p * k.c2)
+        assert igusa_lhs_coeff(p, 1) == 1 / (p * c123(p)[1])
         assert rows[1]["lhs"] == igusa_lhs_coeff(p, 1) == rows[1]["rhs"]
 
 
@@ -173,6 +199,13 @@ def test_igusa_rhs_valuation_is_28_minus_9m(monkeypatch, p):
     assert len(rows) == order + 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_igusa_lhs_matches_fraction_sum(p):
+    for m in range(13):
+        want = sum((1 / beta_reference(p, exps) for exps in exponent_triples(m)), Fraction(0))
+        assert igusa_lhs_coeff(p, m) == want, m
+
+
 def test_igusa_verify_deep():
     ok, rows = igusa_verify(2, 12)
     assert ok and len(rows) == 13
@@ -195,10 +228,26 @@ def test_mass_scale_invariance():
 
 
 def test_mass_pinned_example():
-    k = constants(2)
-    expect = MASS_CONSTANT * 2 ** 9 * k.c1 / (2 * k.c2)
+    c1, c2, _ = c123(2)
+    expect = MASS_CONSTANT * 2 ** 9 * c1 / (2 * c2)
     assert mass(JordanElement.diag(1, 1, 2)) == expect
     assert expect == MASS_CONSTANT * 273
+
+
+@pytest.mark.parametrize("diag, vals", [
+    ((1, 2, 12), {2: (0, 1, 2), 3: (0, 0, 1)}),
+    ((3, 15, 45), {3: (1, 1, 2), 5: (0, 1, 1)}),
+    ((5, 10, 20), {2: (0, 1, 2), 5: (1, 1, 1)}),
+    ((1, 7, 2 * 97), {2: (0, 0, 1), 7: (0, 0, 1), 97: (0, 0, 1)}),
+])
+def test_mass_matches_reference(diag, vals):
+    # the elementary divisors of a diagonal element are the valuations of
+    # its entries, sorted
+    det = diag[0] * diag[1] * diag[2]
+    want = MASS_CONSTANT * Fraction(det) ** 9
+    for p, exps in vals.items():
+        want *= c123(p)[0] / beta_reference(p, exps)
+    assert mass(JordanElement.diag(*diag)) == want
 
 
 def test_mass_invariant_under_unit_words():

@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from heptalift import cli, genfun, siegel
+from heptalift import cli, density, genfun, siegel
 from heptalift.density import MASS_CONSTANT, beta_exps, constants, exponent_triples
 from heptalift.exactnum import LaurentPoly, SpecialValue, ratfun_expand, zeta_special
 from heptalift.genfun import (
@@ -24,6 +24,7 @@ from heptalift.genfun import (
     rs_euler_factors,
 )
 from heptalift.siegel import f_poly, f_poly_oracle, tilde_f
+from test_density import frac_prod
 
 
 def sym_ABC():
@@ -51,7 +52,8 @@ def test_lambda_low_orders():
         cs = constants(p)
         assert lambda_p(p, 0) == Fraction(1) / cs.c1
         sq = LaurentPoly("X", {1: 1, -1: 1}) ** 2
-        assert lambda_p(p, 1) == sq.map_coeffs(lambda v: Fraction(v, p) / cs.c2)
+        c2 = frac_prod(p, (2, 4, 6, 8))
+        assert lambda_p(p, 1) == sq.map_coeffs(lambda v: Fraction(v, p) / c2)
         expect2 = LaurentPoly.zero("X")
         for exps in ((0, 0, 2), (0, 1, 1)):
             tf = tilde_f(f_poly(p, exps[0], exps[1] - exps[0], exps[2] - exps[0]))
@@ -176,14 +178,21 @@ def test_lambda_matches_rational_sum(p):
         assert repr(got) == repr(want)
 
 
+def _weight_off_at_112(p, exps):
+    """density's weight c1 p^{9m}/beta_p with the triple (1, 1, 2) at p = 3
+    off by a factor p, which puts beta_p off by a factor 1/p."""
+    w = density._weight(p, exps)
+    return w * p if (p, tuple(exps)) == (3, (1, 1, 2)) else w
+
+
 def _beta_off_at_112(p, exps):
-    """beta_p with the triple (1, 1, 2) at p = 3 off by a factor p."""
+    """beta_p with the triple (1, 1, 2) at p = 3 off by a factor 1/p."""
     b = beta_exps(p, exps)
-    return b * p if (p, tuple(exps)) == (3, (1, 1, 2)) else b
+    return b / p if (p, tuple(exps)) == (3, (1, 1, 2)) else b
 
 
 def test_one_wrong_beta_fails_the_closed_form_route(monkeypatch, capsys):
-    monkeypatch.setattr(genfun, "beta_exps", _beta_off_at_112)
+    monkeypatch.setattr(genfun, "_weight", _weight_off_at_112)
     ok, report = H_verify(3, 6)
     assert not ok
     lam_bad = rational_lambda(3, 4, _beta_off_at_112)
@@ -265,13 +274,14 @@ def _int_coeffs(poly):
 
 
 def test_rational_routes_run_in_z(monkeypatch):
-    seen = []
+    seen, weights = [], []
 
     def spy(*args):
         seen.append(ratfun_expand(*args))
         return seen[-1]
 
     monkeypatch.setattr(genfun, "ratfun_expand", spy)
+    monkeypatch.setattr(genfun, "_weight", lambda *a: weights.append(density._weight(*a)) or weights[-1])
     for p in (2, 3, 5, 97):
         seen.clear()
         hp_closed_form(p).expand(8)
@@ -279,10 +289,11 @@ def test_rational_routes_run_in_z(monkeypatch):
         assert ser.var == "u" and _int_coeffs(ser)
         c1 = constants(p).c1
         for m in range(9):
-            total, d = genfun._lambda_in_z(p, m)
-            assert type(d) is int and p ** round(math.log(d, p)) == d  # a power of p
-            assert _int_coeffs(total)
-            assert total * (1 / (c1 * d)) == lambda_p(p, m)
+            weights.clear()
+            scaled = lambda_p(p, m) * (c1 * p ** (9 * m))
+            assert len(weights) == len(list(exponent_triples(m)))
+            assert all(type(w) is int for w in weights)
+            assert all(Fraction(v).denominator == 1 for v in scaled.c.values())
 
 
 def test_wrong_cleared_factor_raises_in_table_routes(monkeypatch):

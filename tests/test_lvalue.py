@@ -707,3 +707,17 @@ def test_probe_negative_control():
         true = mpmath.mpf(RHO5.numerator) / RHO5.denominator
         q = reconstruct_ratio(BigFloat(true, mpmath.mpf(10) ** -24), 20)
     assert q == RHO5
+
+
+@pytest.mark.parametrize("s", [1, 5, 9])
+def test_lvalue_bound_covers_the_rounded_gamma_factor(s):
+    # With Lambda exact and no truncation allowance (eps_term = 0), the bound
+    # on L = Lambda / gamma_infinity(s) is the quotient's own rounding,
+    # |L| 2^(-prec+2), plus the rounding of gamma_infinity(s), the same size
+    # again; without the second term the bound falls to half
+    with mpmath.workdps(38):
+        sr = lvalue._Series(s, 10, 20, None, None)
+        sr.eps_term = 0
+        sr.total = BigFloat(sr.gamma * mpmath.mpf(7) / 3, 0)
+        got = sr.lvalue()
+        assert got.err >= 1.5 * abs(got.value) * mpmath.mpf(2) ** (-mpmath.mp.prec + 2)
