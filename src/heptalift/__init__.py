@@ -21,13 +21,19 @@ The stack, bottom to top:
 - lift: eigenvalue tables (builtin tau generator or CSV), local factors
   and Fourier coefficients of the lift.
 - lvalue: symmetric-square L-values by smoothed and plain summation,
-  the period pipeline, the rationality probe.
+  the period pipeline, the rationality probe.  lvalue and acceptance are
+  the modules that import mpmath when loaded (exactnum and cli import it
+  only inside the code that needs it), so the package loads lvalue on
+  first use of `heptalift.lvalue` or of one of its public names, and
+  `import heptalift` loads no mpmath.
 - census: exhaustive rank census of the 2^27-element residue space and
   the bridge from counts to a local density.
 - acceptance / cli: the twelve-gate acceptance suite and the JSON CLI.
 """
 
-from . import cayley, census, density, exactnum, genfun, jordan, lift, lvalue, padic, siegel
+import importlib
+
+from . import cayley, census, density, exactnum, genfun, jordan, lift, padic, siegel
 from .cayley import *
 from .census import *
 from .density import *
@@ -35,14 +41,29 @@ from .exactnum import *
 from .genfun import *
 from .jordan import *
 from .lift import *
-from .lvalue import *
 from .padic import *
 from .siegel import *
 
 __version__ = "0.1.0"
 
-__all__ = sorted(
-    name
-    for module in (cayley, census, density, exactnum, genfun, jordan, lift, lvalue, padic, siegel)
-    for name in module.__all__
+# lvalue.__all__, stated here so that listing it does not load mpmath
+_LVALUE_NAMES = (
+    "CRITICAL_POINTS", "gamma_infinity", "period_report", "rationality_probe",
+    "reconstruct_ratio", "sym2_dirichlet_coeffs", "sym2_dirichlet_sum",
+    "sym2_lvalue", "sym2_lvalues", "triple_divisor_count",
 )
+
+__all__ = sorted(
+    [name
+     for module in (cayley, census, density, exactnum, genfun, jordan, lift, padic, siegel)
+     for name in module.__all__]
+    + list(_LVALUE_NAMES)
+)
+
+
+def __getattr__(name):
+    """PEP 562: load lvalue, and mpmath with it, when it is first asked for."""
+    if name == "lvalue" or name in _LVALUE_NAMES:
+        lvalue = importlib.import_module(".lvalue", __name__)
+        return lvalue if name == "lvalue" else getattr(lvalue, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

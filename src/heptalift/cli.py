@@ -10,6 +10,9 @@ Exit codes: 0 success, 2 usage error (bad flags, malformed or out-of-domain
 input, an eigen table missing a prime the command reads), 1 computational
 failure (a verified identity did not hold, or a series did not settle).
 Both error paths write a one-object JSON diagnostic to stderr.
+
+The period, probe and selftest handlers import mpmath, lvalue and acceptance
+themselves, so the exact-layer commands start without the L-value stack.
 """
 
 import argparse
@@ -23,9 +26,6 @@ import time
 from fractions import Fraction
 from math import prod
 
-import mpmath
-
-from . import acceptance
 from .census import beta_from_census, census_f2
 from .density import beta_exps, exponent_triples, igusa_verify, mass
 from .exactnum import frac_str
@@ -38,7 +38,6 @@ from .genfun import (
 )
 from .jordan import JordanElement
 from .lift import eigen_delta, eigen_from_csv, fourier_coeff, local_factor
-from .lvalue import CRITICAL_POINTS, period_report, rationality_probe
 from .padic import factor_table, genus_invariants, is_prime, reduce_at
 from .siegel import f_poly
 
@@ -371,6 +370,10 @@ def _cmd_rs_euler(args):
 
 
 def _cmd_period(args):
+    import mpmath
+
+    from .lvalue import CRITICAL_POINTS, period_report
+
     eigen = _load_eigen(args.eigen, args.k, _SERIES_PRIMES)
     report = period_report(args.k, eigen, digits=args.digits)
     value = report["value"]
@@ -393,6 +396,8 @@ def _cmd_period(args):
 
 
 def _cmd_probe(args):
+    from .lvalue import rationality_probe
+
     eigen = _load_eigen(args.eigen, args.k, _SERIES_PRIMES)
     out = rationality_probe(eigen, args.k, digits=args.digits)
     return {
@@ -422,6 +427,8 @@ def _cmd_census(args):
 
 
 def _cmd_selftest(args):
+    from . import acceptance
+
     results = []
     ok = True
     for criterion in acceptance.CRITERIA:

@@ -4,7 +4,8 @@ values and symmetric-square L-values.
 
 Everything here is over Q (fractions.Fraction), except exact polynomial
 division, which is over Z; nothing floats except the BigFloat carrier at the
-bottom, which wraps mpmath with a tracked error bound.
+bottom, which wraps mpmath with a tracked error bound.  mpmath is imported
+inside BigFloat's code and bernoulli only, so the exact layers load without it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, prod
-
-import mpmath
 
 __all__ = [
     "BigFloat",
@@ -309,6 +308,7 @@ def ratfun_expand(numerator, denominator_factors, order, var="t"):
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2 convention), exact from mpmath."""
+    import mpmath
     if n < 0:
         raise ValueError(n)
     return Fraction(*mpmath.bernfrac(n))
@@ -456,11 +456,13 @@ def rational_reconstruct(x, error_bound, max_denominator=10 ** 12):
 
 def _rounding(v):
     """Bound on the error of v, rounded once at the working precision."""
+    import mpmath
     return abs(v) * mpmath.mpf(2) ** (-mpmath.mp.prec + 2)
 
 
 def _up(*terms):
     """Sum of nonnegative error terms, rounded upward."""
+    import mpmath
     return reduce(lambda s, t: mpmath.fadd(s, t, rounding="u"), terms)
 
 
@@ -471,11 +473,13 @@ class BigFloat:
     __slots__ = ("value", "err")
 
     def __init__(self, value, err=0):
+        import mpmath
         self.value = mpmath.mpf(value) if not isinstance(value, mpmath.mpf) else value
         self.err = mpmath.mpf(err)
 
     @classmethod
     def exact(cls, q):
+        import mpmath
         q = Fraction(q)
         v = mpmath.mpf(q.numerator) / q.denominator
         return cls(v, _rounding(v))
@@ -496,6 +500,7 @@ class BigFloat:
         return BigFloat(v, _up(self.err, o.err, _rounding(v)))
 
     def __mul__(self, other):
+        import mpmath
         o = other if isinstance(other, BigFloat) else BigFloat(other)
         v = self.value * o.value
         err = _up(
@@ -509,6 +514,7 @@ class BigFloat:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        import mpmath
         o = other if isinstance(other, BigFloat) else BigFloat(other)
         if abs(o.value) <= o.err:
             raise ZeroDivisionError("divisor interval contains zero: %r" % (o,))
@@ -521,4 +527,5 @@ class BigFloat:
         return BigFloat(v, _up(mpmath.fdiv(num, gap, rounding="u"), r))
 
     def __repr__(self):
+        import mpmath
         return f"BigFloat({mpmath.nstr(self.value, 20)}, err={mpmath.nstr(self.err, 3)})"

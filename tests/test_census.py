@@ -55,6 +55,44 @@ def test_import_and_census_leave_numpy_unloaded():
     assert '"rank3": 64884736' in proc.stdout
 
 
+def test_exact_commands_leave_mpmath_unloaded(tmp_path):
+    # the exact-layer commands never load the L-value stack; period and
+    # gamma-k --derived load it on demand in the same interpreter
+    elem = tmp_path / "elem.json"
+    elem.write_text('{"diag": [2, 3, 5], "x": [0, 0, 0, 0, 0, 0, 0, 0], '
+                    '"y": [0, 0, 0, 0, 0, 0, 0, 0], "z": [0, 0, 0, 0, 0, 0, 0, 0]}')
+    exact = [
+        ["gamma-k", "--k", "10"],
+        ["rs-euler", "--prime", "5"],
+        ["hp-verify", "--prime", "3", "--tmax", "10"],
+        ["lift-table", "--k", "10", "--max-det", "200"],
+        ["siegel", "--prime", "3", "--m", "0,1,2"],
+        ["density", "--prime", "3", "--divisors", "0,1,2"],
+        ["igusa-verify", "--prime", "3", "--order", "10"],
+        ["reduce", "--prime", "3", "--input", str(elem)],
+        ["mass", "--input", str(elem)],
+        ["lift-coeff", "--k", "10", "--input", str(elem)],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = (
+        "import sys, heptalift\n"
+        "from heptalift import cli\n"
+        "for argv in %r:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "loaded = [m for m in ('mpmath', 'heptalift.lvalue', 'heptalift.acceptance')\n"
+        "          if m in sys.modules]\n"
+        "assert loaded == [], loaded\n"
+        "assert cli.main(['period', '--k', '10', '--digits', '12']) == 0\n"
+        "assert cli.main(['gamma-k', '--k', '10', '--derived']) == 0\n"
+    ) % (exact,)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert '"lvalues"' in proc.stdout and '"derived"' in proc.stdout
+
+
 def test_census_counts(counts):
     assert counts["rank0"] == 1
     assert counts["rank3"] == RANK3_COUNT

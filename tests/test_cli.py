@@ -16,7 +16,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from heptalift import acceptance, cli
+from heptalift import acceptance, cli, lvalue
 from heptalift.density import MASS_CONSTANT, beta_exps, exponent_triples
 from heptalift.exactnum import BigFloat, frac_str
 from heptalift.genfun import gamma_k
@@ -859,7 +859,7 @@ def test_period_k_bound(tmp_path, capsys, monkeypatch):
     # stubbed with unit values and the real gamma_k
     csv = _zero_eigen_csv(tmp_path, 256)
     one = BigFloat(mpmath.mpf(1), mpmath.mpf(0))
-    monkeypatch.setattr(cli, "period_report", lambda k, eigen, digits: {
+    monkeypatch.setattr(lvalue, "period_report", lambda k, eigen, digits: {
         "value": one, "gamma_k": gamma_k(k), "pi_power": -(6 * k + 3), "lvalues": [one] * 3})
     code, out, err = run_cli(capsys, "period", "--k", str(cli.MAX_GAMMA_K), "--eigen", csv)
     assert code == 0 and err == ""
@@ -1008,7 +1008,7 @@ def test_selftest_wiring(monkeypatch, capsys):
         acceptance.Criterion(1, "fake-pass", 5.0, lambda: "fine"),
         acceptance.Criterion(2, "fake-fail", 5.0, lambda: (_ for _ in ()).throw(AssertionError("boom"))),
     )
-    monkeypatch.setattr(cli.acceptance, "CRITERIA", fake)
+    monkeypatch.setattr(acceptance, "CRITERIA", fake)
     code, out, err = run_cli(capsys, "selftest")
     assert code == 1
     squeezed = " ".join(err.split())

@@ -4,6 +4,9 @@ own body; and no module imports a name it never reads."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -58,6 +61,32 @@ def test_star_import_binds_exactly_the_public_names():
     assert sorted(namespace) == PUBLIC
     for name in PUBLIC:
         assert namespace[name] is getattr(heptalift, name)
+
+
+def test_lvalue_loads_on_first_use():
+    # lvalue (and mpmath) load lazily through the package's __getattr__;
+    # checked in a fresh interpreter, since this one has loaded them already
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = (
+        "import sys, heptalift\n"
+        "assert 'heptalift.lvalue' not in sys.modules\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "assert heptalift.sym2_lvalue is heptalift.lvalue.sym2_lvalue\n"
+        "from heptalift import lvalue\n"
+        "assert lvalue is sys.modules['heptalift.lvalue']\n"
+        "try:\n"
+        "    heptalift.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+        "assert not hasattr(heptalift, 'no_such_name')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _mentions(tree):
