@@ -54,6 +54,8 @@ MAX_LOCAL_SIZE = 10000
 MAX_DET = 29000
 MAX_PRIME_BITS = 1024
 MAX_RS_EULER_BITS = 510
+# pieces of the indented JSON encoder joined per write in _emit
+_BLOCK = 4096
 
 
 class UsageError(Exception):
@@ -78,22 +80,38 @@ def _emit_error(message):
     sys.stderr.write(json.dumps({"error": str(message)}) + "\n")
 
 
+def _write_json(fh, payload):
+    """Write json.dumps(payload, indent=2) + "\n" to fh as it is encoded.
+
+    The indented encoder yields small pieces; they are joined and written in
+    blocks of _BLOCK, so the whole text is never held at once, and a write
+    per piece would cost more than the join.
+    """
+    pieces = json.JSONEncoder(indent=2).iterencode(payload)
+    while block := list(itertools.islice(pieces, _BLOCK)):
+        fh.write("".join(block))
+    fh.write("\n")
+
+
 def _emit(payload, out_path):
     """Write the payload to out_path, or to stdout if there is none; a file
     or a stdout that cannot be written raises UsageError.
 
+    Every int in a payload prints within Python's 4300-digit limit: flags
+    are parsed by int(), which refuses longer text, and computed values that
+    could pass it are printed through _printed, which refuses them before
+    anything is written.  So the encoding cannot fail once writing has begun.
     stdout is flushed here, so a failed write surfaces now rather than at
     exit.  After a failure its file descriptor is pointed at os.devnull:
     the bytes left in its buffer would otherwise be retried by the flush at
     interpreter exit, which prints "Exception ignored" and exits 120.
     """
-    text = json.dumps(payload, indent=2) + "\n"
     try:
         if out_path:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                _write_json(fh, payload)
         else:
-            sys.stdout.write(text)
+            _write_json(sys.stdout, payload)
             sys.stdout.flush()
     except OSError as exc:
         if not out_path:
@@ -332,19 +350,21 @@ def _cmd_lift_coeff(args):
 
 def _cmd_lift_table(args):
     eigen = _load_eigen(args.eigen, args.k, args.max_det)
+    # per prime power p^e: ((str(p), [a1, a2, a3]), local factor) for each
+    # profile, the divisor entry shared by every row that has it
     blocks = {}
     rows = []
     for n, fac in enumerate(factor_table(args.max_det)[1:], 1):
         for p, e in fac:
             if (p, e) not in blocks:
-                blocks[p, e] = [(exps, local_factor(p, exps, eigen))
+                blocks[p, e] = [((str(p), list(exps)), local_factor(p, exps, eigen))
                                 for exps in exponent_triples(e)]
         for combo in itertools.product(*(blocks[pe] for pe in fac)):
             (coefficient,) = _printed("the coefficient at det %d" % n, [prod(v for _, v in combo)],
                                       "lower --k or --max-det")
             rows.append({
                 "det": str(n),
-                "divisors": {str(p): list(exps) for (p, _), (exps, _) in zip(fac, combo)},
+                "divisors": dict(entry for entry, _ in combo),
                 "coefficient": coefficient,
             })
     return {"k": args.k, "max_det": args.max_det, "rows": rows}

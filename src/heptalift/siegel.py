@@ -23,9 +23,17 @@ cofactor shifted by one exponent, and the eight are added into a single
 {exponent: int} dict before one exact division (LaurentPoly.divide_exact);
 genfun's table route sums pairs of the same terms.  f_poly is memoized on
 (p, m1, m2, m3) for the life of the process.  The oracle reads neither memo
-and sums its own two terms over its own common denominator, so a check of
-one route against the other always computes both and shares no step
-between them.
+and sums its own two terms over its own common denominator, so at m1 >= 1 a
+check of one route against the other always computes both and shares no
+step between them.
+
+At m1 = 0 the oracle's C0/C1 factor is 1 and f is the base polynomial, so
+f_poly returns _base_poly there and builds the closed-form terms only for a
+prime that has a profile with m1 >= 1 (p^3 | det).  The eight-term sum keeps
+its evidence at m1 = 0: the tests sum the terms there and compare the result
+with _base_poly, and hp-verify checks lambda_p, which reads f_poly at
+m1 = 0, against the product form and against the table route, which sums
+the eight terms at every m1.
 
 SiegelPoly checks f_i = f_{m-i}, the local functional equation, when either
 route builds a value.  So tilde(X) = X^m f(X^{-2}) (_tilde) is supported on
@@ -151,9 +159,12 @@ def f_poly(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
     exponent e, so the term adds c times its cofactor, shifted by e, into a
     single {exponent: int} dict; the sum is divided by the common
     denominator once, exactly, so a sum that is not a polynomial raises.
+    At m1 = 0 f is the base polynomial, and no terms are built.
     Memoized on (p, m1, m2, m3); callers share the returned object.
     """
     _check_args(p, m1, m2, m3)
+    if m1 == 0:
+        return SiegelPoly(p, (0, m2, m3), _base_poly(p, m2, m3))
     terms, full = _closed_form_terms(p)
     num = {}
     for cof, (c, e), (xc, xe), (yc, ye), (zc, ze) in terms:
@@ -165,13 +176,17 @@ def f_poly(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:
 
 
 def _base_poly(p: int, m2: int, m3: int) -> LaurentPoly:
-    """sum_k (p^4 X)^k (1 + X + ... + X^{m2+m3-2k}) for k = 0..m2."""
-    out = LaurentPoly.zero("X")
-    for k in range(m2 + 1):
-        n = m2 + m3 + 1 - 2 * k
-        geo = LaurentPoly("X", {e: 1 for e in range(n)})
-        out = out + _mono(p ** (4 * k), k) * geo
-    return out
+    """sum_k (p^4 X)^k (1 + X + ... + X^{m2+m3-2k}) for k = 0..m2, 0 <= m2 <= m3.
+
+    The k-th summand covers X^k .. X^{m2+m3-k}, so the coefficient of X^e is
+    1 + p^4 + ... + p^{4j} with j = min(e, m2, m2+m3-e); one pass of partial
+    sums gives every coefficient.
+    """
+    n, p4 = m2 + m3, p ** 4
+    partial = [1]
+    for _ in range(m2):
+        partial.append(partial[-1] * p4 + 1)
+    return LaurentPoly("X", {e: partial[min(e, m2, n - e)] for e in range(n + 1)})
 
 
 def f_poly_oracle(p: int, m1: int, m2: int, m3: int) -> SiegelPoly:

@@ -613,6 +613,65 @@ def test_lift_table_matches_the_per_row_reference(capsys):
         assert out == json.dumps({"k": 10, "max_det": max_det, "rows": rows}, indent=2) + "\n"
 
 
+def _payload(*argv):
+    """The payload a command's handler returns, before it is written."""
+    args = cli.build_parser().parse_args(list(argv))
+    return args.handler(args)
+
+
+@pytest.mark.parametrize("max_det", ["1", "2", "200"])
+def test_streamed_output_is_the_one_shot_dump(capsys, max_det):
+    argv = ("lift-table", "--k", "10", "--max-det", max_det)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == json.dumps(_payload(*argv), indent=2) + "\n"
+
+
+def test_streamed_output_through_out_spans_blocks(tmp_path, capsys):
+    argv = ("lift-table", "--k", "10", "--max-det", "200")
+    payload = _payload(*argv)
+    assert len(list(json.JSONEncoder(indent=2).iterencode(payload))) > 2 * cli._BLOCK
+    target = tmp_path / "table.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == "" and err == ""
+    assert target.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_streamed_failure_payload(monkeypatch, capsys):
+    report = {"t_power": 4, "route": "closed_form", "lambda_sum": "1/3", "closed_form": "1/2"}
+    monkeypatch.setattr(cli, "H_verify", lambda p, tmax, table_route: (False, report))
+    code, out, err = run_cli(capsys, "hp-verify", "--prime", "3", "--tmax", "6")
+    assert code == 1
+    assert json.loads(err) == {"error": "generating identity failed for p=3"}
+    payload = {"prime": 3, "tmax": 6, "ok": False, "first_discrepancy": report}
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_lift_table_at_the_cap_streams_in_bounded_memory(tmp_path):
+    # VmHWM is the child's own high-water mark; ru_maxrss would also carry
+    # the parent's, which a fork passes on to its child
+    target = tmp_path / "table.json"
+    code = (
+        "import sys, time\n"
+        "from heptalift import cli\n"
+        "t = time.perf_counter()\n"
+        "code = cli.main(['lift-table', '--k', '10', '--max-det', '29000', '--out', %r])\n"
+        "elapsed = time.perf_counter() - t\n"
+        "hwm = next(l for l in open('/proc/self/status') if l.startswith('VmHWM:'))\n"
+        "print(code, elapsed, int(hwm.split()[1]))\n" % str(target)
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, elapsed, hwm_kb = proc.stdout.split()
+    assert int(exit_code) == 0 and target.stat().st_size > 16_000_000
+    assert float(elapsed) <= 15
+    assert int(hwm_kb) <= 70 * 1024
+
+
 def test_lift_table_print_limit(tmp_path, capsys):
     # with a_p = 0 at k = 3000, det 36 is the first determinant whose
     # coefficient passes Python's 4300-digit limit on int-to-str conversion

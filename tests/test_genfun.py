@@ -298,6 +298,8 @@ def test_rational_routes_run_in_z(monkeypatch):
 
 def test_wrong_cleared_factor_raises_in_table_routes(monkeypatch):
     # p^4 - X becomes p^4 + 1 - X; the table route sums f_poly's terms
+    triples = [(0, 0, 0), (0, 1, 1), (1, 0, 2), (2, 1, 3)]
+    base = {(p, m): f_poly_oracle(p, *m).poly for p in (2, 3) for m in triples if m[0] == 0}
     monkeypatch.setattr(
         siegel, "_p4_minus_x", lambda p: LaurentPoly("X", {0: p ** 4 + 1, 1: -1})
     )
@@ -306,11 +308,15 @@ def test_wrong_cleared_factor_raises_in_table_routes(monkeypatch):
         memo.cache_clear()
     try:
         for p in (2, 3):
-            for m in [(0, 0, 0), (0, 1, 1), (1, 0, 2), (2, 1, 3)]:
+            for m in triples:
                 with pytest.raises(ArithmeticError):
                     f_from_table(p, *m)
-                with pytest.raises(ArithmeticError):
-                    f_poly(p, *m)
+                if m[0] == 0:
+                    # f_poly's base polynomial reads no cleared factor
+                    assert f_poly(p, *m).poly == base[p, m]
+                else:
+                    with pytest.raises(ArithmeticError):
+                        f_poly(p, *m)
                 with pytest.raises(ArithmeticError):
                     f_poly_oracle(p, *m)
             with pytest.raises(ArithmeticError):

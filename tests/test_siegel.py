@@ -2,7 +2,7 @@
 
 import pytest
 
-from heptalift import siegel
+from heptalift import cli, siegel
 from heptalift.exactnum import LaurentPoly
 from heptalift.density import exponent_triples
 from heptalift.genfun import hp_table_route, lambda_p
@@ -77,6 +77,8 @@ def test_wrong_denominator_raises_in_both_routes(monkeypatch, factor):
     lin = siegel._lin
     clear_memos()
     good = f_poly(2, 1, 0, 2)
+    base = {(p, m): f_poly_oracle(p, *m).poly
+            for p in (2, 3, 5) for m in all_triples(6) if m[0] == 0}
     try:
         for p in (2, 3, 5):
             target = {"1": 1, "p^4": p ** 4, "p^8": p ** 8}[factor]
@@ -91,8 +93,12 @@ def test_wrong_denominator_raises_in_both_routes(monkeypatch, factor):
                 assert f_poly(2, 1, 0, 2) == good
                 clear_memos()
             for m in all_triples(6):
-                with pytest.raises(ArithmeticError):
-                    f_poly(p, *m)
+                if m[0] == 0:
+                    # f_poly's base polynomial reads no denominator
+                    assert f_poly(p, *m).poly == base[p, m]
+                else:
+                    with pytest.raises(ArithmeticError):
+                        f_poly(p, *m)
                 with pytest.raises(ArithmeticError):
                     f_poly_oracle(p, *m)
                 # the table route reads the same per-prime terms
@@ -121,6 +127,29 @@ def test_warm_memo_matches_cold_route_and_oracle():
                    for v in (*cof.c.values(), *(c for c, _ in monos)))
     hits = siegel._closed_form_terms.cache_info()
     assert hits.currsize == 5 and hits.hits > 0
+
+
+def test_base_polynomial_is_the_eight_term_sum_at_m1_zero():
+    # f_poly returns the base polynomial at m1 = 0; the plain sum of the
+    # eight closed-form terms keeps the closed form checked there
+    for p in (2, 3, 5, 7, 97, 1000003):
+        for m3 in range(13):
+            for m2 in range(min(m3, 12 - m3) + 1):
+                base = siegel._base_poly(p, m2, m3)
+                assert f_poly(p, 0, m2, m3).poly == base == f_poly_oracle(p, 0, m2, m3).poly
+                assert f_from_table(p, 0, m2, m3) == base, (p, m2, m3)
+
+
+def test_lift_table_builds_terms_only_where_m1_is_positive(capsys):
+    # below 200 only p = 2, 3 and 5 divide a determinant to a profile with
+    # m1 >= 1 (p^3 | det); every other prime reads only the base polynomial
+    clear_memos()
+    try:
+        assert cli.dispatch(["lift-table", "--k", "10", "--max-det", "200"]) == 0
+        assert siegel._closed_form_terms.cache_info().currsize == 3
+    finally:
+        capsys.readouterr()
+        clear_memos()
 
 
 def test_degree_and_constant_term():
